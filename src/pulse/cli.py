@@ -17,6 +17,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,23 +25,27 @@ import numpy as np
 from .errors import (ConfigError, DataError, DomainError, NumericError,
                      PulseError, ShapeError, UsageError)
 from .metrics import gate_motion_diag, per_joint_report
-from .model import (ABLATIONS, ModelConfig, config_from_text, config_to_text,
-                    forward, init_params)
+from .model import (ABLATIONS, ModelConfig, config_from_strings,
+                    config_from_text, config_to_text, forward, init_params)
 from .optim import grad_check, group_errors_by_prefix
-from .radar import (JOINT_NAMES, MOTIONS, RadarConfig, emit_dataset,
-                    make_scene, radar_config_from_manifest)
+from .radar import JOINT_NAMES, MOTIONS, RadarConfig, emit_dataset, make_scene
 from .storage import load_checkpoint, load_dataset, save_checkpoint
 from .training import (TrainConfig, evaluate_split, loss_pos, train_model)
 
-MODEL_KEYS = ("R", "A", "D", "patch_r", "patch_a", "embed_dim", "layers",
-              "heads", "dropout", "neighborhood", "gate_strength",
-              "frame_window", "agg_eps", "joints", "ablation", "head_scale")
-TRAIN_KEYS = ("lr", "weight_decay", "batch", "epochs", "clip", "seed",
-              "gate_loss_weight", "patience", "max_steps")
-RADAR_KEYS = ("carrier_hz", "bandwidth_hz", "chirp_duration_s",
-              "fast_samples_per_chirp", "virtual_elements", "noise_std",
-              "frame_rate_hz")
-ALL_KEYS = MODEL_KEYS + TRAIN_KEYS + RADAR_KEYS
+
+def _config_defaults():
+    """Flag and config-file keys with their default strings: the fields of
+    the three config dataclasses. Where R, A and D are shared, the
+    ModelConfig default wins; RadarConfig.chirps_per_frame is fed from D."""
+    defaults = {}
+    for cls in (ModelConfig, TrainConfig, RadarConfig):
+        for f in fields(cls):
+            if f.name != "chirps_per_frame":
+                defaults.setdefault(f.name, str(f.default))
+    return defaults
+
+
+CONFIG_DEFAULTS = _config_defaults()
 
 SWEEP_AXES = {
     "beta": ("gate_strength", ["0", "0.5", "1", "2", "4"]),
@@ -54,11 +59,8 @@ def _env_seed():
 
 
 def _add_config_flags(parser):
-    for key in ALL_KEYS:
-        if key == "seed":
-            parser.add_argument("--seed", default=None)
-        else:
-            parser.add_argument(f"--{key}", default=None)
+    for key in CONFIG_DEFAULTS:
+        parser.add_argument(f"--{key}", default=None)
     parser.add_argument("--beta", dest="gate_strength_alias", default=None,
                         help="alias for --gate_strength")
     parser.add_argument("--config", default=None,
@@ -79,63 +81,35 @@ def read_config_file(path):
             raise ConfigError(f"{path}: malformed config line {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in ALL_KEYS:
+        if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
 def resolve_config(args):
-    """Merge defaults <- config file <- CLI flags into a flat string map."""
-    resolved = {}
-    mc = ModelConfig()
-    for key in MODEL_KEYS:
-        resolved[key] = str(getattr(mc, key))
-    tc = TrainConfig()
-    for key in TRAIN_KEYS:
-        resolved[key] = str(getattr(tc, key))
-    rc = RadarConfig()
-    for key in RADAR_KEYS:
-        resolved[key] = str(getattr(rc, key))
-    resolved["seed"] = _env_seed()
-    if getattr(args, "config", None):
-        resolved.update(read_config_file(args.config))
-    for key in ALL_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    alias = getattr(args, "gate_strength_alias", None)
-    if alias is not None:
-        resolved["gate_strength"] = alias
-    return resolved
+    """Merge defaults <- config file <- CLI flags into a flat string map.
+
+    Returns the map and the set of keys the config file or a flag set.
+    Values stay strings, so resolved.cfg keeps the user's spelling.
+    """
+    explicit = read_config_file(args.config) if args.config else {}
+    for key in CONFIG_DEFAULTS:
+        if getattr(args, key) is not None:
+            explicit[key] = getattr(args, key)
+    if args.gate_strength_alias is not None:
+        explicit["gate_strength"] = args.gate_strength_alias
+    resolved = dict(CONFIG_DEFAULTS, seed=_env_seed())
+    resolved.update(explicit)
+    return resolved, set(explicit)
 
 
-def model_config_from_resolved(resolved, **overrides):
-    values = {key: resolved[key] for key in MODEL_KEYS}
-    values.update({k: str(v) for k, v in overrides.items()})
-    return ModelConfig.from_dict(values)
-
-
-def train_config_from_resolved(resolved):
-    return TrainConfig(
-        lr=float(resolved["lr"]), weight_decay=float(resolved["weight_decay"]),
-        batch=int(resolved["batch"]), epochs=int(resolved["epochs"]),
-        clip=float(resolved["clip"]), seed=int(resolved["seed"]),
-        gate_loss_weight=float(resolved["gate_loss_weight"]),
-        patience=int(resolved["patience"]), max_steps=int(resolved["max_steps"]))
-
-
-def radar_config_from_resolved(resolved):
-    return RadarConfig(
-        carrier_hz=float(resolved["carrier_hz"]),
-        bandwidth_hz=float(resolved["bandwidth_hz"]),
-        chirp_duration_s=float(resolved["chirp_duration_s"]),
-        chirps_per_frame=int(resolved["D"]),
-        fast_samples_per_chirp=int(resolved["fast_samples_per_chirp"]),
-        virtual_elements=int(resolved["virtual_elements"]),
-        R=int(resolved["R"]), A=int(resolved["A"]),
-        noise_std=float(resolved["noise_std"]),
-        frame_rate_hz=float(resolved["frame_rate_hz"]))
+def config_from_resolved(cls, resolved, **overrides):
+    """`cls` built from the resolved strings, overrides applied on top."""
+    values = {f.name: resolved["D" if f.name == "chirps_per_frame" else f.name]
+              for f in fields(cls)}
+    values.update(overrides)
+    return config_from_strings(cls, values)
 
 
 def write_resolved(resolved, out_dir):
@@ -151,9 +125,9 @@ def _float_csv(x):
 # Commands
 
 def cmd_synth(args):
-    resolved = resolve_config(args)
-    rcfg = radar_config_from_resolved(resolved)
-    seed = int(resolved["seed"])
+    resolved, _ = resolve_config(args)
+    rcfg = config_from_resolved(RadarConfig, resolved)
+    seed = config_from_strings(TrainConfig, {"seed": resolved["seed"]}).seed
     if args.motion == "mixed":
         motions = [MOTIONS[i % len(MOTIONS)] for i in range(args.sequences)]
     elif args.motion in MOTIONS:
@@ -182,19 +156,18 @@ def cmd_synth(args):
     return 0
 
 
-def _model_config_for_dataset(resolved, dataset, ablation=None):
+def _model_config_for_dataset(resolved, explicit, dataset, **overrides):
+    """ModelConfig on the dataset's grid; an explicit R, A or D must match it."""
     manifest = dataset.manifest
+    grid = {key: manifest[key] for key in ("R", "A", "D") if key not in explicit}
+    mcfg = config_from_resolved(ModelConfig, resolved, **grid,
+                                joints=manifest["J"], **overrides)
     for key in ("R", "A", "D"):
-        if resolved[key] != str(ModelConfig.__dataclass_fields__[key].default) \
-                and resolved[key] != manifest[key]:
+        if getattr(mcfg, key) != int(manifest[key]):
             raise ConfigError(
                 f"flag {key}={resolved[key]} conflicts with dataset {key}="
                 f"{manifest[key]}")
-    overrides = {"R": manifest["R"], "A": manifest["A"], "D": manifest["D"],
-                 "joints": manifest["J"]}
-    if ablation is not None:
-        overrides["ablation"] = ablation
-    return model_config_from_resolved(resolved, **overrides)
+    return mcfg
 
 
 def _train_once(dataset, mcfg, tcfg):
@@ -205,10 +178,10 @@ def _train_once(dataset, mcfg, tcfg):
 
 
 def cmd_train(args):
-    resolved = resolve_config(args)
+    resolved, explicit = resolve_config(args)
     dataset = load_dataset(args.dataset)
-    mcfg = _model_config_for_dataset(resolved, dataset)
-    tcfg = train_config_from_resolved(resolved)
+    mcfg = _model_config_for_dataset(resolved, explicit, dataset)
+    tcfg = config_from_resolved(TrainConfig, resolved)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result, params = _train_once(dataset, mcfg, tcfg)
@@ -228,7 +201,10 @@ def cmd_train(args):
 
 def load_model(ckpt_path):
     config_text, seed, named = load_checkpoint(ckpt_path)
-    mcfg = config_from_text(config_text)
+    try:
+        mcfg = config_from_text(config_text)
+    except ConfigError as exc:
+        raise ConfigError(f"{ckpt_path}: {exc}") from None
     params = init_params(mcfg, seed)
     names = params.names()
     stored = [name for name, _ in named]
@@ -271,9 +247,9 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    resolved = resolve_config(args)
+    resolved, explicit = resolve_config(args)
     dataset = load_dataset(args.dataset)
-    tcfg = train_config_from_resolved(resolved)
+    tcfg = config_from_resolved(TrainConfig, resolved)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     runs = []
@@ -283,8 +259,8 @@ def cmd_ablate(args):
             if variant not in ABLATIONS:
                 raise UsageError(f"unknown variant {variant!r}; "
                                  f"expected subset of {ABLATIONS}")
-            runs.append((variant, _model_config_for_dataset(resolved, dataset,
-                                                            ablation=variant)))
+            runs.append((variant, _model_config_for_dataset(
+                resolved, explicit, dataset, ablation=variant)))
     if args.sweep:
         if args.sweep not in SWEEP_AXES:
             raise UsageError(f"unknown sweep {args.sweep!r}; "
@@ -298,7 +274,7 @@ def cmd_ablate(args):
                 local["patch_r"] = local["patch_a"] = value
             else:
                 local[key] = value
-            runs.append((label, _model_config_for_dataset(local, dataset)))
+            runs.append((label, _model_config_for_dataset(local, explicit, dataset)))
     if not runs:
         raise UsageError("nothing to do: pass --variants and/or --sweep")
     rows = ["variant,mpjpe,pa_mpjpe,mpjve,akv"]
@@ -321,13 +297,12 @@ GRADCHECK_DEFAULTS = {"R": "8", "A": "8", "D": "4", "embed_dim": "8",
 
 
 def cmd_gradcheck(args):
-    resolved = resolve_config(args)
+    resolved, explicit = resolve_config(args)
     for key, value in GRADCHECK_DEFAULTS.items():
-        if getattr(args, key, None) is None and \
-                (not args.config or key not in read_config_file(args.config)):
+        if key not in explicit:
             resolved[key] = value
-    mcfg = model_config_from_resolved(resolved)
-    seed = int(resolved["seed"])
+    mcfg = config_from_resolved(ModelConfig, resolved)
+    seed = config_from_strings(TrainConfig, {"seed": resolved["seed"]}).seed
     params = init_params(mcfg, seed, randomize_all=True)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 404]))
     frames = [rng.random((mcfg.R, mcfg.A, mcfg.D))

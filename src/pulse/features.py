@@ -2,9 +2,9 @@
 
 A RadTensor here is a plain nonnegative float array of shape (R, A, D) with
 axes (range, angle, doppler). The spatial map averages it over Doppler; the
-Doppler volume keeps the per-cell spectra intact. Also houses the RA/RD to
-RAD reconstruction used for datasets that only release 2-D maps, per-frame
-max normalization, and bilinear range-angle resampling.
+per-cell spectra keep the Doppler axis intact. Also houses the RA/RD to
+RAD reconstruction used for datasets that only release 2-D maps and
+per-frame max normalization.
 """
 
 from __future__ import annotations
@@ -26,19 +26,6 @@ def _check_rad(h):
 def spatial_magnitude(h):
     """(R, A) map: mean of the magnitudes along the Doppler axis."""
     return _check_rad(h).mean(axis=2)
-
-
-def doppler_volume(h):
-    """Magnitude volume; the input is already magnitudes, so identity."""
-    return _check_rad(h)
-
-
-def doppler_spectrum(v, r, a):
-    """Length-D spectrum at one range-angle cell."""
-    v = np.asarray(v)
-    if not (0 <= r < v.shape[0] and 0 <= a < v.shape[1]):
-        raise ShapeError(f"cell ({r}, {a}) outside grid {v.shape[:2]}")
-    return v[r, a, :]
 
 
 def cell_spectra(h):
@@ -81,28 +68,3 @@ def normalize_frame(h):
         return h
     return h / peak
 
-
-def resample_ra(h, r_out, a_out):
-    """Bilinear resampling of each Doppler slab on the range-angle plane.
-
-    Corner-aligned: output corners sample input corners exactly. The Doppler
-    axis is untouched. Output values are convex combinations of inputs, so
-    min/max bounds are preserved.
-    """
-    h = _check_rad(h)
-    r_in, a_in, _ = h.shape
-    if r_out < 2 or a_out < 2:
-        raise DomainError(f"targets must be >= 2, got ({r_out}, {a_out})")
-
-    def axis_coords(n_in, n_out):
-        pos = np.arange(n_out) * (n_in - 1) / (n_out - 1)
-        lo = np.minimum(np.floor(pos).astype(int), n_in - 2)
-        return lo, pos - lo
-
-    r_lo, r_frac = axis_coords(r_in, r_out)
-    a_lo, a_frac = axis_coords(a_in, a_out)
-    rf = r_frac[:, None, None]
-    af = a_frac[None, :, None]
-    top = (1 - af) * h[np.ix_(r_lo, a_lo)] + af * h[np.ix_(r_lo, a_lo + 1)]
-    bot = (1 - af) * h[np.ix_(r_lo + 1, a_lo)] + af * h[np.ix_(r_lo + 1, a_lo + 1)]
-    return (1 - rf) * top + rf * bot

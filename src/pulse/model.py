@@ -95,20 +95,29 @@ class ModelConfig:
     def mlp_hidden(self):
         return 4 * self.embed_dim
 
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, d):
-        hints = typing.get_type_hints(cls)
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**{name: hints[name](raw) for name, raw in d.items()})
+def config_from_strings(cls, values):
+    """Build the config dataclass `cls` from a {field: string} map.
+
+    Each value is converted by the field's declared type; fields not given
+    keep their defaults. An unknown key or a value its type cannot parse
+    raises ConfigError naming the key.
+    """
+    hints = typing.get_type_hints(cls)
+    typed = {}
+    for key, raw in values.items():
+        if key not in hints:
+            raise ConfigError(f"unknown {cls.__name__} key {key!r}")
+        try:
+            typed[key] = hints[key](raw)
+        except ValueError:
+            raise ConfigError(f"{key}={raw!r} is not a valid "
+                              f"{hints[key].__name__}") from None
+    return cls(**typed)
 
 
 def config_to_text(cfg):
-    return "\n".join(f"{name}={value}" for name, value in cfg.to_dict().items())
+    return "\n".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg))
 
 
 def config_from_text(text):
@@ -116,7 +125,7 @@ def config_from_text(text):
     for line in text.strip().splitlines():
         key, _, raw = line.partition("=")
         values[key.strip()] = raw.strip()
-    return ModelConfig.from_dict(values)
+    return config_from_strings(ModelConfig, values)
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +269,6 @@ def patch_matrix(s_map, cfg):
         raise ShapeError(f"spatial map shape {s.shape} != ({cfg.R}, {cfg.A})")
     blocks = s.reshape(cfg.patches_r, cfg.patch_r, cfg.patches_a, cfg.patch_a)
     return blocks.transpose(0, 2, 1, 3).reshape(cfg.n_spatial, -1)
-
-
-def patch_coords(cfg):
-    return [(i // cfg.patches_a, i % cfg.patches_a) for i in range(cfg.n_spatial)]
-
-
-def cell_coords(cfg):
-    return [(j // cfg.A, j % cfg.A) for j in range(cfg.n_cells)]
 
 
 def tokenize_spatial(s_map, params, cfg):

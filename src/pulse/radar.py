@@ -550,17 +550,3 @@ def emit_dataset(cfg, scenes, ratios, out_dir, seed, frames_per_seq, motions,
     storage.write_manifest(out / "manifest.txt", manifest)
     return manifest
 
-
-def radar_config_from_manifest(manifest):
-    return RadarConfig(
-        carrier_hz=float(manifest["carrier_hz"]),
-        bandwidth_hz=float(manifest["bandwidth_hz"]),
-        chirp_duration_s=float(manifest["chirp_duration_s"]),
-        chirps_per_frame=int(manifest["chirps_per_frame"]),
-        fast_samples_per_chirp=int(manifest["fast_samples_per_chirp"]),
-        virtual_elements=int(manifest["virtual_elements"]),
-        R=int(manifest["R"]),
-        A=int(manifest["A"]),
-        noise_std=float(manifest["noise_std"]),
-        frame_rate_hz=float(manifest["frame_rate"]),
-    )

@@ -11,6 +11,7 @@ PULSECKP    magic, u32 version, length-prefixed UTF-8 model-config text,
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -42,11 +43,16 @@ def read_rdt(path):
         raise DataError(f"cannot read {path}: {exc}") from exc
     if blob[:4] != RDT_MAGIC:
         raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {RDT_MAGIC!r}")
+    if len(blob) < 16:
+        raise DataError(f"{path}: truncated header, {len(blob)} of 16 bytes")
     r, a, d = struct.unpack_from("<III", blob, 4)
     expected = 16 + 4 * r * a * d
     if len(blob) != expected:
         raise DataError(f"{path}: size {len(blob)} != expected {expected}")
     flat = np.frombuffer(blob, dtype="<f4", offset=16)
+    # NaN fails both comparisons, +inf the second, negatives the first.
+    if not ((flat >= 0) & (flat < np.inf)).all():
+        raise DataError(f"{path}: values must be finite and nonnegative")
     return flat.reshape(r, a, d).astype(np.float64)
 
 
@@ -95,13 +101,18 @@ def read_poses_csv(path, joints):
     if not lines or lines[0] != POSES_HEADER:
         raise DataError(f"{path}: expected header {POSES_HEADER!r}")
     by_seq: dict[str, dict[int, np.ndarray]] = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        seq, frame, joint, x, y, z = line.split(",")
+        try:
+            seq, frame, joint, x, y, z = line.split(",")
+            frame, joint, xyz = int(frame), int(joint), (float(x), float(y), float(z))
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: malformed row {line!r}") from None
+        if not 0 <= joint < joints:
+            raise DataError(f"{path}: line {lineno}: joint {joint} outside 0..{joints - 1}")
         frame_map = by_seq.setdefault(seq, {})
-        pose = frame_map.setdefault(int(frame), np.zeros((joints, 3)))
-        pose[int(joint)] = (float(x), float(y), float(z))
+        frame_map.setdefault(frame, np.zeros((joints, 3)))[joint] = xyz
     out = {}
     for seq, frame_map in by_seq.items():
         frames = sorted(frame_map)
@@ -139,7 +150,12 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def string(self):
-        return self.take(self.u32()).decode("utf-8")
+        blob = self.take(self.u32())
+        try:
+            return blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: string at offset "
+                            f"{self.off - len(blob) + exc.start} is not UTF-8") from None
 
 
 def save_checkpoint(path, config_text, seed, named_params):
@@ -177,7 +193,7 @@ def load_checkpoint(path):
         name = rd.string()
         ndim = rd.u32()
         shape = struct.unpack(f"<{ndim}I", rd.take(4 * ndim))
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         data = np.frombuffer(rd.take(8 * n), dtype="<f8").reshape(shape).copy()
         params.append((name, data))
     if rd.off != len(blob):
@@ -213,6 +229,9 @@ def load_dataset(root):
     for key in ("seed", "R", "A", "D", "J", "frame_rate"):
         if key not in manifest:
             raise DataError(f"{root}: manifest missing key {key!r}")
+    for key in ("R", "A", "D", "J"):
+        if not manifest[key].isdecimal():
+            raise DataError(f"{root}: manifest {key}={manifest[key]!r} is not an integer")
     joints = int(manifest["J"])
     poses = read_poses_csv(root / "poses.csv", joints)
     splits = {}

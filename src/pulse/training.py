@@ -11,7 +11,7 @@ come from the motion cues, not from smoothing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -41,9 +41,14 @@ class TrainConfig:
             raise UsageError(f"lr must be positive, got {self.lr}")
         if self.patience < 1:
             raise UsageError(f"patience must be >= 1, got {self.patience}")
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.batch < 1 or self.epochs < 1:
+            raise UsageError(f"batch and epochs must be >= 1, got "
+                             f"{self.batch} and {self.epochs}")
+        if self.clip <= 0:
+            raise UsageError(f"clip must be positive, got {self.clip}")
+        if self.weight_decay < 0 or self.max_steps < 0:
+            raise UsageError(f"weight_decay and max_steps must be >= 0, got "
+                             f"{self.weight_decay} and {self.max_steps}")
 
 
 @dataclass

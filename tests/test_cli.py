@@ -1,7 +1,10 @@
+import shutil
+
+import numpy as np
 import pytest
 
 from pulse.cli import main
-from pulse.storage import load_checkpoint
+from pulse.storage import load_checkpoint, save_checkpoint, write_rdt
 from pulse.training import TrainLog
 
 DESK = ["--bandwidth_hz", "0.5e9", "--R", "16", "--A", "16", "--D", "8",
@@ -114,16 +117,17 @@ def test_train_deterministic_rerun(tmp_path, cli_dataset):
 
 def test_checkpoint_round_trip_bytes(cli_run, tmp_path):
     text, seed, named = load_checkpoint(cli_run / "model.ckpt")
-    from pulse.storage import save_checkpoint
     copy = tmp_path / "copy.ckpt"
     save_checkpoint(copy, text, seed, named)
     assert copy.read_bytes() == (cli_run / "model.ckpt").read_bytes()
 
 
 def test_train_grid_conflict_rejected(cli_dataset, tmp_path):
-    rc = main(["train", "--dataset", str(cli_dataset), "--out",
-               str(tmp_path / "x"), "--R", "32", *SMALL_MODEL, *FAST_TRAIN])
-    assert rc == 3
+    # 64 is also the ModelConfig default: passing it explicitly still conflicts
+    for r in ("32", "64"):
+        rc = main(["train", "--dataset", str(cli_dataset), "--out",
+                   str(tmp_path / "x"), "--R", r, *SMALL_MODEL, *FAST_TRAIN])
+        assert rc == 3, r
 
 
 def test_eval_matches_training_log_best(cli_run, cli_dataset, tmp_path):
@@ -251,3 +255,87 @@ def test_eval_pa_scale_flag(cli_run, cli_dataset, tmp_path):
                     (out / "metrics.csv").read_text().splitlines()[1:])
         vals[mode] = float(rows["pa_mpjpe"])
     assert vals["on"] <= vals["off"] + 1e-9  # scale can only help alignment
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 2 or 3 naming the key or file, never a traceback
+
+def _train_with(*flags):
+    def case(ds, run, tmp):
+        return (["train", "--dataset", str(ds), "--out", str(tmp / "o"),
+                 *SMALL_MODEL, *FAST_TRAIN, *flags], flags[0].lstrip("-"))
+    return case
+
+
+def _synth_with(*flags):
+    def case(ds, run, tmp):
+        return ["synth", "--out", str(tmp / "o"), *DESK, *flags], flags[0].lstrip("-")
+    return case
+
+
+def _config_file(ds, run, tmp):
+    (tmp / "bad.cfg").write_text("lr=fast\n")
+    return ["train", "--dataset", str(ds), "--out", str(tmp / "o"),
+            "--config", str(tmp / "bad.cfg")], "lr"
+
+
+def _eval_args(ds, ckpt, tmp):
+    return ["eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
+            "--out", str(tmp / "o")]
+
+
+def _ckpt_bad_value(ds, run, tmp):
+    text, seed, named = load_checkpoint(run / "model.ckpt")
+    assert "embed_dim=8" in text
+    save_checkpoint(tmp / "m.ckpt", text.replace("embed_dim=8", "embed_dim=eight"),
+                    seed, named)
+    return _eval_args(ds, tmp / "m.ckpt", tmp), "embed_dim"
+
+
+def _ckpt_bad_utf8(ds, run, tmp):
+    blob = bytearray((run / "model.ckpt").read_bytes())
+    blob[16] = 0xFF  # first byte of the config text after magic, version, length
+    (tmp / "m.ckpt").write_bytes(bytes(blob))
+    return _eval_args(ds, tmp / "m.ckpt", tmp), "m.ckpt"
+
+
+def _rdt_truncated(ds, run, tmp):
+    (ds / "frames" / "000_0002.rdt").write_bytes(b"RDT1")
+    return _eval_args(ds, run / "model.ckpt", tmp), "000_0002.rdt"
+
+
+def _poses_joint(value):
+    def case(ds, run, tmp):
+        lines = (ds / "poses.csv").read_text().splitlines()
+        row = lines[3].split(",")
+        row[2] = value  # the joint column
+        lines[3] = ",".join(row)
+        (ds / "poses.csv").write_text("\n".join(lines) + "\n")
+        return _eval_args(ds, run / "model.ckpt", tmp), "poses.csv"
+    return case
+
+
+def _rdt_nan(ds, run, tmp):
+    frame = np.ones((16, 16, 8))
+    frame[1, 2, 3] = np.nan
+    write_rdt(ds / "frames" / "001_0004.rdt", frame)
+    return _eval_args(ds, run / "model.ckpt", tmp), "001_0004.rdt"
+
+
+@pytest.mark.parametrize("case", [
+    _train_with("--embed_dim", "abc"), _synth_with("--noise_std", "abc"),
+    _synth_with("--seed", "abc"), _train_with("--dropout", "x"),
+    _train_with("--batch", "0"), _config_file, _ckpt_bad_value, _ckpt_bad_utf8,
+    _rdt_truncated, _poses_joint("x"), _poses_joint("8"), _rdt_nan,
+], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
+        "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
+        "poses_joint_range", "rdt_nan"])
+def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(cli_dataset, ds)
+    argv, name = case(ds, cli_run, tmp_path)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (2, 3), err
+    assert name in err
+    assert "Traceback" not in err

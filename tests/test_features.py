@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from pulse.errors import DomainError, ShapeError
-from pulse.features import (cell_spectra, doppler_spectrum, doppler_volume,
-                            normalize_frame, reconstruct_rad, resample_ra,
+from pulse.errors import DomainError
+from pulse.features import (cell_spectra, normalize_frame, reconstruct_rad,
                             spatial_magnitude)
 
 
@@ -47,30 +44,6 @@ def test_negative_entries_rejected():
     h[0, 0, 0] = -1.0
     with pytest.raises(DomainError):
         spatial_magnitude(h)
-
-
-# ---------------------------------------------------------------------------
-# doppler volume / spectrum
-
-def test_doppler_volume_identity_on_magnitudes():
-    h = rand_rad(1)
-    np.testing.assert_array_equal(doppler_volume(h), h)
-
-
-def test_doppler_spectrum_zero_tensor():
-    v = doppler_volume(np.zeros((2, 3, 4)))
-    np.testing.assert_array_equal(doppler_spectrum(v, 1, 2), np.zeros(4))
-
-
-def test_doppler_spectrum_matches_direct_indexing():
-    h = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
-    np.testing.assert_array_equal(doppler_spectrum(doppler_volume(h), 1, 2),
-                                  h[1, 2, :])
-
-
-def test_doppler_spectrum_bounds():
-    with pytest.raises(ShapeError):
-        doppler_spectrum(np.zeros((2, 3, 4)), 2, 0)
 
 
 def test_cell_spectra_row_major_and_count():
@@ -138,49 +111,3 @@ def test_normalize_idempotent_on_nonzero():
     once = normalize_frame(h)
     np.testing.assert_array_equal(normalize_frame(once), once)
 
-
-# ---------------------------------------------------------------------------
-# resample_ra
-
-def test_resample_identity():
-    h = rand_rad(7)
-    np.testing.assert_allclose(resample_ra(h, h.shape[0], h.shape[1]), h,
-                               atol=1e-12)
-
-
-def test_resample_constant_stays_constant():
-    h = np.full((4, 4, 3), 2.5)
-    out = resample_ra(h, 7, 5)
-    np.testing.assert_allclose(out, 2.5, atol=1e-12)
-
-
-def test_resample_hand_bilinear_center():
-    h = np.array([[0.0, 2.0], [4.0, 6.0]])[:, :, None]
-    out = resample_ra(h, 3, 3)
-    assert out[1, 1, 0] == pytest.approx(3.0, abs=1e-12)
-    # corner alignment
-    assert out[0, 0, 0] == 0.0 and out[2, 2, 0] == 6.0
-
-
-def test_resample_targets_validated():
-    with pytest.raises(DomainError):
-        resample_ra(rand_rad(8), 1, 4)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.integers(2, 6))
-def test_resample_preserves_bounds(seed, r_out, a_out):
-    h = rand_rad(seed, r=3, a=4, d=2)
-    out = resample_ra(h, r_out, a_out)
-    assert out.min() >= h.min() - 1e-12
-    assert out.max() <= h.max() + 1e-12
-
-
-def test_resample_leaves_doppler_axis_alone():
-    h = rand_rad(9, r=3, a=3, d=5)
-    out = resample_ra(h, 5, 5)
-    # each Doppler slab resampled independently: slab-wise check
-    for d in range(5):
-        np.testing.assert_allclose(out[:, :, d],
-                                   resample_ra(h[:, :, d:d + 1], 5, 5)[:, :, 0],
-                                   atol=1e-12)

@@ -5,13 +5,12 @@ from pulse import tensor as T
 from pulse.errors import ConfigError, UsageError
 from pulse.features import spatial_magnitude
 from pulse.model import (ABLATIONS, ModelConfig,
-                         aggregate_doppler_multiframe, cell_coords,
+                         aggregate_doppler_multiframe,
                          conditional_cross_attention, config_from_text,
                          config_to_text, forward, gate, init_params,
-                         neighborhood, neighborhood_mask, patch_coords,
-                         patch_matrix, regress, residual_update,
-                         spatial_transformer, tokenize_doppler,
-                         tokenize_spatial)
+                         neighborhood, neighborhood_mask, patch_matrix,
+                         regress, residual_update, spatial_transformer,
+                         tokenize_doppler, tokenize_spatial)
 from pulse.optim import grad_check, group_errors_by_prefix
 from pulse.training import loss_pos
 
@@ -529,16 +528,3 @@ def test_full_scale_profile_forward_smoke():
     assert out.gate.shape == (4096, 1)
     assert np.all(np.isfinite(out.pose.data))
 
-
-def test_coordinate_maps_are_bijections():
-    cfg = desk_cfg()
-    pc = patch_coords(cfg)
-    cc = cell_coords(cfg)
-    assert len(pc) == cfg.n_spatial and len(set(pc)) == cfg.n_spatial
-    assert len(cc) == cfg.n_cells and len(set(cc)) == cfg.n_cells
-    assert set(pc) == {(r, a) for r in range(cfg.patches_r)
-                       for a in range(cfg.patches_a)}
-    assert set(cc) == {(r, a) for r in range(cfg.R) for a in range(cfg.A)}
-    # row-major agreement between the mask layout and the coordinate maps
-    j = 5 * cfg.A + 7
-    assert cc[j] == (5, 7)

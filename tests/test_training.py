@@ -255,10 +255,10 @@ def test_evaluate_split_deterministic_and_self_consistent(tiny_dataset):
 
 
 def test_train_config_validation():
-    with pytest.raises(UsageError):
-        TrainConfig(lr=0.0)
-    with pytest.raises(UsageError):
-        TrainConfig(patience=0)
+    for bad in (dict(lr=0.0), dict(patience=0), dict(batch=0), dict(epochs=0),
+                dict(clip=0.0), dict(weight_decay=-0.1), dict(max_steps=-1)):
+        with pytest.raises(UsageError):
+            TrainConfig(**bad)
 
 
 def test_train_with_frame_window(tiny_dataset):
