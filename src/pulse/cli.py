@@ -26,7 +26,8 @@ from .errors import (ConfigError, DataError, DomainError, NumericError,
                      PulseError, ShapeError, UsageError)
 from .metrics import gate_motion_diag, per_joint_report
 from .model import (ABLATIONS, ModelConfig, config_from_strings,
-                    config_from_text, config_to_text, forward, init_params)
+                    config_from_text, config_to_text, forward, init_params,
+                    typed_values)
 from .optim import grad_check, group_errors_by_prefix
 from .radar import JOINT_NAMES, MOTIONS, RadarConfig, emit_dataset, make_scene
 from .storage import load_checkpoint, load_dataset, save_checkpoint
@@ -91,7 +92,9 @@ def resolve_config(args):
     """Merge defaults <- config file <- CLI flags into a flat string map.
 
     Returns the map and the set of keys the config file or a flag set.
-    Values stay strings, so resolved.cfg keeps the user's spelling.
+    Values stay strings, so resolved.cfg keeps the user's spelling. Each
+    explicit value is type-checked here, also on commands that never build
+    its config dataclass.
     """
     explicit = read_config_file(args.config) if args.config else {}
     for key in CONFIG_DEFAULTS:
@@ -99,6 +102,9 @@ def resolve_config(args):
             explicit[key] = getattr(args, key)
     if args.gate_strength_alias is not None:
         explicit["gate_strength"] = args.gate_strength_alias
+    for cls in (ModelConfig, TrainConfig, RadarConfig):
+        typed_values(cls, {f.name: explicit[f.name] for f in fields(cls)
+                           if f.name in explicit})
     resolved = dict(CONFIG_DEFAULTS, seed=_env_seed())
     resolved.update(explicit)
     return resolved, set(explicit)
@@ -211,7 +217,10 @@ def load_model(ckpt_path):
     if stored != names:
         raise DataError(
             f"{ckpt_path}: parameter names do not match the stored model config")
-    params.load_values(dict(named))
+    try:
+        params.load_values(dict(named))
+    except UsageError as exc:
+        raise DataError(f"{ckpt_path}: {exc}") from None
     return mcfg, params, seed
 
 

@@ -162,24 +162,28 @@ def motion_proxy(gt):
     return np.linalg.norm(velocities(gt), axis=-1).mean(axis=1)
 
 
+def occupied_cells(spatial_map):
+    """Flat boolean mask of the body-occupied cells: spatial magnitude above
+    the frame median, or every cell when nothing exceeds it."""
+    flat = np.asarray(spatial_map, dtype=np.float64).reshape(-1)
+    selected = flat > np.median(flat)
+    return selected if selected.any() else np.ones_like(selected)
+
+
 def frame_gate_score(gates, spatial_map, cell_selection="occupied"):
     """Collapse per-cell gates to one frame score.
 
-    occupied: mean over cells whose spatial magnitude exceeds the frame
-    median (a body-occupancy proxy), falling back to the global mean when
-    nothing exceeds it. global: mean over all cells.
+    occupied: mean over the occupied_cells (a body-occupancy proxy).
+    global: mean over all cells.
     """
     gates = np.asarray(gates, dtype=np.float64).reshape(-1)
     if cell_selection == "global":
         return float(gates.mean())
     if cell_selection != "occupied":
         raise ConfigError(f"unknown cell_selection {cell_selection!r}")
-    flat = np.asarray(spatial_map, dtype=np.float64).reshape(-1)
-    if flat.shape != gates.shape:
+    selected = occupied_cells(spatial_map)
+    if selected.shape != gates.shape:
         raise ShapeError("spatial map and gate vector disagree on cell count")
-    selected = flat > np.median(flat)
-    if not selected.any():
-        return float(gates.mean())
     return float(gates[selected].mean())
 
 

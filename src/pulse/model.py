@@ -96,13 +96,10 @@ class ModelConfig:
         return 4 * self.embed_dim
 
 
-def config_from_strings(cls, values):
-    """Build the config dataclass `cls` from a {field: string} map.
-
-    Each value is converted by the field's declared type; fields not given
-    keep their defaults. An unknown key or a value its type cannot parse
-    raises ConfigError naming the key.
-    """
+def typed_values(cls, values):
+    """Convert a {field: string} map by the declared field types of the
+    config dataclass `cls`. An unknown key or a value its type cannot parse
+    raises ConfigError naming the key."""
     hints = typing.get_type_hints(cls)
     typed = {}
     for key, raw in values.items():
@@ -113,7 +110,13 @@ def config_from_strings(cls, values):
         except ValueError:
             raise ConfigError(f"{key}={raw!r} is not a valid "
                               f"{hints[key].__name__}") from None
-    return cls(**typed)
+    return typed
+
+
+def config_from_strings(cls, values):
+    """Build the config dataclass `cls` from a {field: string} map of
+    typed_values; fields not given keep their defaults."""
+    return cls(**typed_values(cls, values))
 
 
 def config_to_text(cfg):
@@ -302,9 +305,22 @@ def gate(doppler_tokens, params):
 # ---------------------------------------------------------------------------
 # Prompting
 
-def _split_heads(x, cfg):
-    return [T.slice_lastdim(x, h * cfg.head_dim, (h + 1) * cfg.head_dim)
-            for h in range(cfg.heads)]
+def attention(q, k, v, cfg, bias=None, mask=None):
+    """Multi-head scaled dot-product attention over projected (N, d) queries
+    and (M, d) keys and values. Every head adds `bias` to its logits and
+    normalizes each row over the `mask` entries (both shared across heads).
+    Returns the concatenated (N, d) head contexts and the per-head (N, M)
+    weight arrays."""
+    inv_sqrt_dk = 1.0 / np.sqrt(cfg.head_dim)
+    contexts, weights = [], []
+    for h in range(cfg.heads):
+        lo, hi = h * cfg.head_dim, (h + 1) * cfg.head_dim
+        q_h, k_h, v_h = (T.slice_lastdim(x, lo, hi) for x in (q, k, v))
+        logits = T.scale(T.matmul(q_h, T.transpose(k_h)), inv_sqrt_dk)
+        alpha = T.softmax_lastdim(logits, bias=bias, mask=mask)
+        contexts.append(T.matmul(alpha, v_h))
+        weights.append(alpha.data)
+    return T.concat_lastdim(contexts), weights
 
 
 def conditional_cross_attention(spatial, doppler, gates, params, cfg,
@@ -316,23 +332,14 @@ def conditional_cross_attention(spatial, doppler, gates, params, cfg,
     across heads; the ungated/no_gating ablations and gate_strength == 0 drop
     the bias term entirely so both routes run the identical computation.
     """
-    mask = neighborhood_mask(cfg)
     gated = (gates is not None and cfg.gate_strength != 0.0
              and cfg.ablation not in ("ungated", "no_gating"))
     bias = T.scale(T.transpose(gates), cfg.gate_strength) if gated else None
-    q_all = T.matmul(spatial, params["cross_attn.q.weight"])
-    k_all = T.matmul(doppler, params["cross_attn.k.weight"])
-    v_all = T.matmul(doppler, params["cross_attn.v.weight"])
-    inv_sqrt_dk = 1.0 / np.sqrt(cfg.head_dim)
-    contexts, weights = [], []
-    for q, k, v in zip(_split_heads(q_all, cfg), _split_heads(k_all, cfg),
-                       _split_heads(v_all, cfg)):
-        logits = T.scale(T.matmul(q, T.transpose(k)), inv_sqrt_dk)
-        alpha = T.softmax_lastdim(logits, bias=bias, mask=mask)
-        contexts.append(T.matmul(alpha, v))
-        if return_weights:
-            weights.append(alpha.data)
-    merged = T.affine(T.concat_lastdim(contexts), params["cross_attn.out.weight"],
+    contexts, weights = attention(T.matmul(spatial, params["cross_attn.q.weight"]),
+                                  T.matmul(doppler, params["cross_attn.k.weight"]),
+                                  T.matmul(doppler, params["cross_attn.v.weight"]),
+                                  cfg, bias=bias, mask=neighborhood_mask(cfg))
+    merged = T.affine(contexts, params["cross_attn.out.weight"],
                       params["cross_attn.out.bias"])
     return (merged, weights) if return_weights else merged
 
@@ -391,20 +398,13 @@ def spatial_transformer(tokens, params, cfg, train=False, keys=None):
     dropout on both branch outputs when training)."""
     keys = keys or _KeyStream(0)
     x = tokens
-    inv_sqrt_dk = 1.0 / np.sqrt(cfg.head_dim)
     for i in range(cfg.layers):
         p = f"transformer.{i}"
         h = T.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        q_all = T.matmul(h, params[f"{p}.attn.q.weight"])
-        k_all = T.matmul(h, params[f"{p}.attn.k.weight"])
-        v_all = T.matmul(h, params[f"{p}.attn.v.weight"])
-        ctx = []
-        for q, k, v in zip(_split_heads(q_all, cfg), _split_heads(k_all, cfg),
-                           _split_heads(v_all, cfg)):
-            alpha = T.softmax_lastdim(T.scale(T.matmul(q, T.transpose(k)),
-                                              inv_sqrt_dk))
-            ctx.append(T.matmul(alpha, v))
-        attn_out = T.affine(T.concat_lastdim(ctx), params[f"{p}.attn.out.weight"],
+        ctx, _ = attention(T.matmul(h, params[f"{p}.attn.q.weight"]),
+                           T.matmul(h, params[f"{p}.attn.k.weight"]),
+                           T.matmul(h, params[f"{p}.attn.v.weight"]), cfg)
+        attn_out = T.affine(ctx, params[f"{p}.attn.out.weight"],
                             params[f"{p}.attn.out.bias"])
         x = T.add(x, T.dropout(attn_out, cfg.dropout, keys.next(), train))
         h2 = T.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
@@ -433,11 +433,10 @@ class ForwardResult:
     pose: T.Tensor                       # (J, 3) mm
     gate: Optional[T.Tensor]             # gate used at the prompting stage, (N_v, 1)
     frame_gates: list                    # per input frame, (N_v, 1)
-    attn: Optional[list] = None          # per-head (N_s, N_v) weights if requested
 
 
 def forward(frames, params, cfg, train=False, base_key=0,
-            force_aggregate=False, return_attn=False):
+            force_aggregate=False):
     """Window of frame tensors -> pose (plus gate diagnostics).
 
     The spatial map comes from the last frame only; Doppler tokens and gates
@@ -454,7 +453,6 @@ def forward(frames, params, cfg, train=False, base_key=0,
 
     gate_used = None
     frame_gates = []
-    attn = None
     if cfg.ablation == "spatial_only":
         updated = spatial
     else:
@@ -469,15 +467,10 @@ def forward(frames, params, cfg, train=False, base_key=0,
         if cfg.ablation == "naive_concat":
             updated = naive_concat_update(spatial, doppler, params, cfg)
         else:
-            if return_attn:
-                ctx, attn = conditional_cross_attention(
-                    spatial, doppler, gate_used, params, cfg, return_weights=True)
-            else:
-                ctx = conditional_cross_attention(spatial, doppler, gate_used,
-                                                  params, cfg)
+            ctx = conditional_cross_attention(spatial, doppler, gate_used,
+                                              params, cfg)
             updated = residual_update(spatial, ctx, params)
 
     z = spatial_transformer(updated, params, cfg, train=train, keys=keys)
     pose = regress(z, params, cfg)
-    return ForwardResult(pose=pose, gate=gate_used, frame_gates=frame_gates,
-                         attn=attn)
+    return ForwardResult(pose=pose, gate=gate_used, frame_gates=frame_gates)

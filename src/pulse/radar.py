@@ -3,13 +3,13 @@
 Articulated skeletons move point scatterers through a scene (plus static
 clutter, one fan-like oscillating reflector, and mirrored multipath ghosts);
 each frame is rendered to a complex intermediate-frequency cube and turned
-into a range-angle-Doppler magnitude tensor by three unitary FFTs.
+into a range-angle-Doppler magnitude tensor by three orthonormal numpy FFTs.
 
 Conventions: the radar sits at the origin, +y is boresight, +x lateral,
 +z up. Ranges use the full 3-D distance, azimuth is measured in the x-y
 plane. Doppler and angle axes are fftshifted so zero sits at the center
-bin. All FFT sizes are powers of two and carry 1/sqrt(N) scaling, so each
-transform preserves energy exactly.
+bin. All FFT sizes are powers of two and carry 1/sqrt(N) scaling
+(norm="ortho"), so each transform preserves energy exactly.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class RadarConfig:
                 f"A={self.A} is smaller than virtual_elements={self.virtual_elements}")
         for name in ("chirps_per_frame", "fast_samples_per_chirp", "A"):
             if not _is_pow2(getattr(self, name)):
-                raise ConfigError(f"{name} must be a power of two for the radix-2 FFT")
+                raise ConfigError(f"{name} must be a power of two")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be nonnegative")
 
@@ -109,57 +109,6 @@ class Scatterer:
         self.position = np.asarray(self.position, dtype=np.float64)
         if self.reflectivity < 0:
             raise DomainError(f"reflectivity must be >= 0, got {self.reflectivity}")
-
-
-# ---------------------------------------------------------------------------
-# Radix-2 FFT with unitary scaling.
-
-def _bit_reverse_indices(n):
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
-def fft_unitary(x, axis=-1):
-    """Iterative radix-2 Cooley-Tukey DFT with 1/sqrt(N) scaling.
-
-    Requires a power-of-two extent along `axis`; vectorized over all other
-    axes. exp(-i 2 pi k n / N) sign convention.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[axis]
-    if not _is_pow2(n):
-        raise ConfigError(f"FFT length {n} is not a power of two")
-    y = np.moveaxis(x, axis, -1)
-    lead = y.shape[:-1]
-    y = y[..., _bit_reverse_indices(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        y = y.reshape(lead + (n // size, size))
-        a = y[..., :half]
-        b = y[..., half:] * tw
-        y = np.concatenate([a + b, a - b], axis=-1).reshape(lead + (n,))
-        size *= 2
-    y = y / math.sqrt(n)
-    return np.moveaxis(y, -1, axis)
-
-
-def fftshift_axis(x, axis):
-    """Move the zero-frequency bin to index n//2 along `axis`."""
-    return np.roll(x, x.shape[axis] // 2, axis=axis)
-
-
-def _window(n, kind):
-    if kind == "rect":
-        return np.ones(n)
-    if kind == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
-    raise UsageError(f"unknown window {kind!r}; expected 'rect' or 'hann'")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +194,7 @@ def render_frame(scatterers, cfg, seed=0):
     return cube
 
 
-def rad_fft(cube, R, A, D, window="rect"):
+def rad_fft(cube, R, A, D):
     """IF cube -> nonnegative (R, A, D) magnitude tensor.
 
     Fast-time FFT then crop to the first R range bins; slow-time FFT across
@@ -257,15 +206,10 @@ def rad_fft(cube, R, A, D, window="rect"):
     if n_fast < R or n_chirps < D or n_elem > A:
         raise UsageError(
             f"cube shape {cube.shape} incompatible with targets R={R} A={A} D={D}")
-    x = cube * _window(n_fast, window)[:, None, None]
-    x = fft_unitary(x, axis=0)[:R]
-    x = x[:, :D, :] * _window(D, window)[None, :, None]
-    x = fftshift_axis(fft_unitary(x, axis=1), axis=1)
-    if n_elem < A:
-        pad = np.zeros((R, D, A - n_elem), dtype=np.complex128)
-        x = np.concatenate([x, pad], axis=2)
-    x = fftshift_axis(fft_unitary(x, axis=2), axis=2)
-    return np.abs(np.transpose(x, (0, 2, 1)))
+    x = np.fft.fft(cube, axis=0, norm="ortho")[:R, :D]
+    x = np.fft.fft(x, axis=1, norm="ortho")
+    x = np.fft.fft(x, n=A, axis=2, norm="ortho")
+    return np.abs(np.transpose(np.fft.fftshift(x, axes=(1, 2)), (0, 2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +415,7 @@ def render_scene_frame(scene, frame_idx, cfg, noise_seed):
     """RadTensor for one frame of a scene (frame time = index / frame rate)."""
     t = frame_idx / cfg.frame_rate_hz
     cube = render_frame(scene.scatterers_at(t), cfg, seed=noise_seed)
-    return rad_fft(cube, cfg.R, cfg.A, cfg.D, window="rect")
+    return rad_fft(cube, cfg.R, cfg.A, cfg.D)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,7 @@ def load_dataset(root):
     for key in ("R", "A", "D", "J"):
         if not manifest[key].isdecimal():
             raise DataError(f"{root}: manifest {key}={manifest[key]!r} is not an integer")
+    grid = tuple(int(manifest[key]) for key in ("R", "A", "D"))
     joints = int(manifest["J"])
     poses = read_poses_csv(root / "poses.csv", joints)
     splits = {}
@@ -240,8 +241,13 @@ def load_dataset(root):
         splits[name] = [s for s in raw.split(",") if s]
     frames = {}
     for seq in poses:
-        t_count = poses[seq].shape[0]
-        stack = [read_rdt(root / "frames" / f"{seq}_{f:04d}.rdt")
-                 for f in range(t_count)]
+        stack = []
+        for f in range(poses[seq].shape[0]):
+            path = root / "frames" / f"{seq}_{f:04d}.rdt"
+            values = read_rdt(path)
+            if values.shape != grid:
+                raise DataError(f"{path}: grid {values.shape} != manifest "
+                                f"(R, A, D) {grid}")
+            stack.append(values)
         frames[seq] = np.stack(stack)
     return Dataset(root, manifest, splits, frames, poses)

@@ -20,7 +20,7 @@ from . import tensor as T
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .features import normalize_frame, spatial_magnitude
 from .model import forward, init_params
-from .metrics import sequence_report
+from .metrics import occupied_cells, sequence_report
 from .optim import ParamGroup, adam_step, clip_global_norm
 
 
@@ -125,12 +125,8 @@ def loss_gate(gate_score, proxy_value, bounds):
 
 
 def frame_gate_score_tensor(gate_tensor, spatial_map):
-    """Differentiable mean gate over body-occupied cells (spatial magnitude
-    above the frame median; all cells when nothing exceeds it)."""
-    flat = np.asarray(spatial_map, dtype=np.float64).reshape(-1)
-    selected = flat > np.median(flat)
-    if not selected.any():
-        selected = np.ones_like(flat, dtype=bool)
+    """Differentiable mean gate over the occupied_cells of the frame."""
+    selected = occupied_cells(spatial_map)
     weights = selected.astype(np.float64) / selected.sum()
     return T.reshape(T.matmul(T.Tensor(weights[None, :]), gate_tensor), ())
 
@@ -148,27 +144,30 @@ class Sample:
     gate_target: Optional[tuple]      # (proxy value, (lo, hi)) or None
 
 
+def frame_windows(frames, frame_window):
+    """Normalize each frame of a sequence and pair it with its window of the
+    last `frame_window` normalized frames. Windows stay inside the sequence
+    and left-pad by repeating the first frame. -> [(frame, window)]."""
+    normed = [normalize_frame(f) for f in frames]
+    padded = normed[:1] * (frame_window - 1) + normed
+    return [(normed[t], padded[t:t + frame_window]) for t in range(len(normed))]
+
+
 def build_samples(dataset, split, mcfg):
-    """One sample per frame; windows stay inside the sequence and left-pad by
-    repeating the first frame."""
+    """One sample per frame, each carrying its frame_windows window."""
     samples = []
     for seq_id, frames, poses in dataset.split_sequences(split):
         if frames.shape[1:] != (mcfg.R, mcfg.A, mcfg.D):
             raise DataError(
                 f"sequence {seq_id} grid {frames.shape[1:]} != model "
                 f"({mcfg.R}, {mcfg.A}, {mcfg.D})")
-        normed = [normalize_frame(f) for f in frames]
-        t_len = len(normed)
         proxy = np.linalg.norm(np.diff(poses, axis=0), axis=-1).mean(axis=1) \
-            if t_len >= 2 else np.zeros(0)
+            if len(frames) >= 2 else np.zeros(0)
         bounds = (float(proxy.min()), float(proxy.max())) if len(proxy) else (0.0, 0.0)
-        for t in range(t_len):
-            lo = max(0, t - mcfg.frame_window + 1)
-            window = normed[lo:t + 1]
-            window = [normed[0]] * (mcfg.frame_window - len(window)) + window
+        for t, (frame, window) in enumerate(frame_windows(frames, mcfg.frame_window)):
             gate_target = (float(proxy[t]), bounds) if t < len(proxy) else None
             samples.append(Sample(seq=seq_id, frame=t, window=window,
-                                  pose=poses[t], smap=spatial_magnitude(normed[t]),
+                                  pose=poses[t], smap=spatial_magnitude(frame),
                                   gate_target=gate_target))
     return samples
 
@@ -181,21 +180,17 @@ def evaluate_split(params, mcfg, dataset, split, with_scale=True,
     truth[, gate sequences, spatial-map sequences])."""
     preds, gts, gate_seqs, smap_seqs = [], [], [], []
     for seq_id, frames, poses in dataset.split_sequences(split):
-        normed = [normalize_frame(f) for f in frames]
         seq_pred = []
         seq_gates = []
         seq_smaps = []
-        for t in range(len(normed)):
-            lo = max(0, t - mcfg.frame_window + 1)
-            window = normed[lo:t + 1]
-            window = [normed[0]] * (mcfg.frame_window - len(window)) + window
+        for frame, window in frame_windows(frames, mcfg.frame_window):
             result = forward(window, params, mcfg, train=False)
             seq_pred.append(result.pose.data)
             if collect_gates:
                 seq_gates.append(result.gate.data.reshape(-1)
                                  if result.gate is not None
                                  else np.zeros(mcfg.n_cells))
-                seq_smaps.append(spatial_magnitude(normed[t]).reshape(-1))
+                seq_smaps.append(spatial_magnitude(frame).reshape(-1))
         preds.append(np.stack(seq_pred))
         gts.append(poses)
         if collect_gates:

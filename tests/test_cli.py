@@ -299,6 +299,13 @@ def _ckpt_bad_utf8(ds, run, tmp):
     return _eval_args(ds, tmp / "m.ckpt", tmp), "m.ckpt"
 
 
+def _ckpt_bad_shape(ds, run, tmp):
+    text, seed, named = load_checkpoint(run / "model.ckpt")
+    named[0] = (named[0][0], np.zeros((3, 3)))
+    save_checkpoint(tmp / "m.ckpt", text, seed, named)
+    return _eval_args(ds, tmp / "m.ckpt", tmp), "m.ckpt"
+
+
 def _rdt_truncated(ds, run, tmp):
     (ds / "frames" / "000_0002.rdt").write_bytes(b"RDT1")
     return _eval_args(ds, run / "model.ckpt", tmp), "000_0002.rdt"
@@ -322,14 +329,21 @@ def _rdt_nan(ds, run, tmp):
     return _eval_args(ds, run / "model.ckpt", tmp), "001_0004.rdt"
 
 
+def _rdt_other_grid(ds, run, tmp):
+    write_rdt(ds / "frames" / "000_0003.rdt", np.ones((8, 8, 4)))
+    return _eval_args(ds, run / "model.ckpt", tmp), "000_0003.rdt"
+
+
 @pytest.mark.parametrize("case", [
     _train_with("--embed_dim", "abc"), _synth_with("--noise_std", "abc"),
     _synth_with("--seed", "abc"), _train_with("--dropout", "x"),
     _train_with("--batch", "0"), _config_file, _ckpt_bad_value, _ckpt_bad_utf8,
     _rdt_truncated, _poses_joint("x"), _poses_joint("8"), _rdt_nan,
+    _train_with("--noise_std", "abc"), _ckpt_bad_shape, _rdt_other_grid,
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
-        "poses_joint_range", "rdt_nan"])
+        "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
+        "rdt_grid"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pulse.errors import ConfigError, DomainError, UsageError
+from pulse.errors import DomainError, UsageError
 from pulse.radar import (JOINT_NAMES, RadarConfig, Scatterer, angle_bin,
-                         doppler_bin, fft_unitary, fftshift_axis, make_scene,
-                         rad_fft, range_bin, range_for_bin, render_frame,
-                         render_scene_frame, sin_theta_for_bin, speed_for_bin,
+                         doppler_bin, make_scene, rad_fft, range_bin,
+                         range_for_bin, render_frame, render_scene_frame,
+                         sin_theta_for_bin, speed_for_bin,
                          synth_skeleton_sequence)
 
 
@@ -27,51 +27,19 @@ def scatterer_at_bins(cfg, rb, ab, db, refl=1.0, off=(0.0, 0.0, 0.0)):
 
 
 # ---------------------------------------------------------------------------
-# FFT core
+# rad_fft scale
 
-def test_fft_matches_numpy_oracle():
-    rng = np.random.default_rng(0)
-    for n in (2, 8, 32, 64):
-        x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-        got = fft_unitary(x, axis=-1)
-        want = np.fft.fft(x, axis=-1) / math.sqrt(n)
-        np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-def test_fft_axis_argument():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((4, 8, 2)) + 1j * rng.standard_normal((4, 8, 2))
-    got = fft_unitary(x, axis=1)
-    want = np.fft.fft(x, axis=1) / math.sqrt(8)
-    np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-def test_fft_rejects_non_power_of_two():
-    with pytest.raises(ConfigError):
-        fft_unitary(np.zeros(12, dtype=complex))
-
-
-def test_fft_parseval_energy_preserved():
+@pytest.mark.parametrize("n_elem", [16, 4], ids=["unpadded", "zero_padded"])
+def test_rad_fft_preserves_energy(n_elem):
+    # Uncropped cube: every transform is orthonormal, including the element
+    # axis zero-padded from n_elem to A, so the output energy equals the input's.
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
-    before = float(np.sum(np.abs(x) ** 2))
-    after = float(np.sum(np.abs(fft_unitary(x)) ** 2))
+    shape = (32, 8, n_elem)
+    cube = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = rad_fft(cube, R=32, A=16, D=8)
+    before = float(np.sum(np.abs(cube) ** 2))
+    after = float(np.sum(out ** 2))
     assert abs(after - before) / before < 1e-9
-
-
-def test_fft_parseval_with_zero_padding():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-    padded = np.concatenate([x, np.zeros((4, 24), dtype=complex)], axis=1)
-    before = float(np.sum(np.abs(x) ** 2))
-    after = float(np.sum(np.abs(fft_unitary(padded)) ** 2))
-    assert abs(after - before) / before < 1e-9
-
-
-def test_fftshift_moves_dc_to_center():
-    x = np.zeros(8)
-    x[0] = 1.0
-    assert fftshift_axis(x, 0)[4] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +90,7 @@ def test_fast_time_peak_at_range_bin_oracle(cfg):
     rb = 12
     sc = scatterer_at_bins(cfg, rb, cfg.A // 2, cfg.D // 2)
     cube = render_frame([sc], cfg, seed=0)
-    spectrum = np.abs(fft_unitary(cube[:, 0, 0]))
+    spectrum = np.abs(np.fft.fft(cube[:, 0, 0]))
     assert int(np.argmax(spectrum)) == rb
 
 
@@ -191,15 +159,6 @@ def test_two_scatterer_linearity_at_peaks(cfg):
     both = rad_fft(render_frame([s1, s2], cfg, seed=0), cfg.R, cfg.A, cfg.D)
     for peak, single in (((6, 10, 4), out1), ((20, 24, 12), out2)):
         assert abs(both[peak] - single[peak]) / single[peak] < 0.01
-
-
-def test_hann_window_accepted_rect_default(cfg):
-    sc = scatterer_at_bins(cfg, 8, 16, 8)
-    cube = render_frame([sc], cfg, seed=0)
-    out = rad_fft(cube, cfg.R, cfg.A, cfg.D, window="hann")
-    assert out.shape == (cfg.R, cfg.A, cfg.D)
-    with pytest.raises(UsageError):
-        rad_fft(cube, cfg.R, cfg.A, cfg.D, window="boxcar")
 
 
 def test_rad_fft_rejects_incompatible_targets(cfg):
