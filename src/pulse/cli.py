@@ -338,6 +338,9 @@ def cmd_gradcheck(args):
         print(f"{name.ljust(width)}  {grouped[name]:.3e}")
     worst = max(grouped.values())
     print(f"overall max rel err: {worst:.3e} (tolerance {args.tol:g})")
+    name, index, analytic, numeric = report.worst
+    print(f"worst entry: {name}[{index}] analytic={analytic:.9e} "
+          f"numeric={numeric:.9e}")
     if worst >= args.tol:
         raise NumericError(f"gradient check failed: {worst:.3e} >= {args.tol:g}")
     return 0

@@ -22,6 +22,7 @@ the attention logits), global_interaction (no neighborhood restriction).
 
 from __future__ import annotations
 
+import functools
 import typing
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -210,11 +211,30 @@ def init_params(cfg, seed, randomize_all=False):
 # ---------------------------------------------------------------------------
 # Neighborhoods on the shared range-angle lattice
 
-_MASK_CACHE: dict = {}
+@functools.lru_cache(maxsize=None)
+def _lattice_table(R, A, patch_r, patch_a, w):
+    """LiveEntries of the (N_s, N_v) neighborhood pattern: spatial token i
+    sees the cells of the w x w patch window centered on patch i, clipped
+    to the grid."""
+    patches_r, patches_a = R // patch_r, A // patch_a
+    token_r, token_a = np.divmod(np.arange(patches_r * patches_a), patches_a)
+    cell_r, cell_a = np.divmod(np.arange(R * A), A)
+
+    def inside(token, cell, patches, size):
+        lo = np.maximum(token - (w - 1) // 2, 0) * size
+        hi = (np.minimum(token + w // 2, patches - 1) + 1) * size
+        return (cell >= lo[:, None]) & (cell < hi[:, None])
+
+    return T.LiveEntries(inside(token_r, cell_r, patches_r, patch_r)
+                         & inside(token_a, cell_a, patches_a, patch_a))
 
 
-def _window_offsets(w):
-    return range(-((w - 1) // 2), w // 2 + 1)
+def neighborhood_table(cfg):
+    """LiveEntries of the cross-attention pattern, cached per lattice
+    geometry; None for global_interaction, where every cell is live."""
+    if cfg.ablation == "global_interaction":
+        return None
+    return _lattice_table(cfg.R, cfg.A, cfg.patch_r, cfg.patch_a, cfg.neighborhood)
 
 
 def neighborhood(i, cfg):
@@ -223,42 +243,17 @@ def neighborhood(i, cfg):
     global_interaction ablation returns every cell."""
     if not 0 <= i < cfg.n_spatial:
         raise UsageError(f"spatial token index {i} out of range")
-    if cfg.ablation == "global_interaction":
-        return np.arange(cfg.n_cells)
-    pi_r, pi_a = divmod(i, cfg.patches_a)
-    rows = sorted({min(max(pi_r + o, 0), cfg.patches_r - 1)
-                   for o in _window_offsets(cfg.neighborhood)})
-    cols = sorted({min(max(pi_a + o, 0), cfg.patches_a - 1)
-                   for o in _window_offsets(cfg.neighborhood)})
-    cells = []
-    for pr in rows:
-        for r in range(pr * cfg.patch_r, (pr + 1) * cfg.patch_r):
-            for pa in cols:
-                for a in range(pa * cfg.patch_a, (pa + 1) * cfg.patch_a):
-                    cells.append(r * cfg.A + a)
-    return np.array(sorted(cells))
-
-
-def neighborhood_mask(cfg):
-    """(N_s, N_v) boolean attention mask, cached per lattice geometry."""
-    key = (cfg.R, cfg.A, cfg.patch_r, cfg.patch_a, cfg.neighborhood,
-           cfg.ablation == "global_interaction")
-    cached = _MASK_CACHE.get(key)
-    if cached is None:
-        mask = np.zeros((cfg.n_spatial, cfg.n_cells), dtype=bool)
-        for i in range(cfg.n_spatial):
-            mask[i, neighborhood(i, cfg)] = True
-        cached = mask
-        cached.setflags(write=False)
-        _MASK_CACHE[key] = cached
-    return cached
+    table = neighborhood_table(cfg)
+    return np.arange(cfg.n_cells) if table is None else table.row(i)
 
 
 def neighborhood_mean_matrix(cfg):
-    """Row-normalized mask: multiplying Doppler tokens by it averages each
-    spatial token's neighborhood."""
-    mask = neighborhood_mask(cfg).astype(np.float64)
-    return mask / mask.sum(axis=1, keepdims=True)
+    """(N_s, N_v) matrix whose product with the Doppler tokens averages
+    each spatial token's neighborhood."""
+    table = neighborhood_table(cfg)
+    mean = np.zeros(table.shape)
+    mean[table.rows, table.cols] = 1.0 / np.bincount(table.rows)[table.rows]
+    return mean
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +300,10 @@ def gate(doppler_tokens, params):
 # ---------------------------------------------------------------------------
 # Prompting
 
-def attention(q, k, v, cfg, bias=None, mask=None):
+def attention(q, k, v, cfg, bias=None, live=None):
     """Multi-head scaled dot-product attention over projected (N, d) queries
     and (M, d) keys and values. Every head adds `bias` to its logits and
-    normalizes each row over the `mask` entries (both shared across heads).
+    normalizes each row over its `live` entries (both shared across heads).
     Returns the concatenated (N, d) head contexts and the per-head (N, M)
     weight arrays."""
     inv_sqrt_dk = 1.0 / np.sqrt(cfg.head_dim)
@@ -316,8 +311,8 @@ def attention(q, k, v, cfg, bias=None, mask=None):
     for h in range(cfg.heads):
         lo, hi = h * cfg.head_dim, (h + 1) * cfg.head_dim
         q_h, k_h, v_h = (T.slice_lastdim(x, lo, hi) for x in (q, k, v))
-        logits = T.scale(T.matmul(q_h, T.transpose(k_h)), inv_sqrt_dk)
-        alpha = T.softmax_lastdim(logits, bias=bias, mask=mask)
+        alpha = T.softmax_lastdim(T.matmul(q_h, T.transpose(k_h)), bias=bias,
+                                  live=live, logit_scale=inv_sqrt_dk)
         contexts.append(T.matmul(alpha, v_h))
         weights.append(alpha.data)
     return T.concat_lastdim(contexts), weights
@@ -338,7 +333,7 @@ def conditional_cross_attention(spatial, doppler, gates, params, cfg,
     contexts, weights = attention(T.matmul(spatial, params["cross_attn.q.weight"]),
                                   T.matmul(doppler, params["cross_attn.k.weight"]),
                                   T.matmul(doppler, params["cross_attn.v.weight"]),
-                                  cfg, bias=bias, mask=neighborhood_mask(cfg))
+                                  cfg, bias=bias, live=neighborhood_table(cfg))
     merged = T.affine(contexts, params["cross_attn.out.weight"],
                       params["cross_attn.out.bias"])
     return (merged, weights) if return_weights else merged

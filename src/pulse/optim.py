@@ -113,13 +113,21 @@ def adam_step(group, grads, lr, beta1=0.9, beta2=0.999, eps_adam=1e-8,
     return group
 
 
+class GradReport(dict):
+    """{name: max relative error} of a grad_check, plus `worst`: the
+    (name, flat index, analytic, numeric) of the entry with the largest
+    relative error over all parameters, or None if the group is empty."""
+
+    worst = None
+
+
 def grad_check(build_loss, group, step=1e-5):
     """Compare autodiff gradients against central differences.
 
     build_loss(group) must construct a fresh scalar loss graph from the
-    group's current parameter values. Returns {name: max relative error}
-    with the relative error of entry i defined as
-    |a_i - n_i| / max(|a_i|, |n_i|, 1e-8).
+    group's current parameter values. Returns a GradReport
+    {name: max relative error} with the relative error of entry i defined
+    as |a_i - n_i| / max(|a_i|, |n_i|, 1e-8).
     """
     if step <= 0:
         raise DomainError(f"grad_check step must be positive, got {step}")
@@ -137,7 +145,7 @@ def grad_check(build_loss, group, step=1e-5):
     backward(loss)
     analytic = {name: g.copy() for name, g in group.grads().items()}
 
-    report = {}
+    report = GradReport()
     for name, p in group.params.items():
         flat = p.data.reshape(-1)
         numeric = np.zeros_like(flat)
@@ -151,7 +159,11 @@ def grad_check(build_loss, group, step=1e-5):
             numeric[i] = (f_plus - f_minus) / (2.0 * step)
         a = analytic[name].reshape(-1)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
-        report[name] = float(np.max(np.abs(a - numeric) / denom)) if flat.size else 0.0
+        errors = np.abs(a - numeric) / denom
+        report[name] = float(np.max(errors)) if flat.size else 0.0
+        if flat.size and report[name] >= max(report.values()):
+            i = int(np.argmax(errors))
+            report.worst = (name, i, float(a[i]), float(numeric[i]))
     return report
 
 

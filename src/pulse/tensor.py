@@ -323,44 +323,80 @@ def sqrt(x):
     return _result(out, (x,), backprop)
 
 
-def softmax_lastdim(x, bias=None, mask=None):
-    """Row-wise softmax over the last axis, stabilized by max-subtraction.
+class LiveEntries:
+    """The True entries of an (n_rows, n_cols) boolean mask, for a
+    softmax_lastdim that gives every other entry probability exactly 0.
+    Built once per mask; a row with no live entry is rejected.
 
-    bias : optional tensor broadcastable to x, added to the logits before
-           normalization (gradient flows to it).
-    mask : optional boolean array broadcastable to x; False entries get
-           probability exactly 0 and the row renormalizes over True entries.
-    Rows with no True entry are rejected.
+    shape      : (n_rows, n_cols)
+    rows, cols : (L,) row and column index of each live entry, row-major
+    padded     : (n_rows, K) positions into rows/cols of each row's entries,
+                 K the longest row; a shorter row repeats its last entry,
+                 which leaves the row max unchanged
+    """
+
+    def __init__(self, mask):
+        mask = np.asarray(mask, dtype=bool)
+        counts = mask.sum(axis=1)
+        if not counts.all():
+            raise DomainError("softmax_lastdim: a row has no live entry")
+        self.shape = mask.shape
+        self.rows, self.cols = np.nonzero(mask)
+        ends = np.cumsum(counts)
+        self.padded = np.minimum((ends - counts)[:, None] + np.arange(counts.max()),
+                                 ends[:, None] - 1)
+        for arr in (self.rows, self.cols, self.padded):
+            arr.setflags(write=False)
+
+    def row(self, i):
+        """Column indices of row i's live entries, ascending."""
+        return self.cols[self.padded[i, 0]:self.padded[i, -1] + 1]
+
+
+def softmax_lastdim(x, bias=None, live=None, logit_scale=1.0):
+    """Row-wise softmax of logit_scale * x + bias over the last axis,
+    stabilized by max-subtraction.
+
+    bias : optional tensor broadcastable to x, added to the scaled logits
+           (gradient flows to it).
+    live : optional LiveEntries of x's 2-D shape; each row
+           normalizes over its live entries and every other entry is
+           exactly 0. Only the live logits are scaled, added, maxed,
+           exponentiated and divided; the row sums run over the dense rows,
+           so the result is bitwise the dense masked softmax.
     """
     x = _lift(x)
+    c = float(logit_scale)
     parents = [x]
     if bias is not None:
         bias = _lift(bias)
         parents.append(bias)
-        z = x.data + bias.data
+    if live is None:
+        z = x.data * c
+        if bias is not None:
+            z = z + bias.data
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        out = e / e.sum(axis=-1, keepdims=True)
     else:
-        z = x.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        if not mask.any(axis=-1).all():
-            raise DomainError("softmax_lastdim: a row is fully masked")
-        zmax = np.where(mask, z, -np.inf).max(axis=-1, keepdims=True)
-        e = np.where(mask, np.exp(np.where(mask, z, zmax) - zmax), 0.0)
-    else:
-        zmax = z.max(axis=-1, keepdims=True)
-        e = np.exp(z - zmax)
-    out = e / e.sum(axis=-1, keepdims=True)
+        if x.shape != live.shape:
+            raise ShapeError(f"softmax_lastdim: logits {x.shape} != live entries "
+                             f"{live.shape}")
+        rows, cols = live.rows, live.cols
+        z = x.data[rows, cols] * c
+        if bias is not None:
+            z = z + np.broadcast_to(bias.data, x.shape)[rows, cols]
+        e = np.exp(z - z[live.padded].max(axis=1)[rows])
+        out = np.zeros(x.shape, dtype=z.dtype)
+        out[rows, cols] = e
+        out[rows, cols] = e / out.sum(axis=-1)[rows]
 
     def backprop(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
         dz = out * (g - inner)
         if x.requires_grad:
-            _accumulate(x, _unbroadcast(dz, x.shape),
-                        fresh=bias is None or not bias.requires_grad
-                        or dz.shape != x.shape)
+            _accumulate(x, _unbroadcast(dz * c, x.shape), fresh=True)
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, _unbroadcast(dz, bias.shape),
-                        fresh=dz.shape != bias.shape)
+            _accumulate(bias, _unbroadcast(dz, bias.shape), fresh=True)
 
     return _result(out, tuple(parents), backprop)
 

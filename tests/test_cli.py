@@ -1,3 +1,4 @@
+import re
 import shutil
 
 import numpy as np
@@ -213,6 +214,8 @@ def test_gradcheck_passes_desk_config(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "overall max rel err" in out
+    assert re.search(r"^worst entry: [\w.]+\[\d+\] analytic=\S+ numeric=\S+$", out,
+                     re.MULTILINE)
 
 
 def test_gradcheck_writes_table(tmp_path):

@@ -8,7 +8,7 @@ from pulse.model import (ABLATIONS, ModelConfig,
                          aggregate_doppler_multiframe,
                          conditional_cross_attention, config_from_text,
                          config_to_text, forward, gate, init_params,
-                         neighborhood, neighborhood_mask, patch_matrix,
+                         neighborhood, neighborhood_table, patch_matrix,
                          regress, residual_update, spatial_transformer,
                          tokenize_doppler, tokenize_spatial)
 from pulse.optim import grad_check, group_errors_by_prefix
@@ -152,11 +152,25 @@ def test_window_covering_grid_matches_global():
     assert len(neighborhood(0, cfg_global)) == cfg.n_cells
 
 
-def test_neighborhood_mask_rows_match_lists():
-    cfg = desk_cfg()
-    mask = neighborhood_mask(cfg)
-    for i in (0, 7, cfg.n_spatial - 1):
-        np.testing.assert_array_equal(np.flatnonzero(mask[i]), neighborhood(i, cfg))
+@pytest.mark.parametrize("kw", [{}, dict(neighborhood=1), dict(neighborhood=2),
+                                dict(R=16, A=8, patch_r=2, patch_a=4, neighborhood=4)],
+                         ids=["w3", "w1", "w2", "w4_rect"])
+def test_neighborhood_table_rows_match_lists(kw):
+    cfg = desk_cfg(**kw)
+    table = neighborhood_table(cfg)
+    assert table.shape == (cfg.n_spatial, cfg.n_cells)
+    offsets = range(-((cfg.neighborhood - 1) // 2), cfg.neighborhood // 2 + 1)
+    for i in range(cfg.n_spatial):
+        # the cells of the clipped patch window, listed patch by patch
+        pi_r, pi_a = divmod(i, cfg.patches_a)
+        cells = []
+        for pr in {min(max(pi_r + o, 0), cfg.patches_r - 1) for o in offsets}:
+            for pa in {min(max(pi_a + o, 0), cfg.patches_a - 1) for o in offsets}:
+                for r in range(pr * cfg.patch_r, (pr + 1) * cfg.patch_r):
+                    for a in range(pa * cfg.patch_a, (pa + 1) * cfg.patch_a):
+                        cells.append(r * cfg.A + a)
+        np.testing.assert_array_equal(table.cols[table.rows == i], sorted(cells))
+        np.testing.assert_array_equal(neighborhood(i, cfg), sorted(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +185,9 @@ def test_attention_rows_sum_to_one_over_neighborhood():
     g = gate(doppler, params)
     _, weights = conditional_cross_attention(spatial, doppler, g, params, cfg,
                                              return_weights=True)
-    mask = neighborhood_mask(cfg)
+    mask = np.zeros((cfg.n_spatial, cfg.n_cells), dtype=bool)
+    for i in range(cfg.n_spatial):
+        mask[i, neighborhood(i, cfg)] = True
     for alpha in weights:
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(alpha[~mask] == 0.0)

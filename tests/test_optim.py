@@ -29,6 +29,7 @@ def op_cases():
     w = rng.standard_normal((5, 3))
     mask = rng.random((4, 5)) > 0.4
     mask[:, 0] = True
+    live = T.LiveEntries(mask)
     return [
         c("add", lambda x: T.tsum(T.add(x, T.Tensor(other))), (4, 5)),
         c("sub", lambda x: T.tsum(T.sub(T.Tensor(other), x)), (4, 5)),
@@ -47,7 +48,8 @@ def op_cases():
         c("relu", lambda x: T.tsum(T.mul(T.relu(x), T.Tensor(other))), (4, 5)),
         c("sigmoid", lambda x: T.tsum(T.mul(T.sigmoid(x), T.Tensor(other))), (4, 5)),
         c("sqrt", lambda x: T.tsum(T.sqrt(T.mul(x, x))), (4, 5)),
-        c("softmax", lambda x: T.tsum(T.mul(T.softmax_lastdim(x, mask=mask),
+        c("softmax", lambda x: T.tsum(T.mul(T.softmax_lastdim(x, live=live,
+                                                              logit_scale=0.7),
                                             T.Tensor(other))), (4, 5)),
         c("softmax_bias", lambda x: T.tsum(T.mul(
             T.softmax_lastdim(T.Tensor(other), bias=x), T.Tensor(other))), (4, 5)),
@@ -83,6 +85,18 @@ def test_grad_check_sigmoid_at_zero():
     np.testing.assert_allclose(group["x"].grad, 0.25, atol=1e-12)
     report = grad_check(lambda g: T.tsum(T.sigmoid(g["x"])), group)
     assert report["x"] < 1e-4
+
+
+def test_grad_check_names_worst_entry():
+    # relu at exactly 0: autodiff takes the zero branch, the central
+    # difference sees slope 1/2, so entry 1 of "y" is the worst entry
+    group = make_group({"x": np.array([0.5, -2.0]), "y": np.array([1.0, 0.0, 3.0])})
+    report = grad_check(lambda g: T.add(T.tsum(g["x"]), T.tsum(T.relu(g["y"]))),
+                        group)
+    name, index, analytic, numeric = report.worst
+    assert (name, index, analytic) == ("y", 1, 0.0)
+    assert numeric == pytest.approx(0.5, rel=1e-6)
+    assert report["y"] == 1.0 and report["x"] < 1e-8
 
 
 def test_grad_check_rejects_bad_step():

@@ -88,7 +88,7 @@ def test_softmax_mask_zeroes_and_renormalizes():
     mask = np.ones((3, 5), dtype=bool)
     mask[0, 2] = False
     mask[2, :2] = False
-    out = T.softmax_lastdim(x, mask=mask).data
+    out = T.softmax_lastdim(x, live=T.LiveEntries(mask)).data
     assert out[0, 2] == 0.0
     assert out[2, 0] == 0.0 and out[2, 1] == 0.0
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
@@ -97,7 +97,39 @@ def test_softmax_mask_zeroes_and_renormalizes():
 def test_softmax_fully_masked_row_rejected():
     mask = np.array([[True, True], [False, False]])
     with pytest.raises(DomainError):
-        T.softmax_lastdim(T.Tensor(np.zeros((2, 2))), mask=mask)
+        T.softmax_lastdim(T.Tensor(np.zeros((2, 2))), live=T.LiveEntries(mask))
+
+
+def test_softmax_live_entries_shape_mismatch_rejected():
+    live = T.LiveEntries(np.ones((2, 3), dtype=bool))
+    with pytest.raises(ShapeError):
+        T.softmax_lastdim(T.Tensor(np.zeros((2, 4))), live=live)
+
+
+def test_softmax_live_entries_bitwise_match_dense_mask():
+    rng = np.random.default_rng(6)
+    rows, cols, c = 8, 700, 0.35
+    # rows of unequal length, one with a single entry; column 350 is
+    # shared by every row
+    mask = rng.random((rows, cols)) < np.linspace(0.02, 0.9, rows)[:, None]
+    mask[:, 350] = True
+    mask[5] = False
+    mask[5, 350] = True
+    x = T.Tensor(4.0 * rand(rng, rows, cols), requires_grad=True)
+    bias = T.Tensor(rand(rng, 1, cols), requires_grad=True)
+    g = rand(rng, rows, cols)
+    out = T.softmax_lastdim(x, bias=bias, live=T.LiveEntries(mask), logit_scale=c)
+    T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+
+    # the dense masked softmax of scaled logits, and its backward
+    z = x.data * c + bias.data
+    zmax = np.where(mask, z, -np.inf).max(axis=-1, keepdims=True)
+    e = np.where(mask, np.exp(np.where(mask, z, zmax) - zmax), 0.0)
+    ref = e / e.sum(axis=-1, keepdims=True)
+    dz = ref * (g - (g * ref).sum(axis=-1, keepdims=True))
+    assert np.array_equal(out.data, ref)
+    assert np.array_equal(x.grad, dz * c)
+    assert np.array_equal(bias.grad, dz.sum(axis=0, keepdims=True))
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,9 +140,9 @@ def test_softmax_rows_sum_to_one(seed, rows, cols):
     bias = T.Tensor(rand(rng, cols))
     mask = rng.random((rows, cols)) > 0.3
     mask[:, 0] = True  # keep every row feasible
-    out = T.softmax_lastdim(x, bias=bias, mask=mask).data
+    out = T.softmax_lastdim(x, bias=bias, live=T.LiveEntries(mask)).data
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
-    assert np.all(out[~np.broadcast_to(mask, out.shape)] == 0.0)
+    assert np.all(out[~mask] == 0.0)
 
 
 # ---------------------------------------------------------------------------
