@@ -148,6 +148,8 @@ def cmd_synth(args):
         raise UsageError(f"bad --split-ratios {args.split_ratios!r}") from exc
     if len(ratios) != 3:
         raise UsageError("--split-ratios needs three comma-separated values")
+    if args.frames < 1:
+        raise UsageError(f"--frames must be at least 1, got {args.frames}")
     scenes = [make_scene(rcfg, seed=seed * 100_003 + i, motion=m, clutter=clutter)
               for i, m in enumerate(motions)]
     out = Path(args.out)

@@ -36,9 +36,6 @@ class ParamGroup:
     def __getitem__(self, name):
         return self.params[name]
 
-    def __contains__(self, name):
-        return name in self.params
-
     def names(self):
         return list(self.params.keys())
 

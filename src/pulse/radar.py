@@ -215,21 +215,16 @@ def rad_fft(cube, R, A, D):
 # ---------------------------------------------------------------------------
 # Skeleton synthesis.
 
-class _Sinusoid:
-    """amplitude * sin(2 pi f t + phase) added per axis to a base offset."""
-
-    def __init__(self, base, amp, freq, phase):
-        self.base = np.asarray(base, dtype=np.float64)
-        self.amp = np.asarray(amp, dtype=np.float64)
-        self.freq = np.asarray(freq, dtype=np.float64)
-        self.phase = np.asarray(phase, dtype=np.float64)
-
-    def at(self, t):
-        return self.base + self.amp * np.sin(2.0 * np.pi * self.freq * t + self.phase)
+# Rest pose relative to the body center (cx, cy, 0), in JOINT_NAMES order.
+_REST_POSE = np.array([(0.0, 0.0, 1.55), (0.0, 0.0, 1.05),
+                       (-0.25, 0.0, 1.15), (-0.32, 0.04, 0.9),
+                       (0.25, 0.0, 1.15), (0.32, 0.04, 0.9),
+                       (-0.12, 0.0, 0.08), (0.12, 0.0, 0.08)])
 
 
 class SkeletonMotion:
-    """Seeded parametric joint trajectories for one sequence (meters)."""
+    """Seeded parametric joint trajectories for one sequence (meters): each
+    joint axis is base + amp * sin(2 pi freq t + phase), all four (J, 3)."""
 
     def __init__(self, seed, motion):
         if motion not in MOTIONS:
@@ -240,86 +235,61 @@ class SkeletonMotion:
         # while motion phase/amplitude carry the sequence-level diversity
         cx = rng.uniform(-0.08, 0.08)
         cy = rng.uniform(2.1, 2.3)
-        base = {
-            "head": (cx, cy, 1.55), "torso": (cx, cy, 1.05),
-            "elbow_l": (cx - 0.25, cy, 1.15), "wrist_l": (cx - 0.32, cy + 0.04, 0.9),
-            "elbow_r": (cx + 0.25, cy, 1.15), "wrist_r": (cx + 0.32, cy + 0.04, 0.9),
-            "ankle_l": (cx - 0.12, cy, 0.08), "ankle_r": (cx + 0.12, cy, 0.08),
-        }
-        zero = np.zeros(3)
-        tracks = {}
-        if motion == "still":
+        self.base = _REST_POSE + (cx, cy, 0.0)
+        self.amp, self.freq, self.phase = (np.zeros_like(self.base) for _ in range(3))
+        tracks = {}                      # joint name -> (amp, freq, phase)
+        if motion == "jitter":
             for name in JOINT_NAMES:
-                tracks[name] = _Sinusoid(base[name], zero, zero, zero)
-        elif motion == "jitter":
-            for name in JOINT_NAMES:
-                amp = rng.uniform(0.005, 0.015, size=3)
-                freq = rng.uniform(1.5, 3.0, size=3)
-                phase = rng.uniform(0, 2 * np.pi, size=3)
-                tracks[name] = _Sinusoid(base[name], amp, freq, phase)
+                tracks[name] = (rng.uniform(0.005, 0.015, size=3),
+                                rng.uniform(1.5, 3.0, size=3),
+                                rng.uniform(0, 2 * np.pi, size=3))
         elif motion == "walk":
             f = rng.uniform(0.5, 0.65)
             arm = rng.uniform(0.14, 0.18)
             leg = rng.uniform(0.08, 0.12)
             sway = 0.03
             phase0 = rng.uniform(0, 2 * np.pi)
-            two_pi_f = np.array([0.0, f, 2 * f])
-            tracks["torso"] = _Sinusoid(base["torso"], (0.0, sway, 0.02),
-                                        two_pi_f, (0.0, phase0, phase0))
-            tracks["head"] = _Sinusoid(base["head"], (0.0, sway, 0.02),
-                                       two_pi_f, (0.0, phase0, phase0))
+            tracks["torso"] = tracks["head"] = (
+                (0.0, sway, 0.02), (0.0, f, 2 * f), (0.0, phase0, phase0))
             for side, sgn in (("l", 0.0), ("r", np.pi)):
-                tracks[f"elbow_{side}"] = _Sinusoid(
-                    base[f"elbow_{side}"], (0.0, arm / 2, 0.0),
-                    (0.0, f, 0.0), (0.0, phase0 + sgn, 0.0))
-                tracks[f"wrist_{side}"] = _Sinusoid(
-                    base[f"wrist_{side}"], (0.0, arm, 0.02),
-                    (0.0, f, f), (0.0, phase0 + sgn, phase0 + sgn))
+                tracks[f"elbow_{side}"] = (
+                    (0.0, arm / 2, 0.0), (0.0, f, 0.0), (0.0, phase0 + sgn, 0.0))
+                tracks[f"wrist_{side}"] = (
+                    (0.0, arm, 0.02), (0.0, f, f), (0.0, phase0 + sgn, phase0 + sgn))
                 # contralateral leg: in phase with the opposite arm
-                tracks[f"ankle_{side}"] = _Sinusoid(
-                    base[f"ankle_{side}"], (0.0, leg, 0.0),
-                    (0.0, f, 0.0), (0.0, phase0 + np.pi - sgn, 0.0))
+                tracks[f"ankle_{side}"] = (
+                    (0.0, leg, 0.0), (0.0, f, 0.0), (0.0, phase0 + np.pi - sgn, 0.0))
         elif motion == "wave":
             f = rng.uniform(0.9, 1.1)
             phase0 = rng.uniform(0, 2 * np.pi)
-            for name in JOINT_NAMES:
-                tracks[name] = _Sinusoid(base[name], (0.0, 0.01, 0.0),
-                                         (0.0, f / 2, 0.0), (0.0, phase0, 0.0))
-            tracks["wrist_r"] = _Sinusoid(base["wrist_r"], (0.02, 0.12, 0.1),
-                                          (f, f, f), (phase0, phase0, phase0 + np.pi / 2))
-            tracks["elbow_r"] = _Sinusoid(base["elbow_r"], (0.01, 0.06, 0.05),
-                                          (f, f, f), (phase0, phase0, phase0 + np.pi / 2))
-        self._tracks = [tracks[name] for name in JOINT_NAMES]
+            tracks = dict.fromkeys(JOINT_NAMES, (
+                (0.0, 0.01, 0.0), (0.0, f / 2, 0.0), (0.0, phase0, 0.0)))
+            tracks["wrist_r"] = ((0.02, 0.12, 0.1), (f, f, f),
+                                 (phase0, phase0, phase0 + np.pi / 2))
+            tracks["elbow_r"] = ((0.01, 0.06, 0.05), (f, f, f),
+                                 (phase0, phase0, phase0 + np.pi / 2))
+        for name, (amp, freq, phase) in tracks.items():
+            j = JOINT_NAMES.index(name)
+            self.amp[j], self.freq[j], self.phase[j] = amp, freq, phase
 
     def joints_m(self, t):
-        return np.stack([trk.at(t) for trk in self._tracks])
+        """(J, 3) joint positions at time t; t of shape (..., 1, 1) gives
+        (..., J, 3)."""
+        return self.base + self.amp * np.sin(2.0 * np.pi * self.freq * t + self.phase)
 
     def joints_mm(self, t):
         return self.joints_m(t) * 1000.0
 
 
-def synth_skeleton_sequence(seed, frames, motion, frame_rate):
-    """Sample a seeded parametric skeleton at frame_rate; returns mm poses
-    of shape (frames, J, 3)."""
-    if frames < 2:
-        raise UsageError(f"need at least 2 frames, got {frames}")
-    model = SkeletonMotion(seed, motion)
-    return np.stack([model.joints_mm(i / frame_rate) for i in range(frames)])
-
-
 # ---------------------------------------------------------------------------
 # Scene: body scatterers + clutter + multipath ghosts.
 
+# Body points: the head, then three points along each bone.
 _BONE_FRACTIONS = (0.2, 0.5, 0.8)
+_BONE_START, _BONE_END = np.repeat(BONES, len(_BONE_FRACTIONS), axis=0).T
+_BONE_FRAC = np.tile(_BONE_FRACTIONS, len(BONES))[:, None]
 _VELOCITY_DT = 1e-3
 GHOST_ATTENUATION = 0.3
-
-
-def _radial_speed(pos_fn, t):
-    """Positive-toward-radar radial speed of a trajectory at time t."""
-    r_plus = np.linalg.norm(pos_fn(t + _VELOCITY_DT))
-    r_minus = np.linalg.norm(pos_fn(t - _VELOCITY_DT))
-    return -(r_plus - r_minus) / (2.0 * _VELOCITY_DT)
 
 
 @dataclass
@@ -328,54 +298,52 @@ class Scene:
 
     motion: SkeletonMotion
     body_reflectivities: np.ndarray
-    clutter_static: list = field(default_factory=list)   # list[Scatterer]
+    clutter_positions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    clutter_reflectivities: np.ndarray = field(default_factory=lambda: np.zeros(0))
     oscillator: tuple | None = None      # (base_pos, unit_dir, amp_m, freq_hz, phase, refl)
     mirror_x: float | None = None        # multipath mirror plane x = mirror_x
 
     def pose_mm(self, t):
         return self.motion.joints_mm(t)
 
-    def _body_points(self, t):
+    def moving_points(self, t):
+        """(N, 3) positions of the body points, their mirror ghosts and the
+        fan at time t; a 1-D array of T times gives (T, N, 3)."""
+        t = np.asarray(t, dtype=np.float64)[..., None, None]
         joints = self.motion.joints_m(t)
-        pts = [joints[0]]  # head point scatterer
-        for a, b in BONES:
-            for frac in _BONE_FRACTIONS:
-                pts.append(joints[a] + frac * (joints[b] - joints[a]))
-        return np.stack(pts)
+        start, end = joints[..., _BONE_START, :], joints[..., _BONE_END, :]
+        body = np.concatenate([joints[..., :1, :], start + _BONE_FRAC * (end - start)],
+                              axis=-2)
+        points = [body]
+        if self.mirror_x is not None:
+            ghost = body.copy()
+            ghost[..., 0] = 2.0 * self.mirror_x - body[..., 0]
+            points.append(ghost)
+        if self.oscillator is not None:
+            base, direction, amp, freq, phase, _ = self.oscillator
+            points.append(base + direction * amp * np.sin(2.0 * np.pi * freq * t + phase))
+        return np.concatenate(points, axis=-2)
 
-    def _oscillator_pos(self, t):
-        base, direction, amp, freq, phase, _ = self.oscillator
-        return base + direction * amp * math.sin(2.0 * math.pi * freq * t + phase)
-
-    @staticmethod
-    def _radial_speeds(p_minus, p_plus):
-        r_plus = np.linalg.norm(p_plus, axis=-1)
-        r_minus = np.linalg.norm(p_minus, axis=-1)
+    def radial_speeds(self, t):
+        """Positive-toward-radar radial speed of every moving point, by a
+        central difference of its range."""
+        r_plus = np.linalg.norm(self.moving_points(t + _VELOCITY_DT), axis=-1)
+        r_minus = np.linalg.norm(self.moving_points(t - _VELOCITY_DT), axis=-1)
         return -(r_plus - r_minus) / (2.0 * _VELOCITY_DT)
 
     def scatterers_at(self, t):
-        body = self._body_points(t)
-        body_p = self._body_points(t + _VELOCITY_DT)
-        body_m = self._body_points(t - _VELOCITY_DT)
-        speeds = self._radial_speeds(body_m, body_p)
-        out = [Scatterer(body[i], float(speeds[i]), float(self.body_reflectivities[i]))
-               for i in range(len(body))]
+        """Body points, ghosts, static clutter, then the fan."""
+        refl = [self.body_reflectivities]
         if self.mirror_x is not None:
-            def mirrored(pts):
-                g = pts.copy()
-                g[:, 0] = 2.0 * self.mirror_x - g[:, 0]
-                return g
-            ghost = mirrored(body)
-            ghost_speeds = self._radial_speeds(mirrored(body_m), mirrored(body_p))
-            out.extend(Scatterer(ghost[i], float(ghost_speeds[i]),
-                                 GHOST_ATTENUATION * float(self.body_reflectivities[i]))
-                       for i in range(len(ghost)))
-        out.extend(self.clutter_static)
+            refl.append(GHOST_ATTENUATION * self.body_reflectivities)
         if self.oscillator is not None:
-            refl = self.oscillator[5]
-            out.append(Scatterer(self._oscillator_pos(t),
-                                 _radial_speed(self._oscillator_pos, t), refl))
-        return out
+            refl.append([self.oscillator[5]])
+        moving = [Scatterer(p, float(v), float(a)) for p, v, a in
+                  zip(self.moving_points(t), self.radial_speeds(t), np.concatenate(refl))]
+        clutter = [Scatterer(p, 0.0, float(a)) for p, a in
+                   zip(self.clutter_positions, self.clutter_reflectivities)]
+        n = len(moving) - (self.oscillator is not None)
+        return moving[:n] + clutter + moving[n:]
 
 
 def make_scene(cfg, seed, motion="walk", clutter=True):
@@ -387,10 +355,11 @@ def make_scene(cfg, seed, motion="walk", clutter=True):
     refl = rng.uniform(0.7, 1.3, size=n_body)
     scene = Scene(motion=sk, body_reflectivities=refl)
     if clutter:
-        for _ in range(3):
-            pos = np.array([rng.uniform(-1.4, 1.4), rng.uniform(1.2, 3.4),
-                            rng.uniform(0.0, 1.5)])
-            scene.clutter_static.append(Scatterer(pos, 0.0, rng.uniform(0.5, 1.5)))
+        # x, y, z, reflectivity
+        static = np.array([(rng.uniform(-1.4, 1.4), rng.uniform(1.2, 3.4),
+                            rng.uniform(0.0, 1.5), rng.uniform(0.5, 1.5))
+                           for _ in range(3)])
+        scene.clutter_positions, scene.clutter_reflectivities = static[:, :3], static[:, 3]
         fan_base = np.array([rng.choice([-1.0, 1.0]) * rng.uniform(0.8, 1.3),
                              rng.uniform(1.5, 2.8), rng.uniform(0.5, 1.5)])
         direction = fan_base / np.linalg.norm(fan_base)
@@ -399,15 +368,14 @@ def make_scene(cfg, seed, motion="walk", clutter=True):
         scene.oscillator = (fan_base, direction, v_amp / (2.0 * math.pi * freq),
                             freq, rng.uniform(0, 2 * np.pi), rng.uniform(0.8, 1.2))
         scene.mirror_x = rng.uniform(1.05, 1.25)
-    margin_r = cfg.max_range_m - 0.6 * cfg.range_per_bin_m
-    for t in np.linspace(0.0, 30.0, 61):
-        for sc in scene.scatterers_at(t):
-            r = float(np.linalg.norm(sc.position))
-            if r >= margin_r:
-                raise DomainError(f"scene scatterer at {r:.2f} m exceeds the span")
-            if abs(sc.radial_velocity) >= 0.98 * cfg.max_speed_mps:
-                raise DomainError(
-                    f"scene scatterer at {sc.radial_velocity:.2f} m/s exceeds the span")
+    t = np.linspace(0.0, 30.0, 61)
+    r = np.concatenate([np.linalg.norm(scene.moving_points(t), axis=-1).ravel(),
+                        np.linalg.norm(scene.clutter_positions, axis=-1)])
+    if r.max() >= cfg.max_range_m - 0.6 * cfg.range_per_bin_m:
+        raise DomainError(f"scene scatterer at {r.max():.2f} m exceeds the span")
+    v = np.abs(scene.radial_speeds(t)).max()
+    if v >= 0.98 * cfg.max_speed_mps:
+        raise DomainError(f"scene scatterer at {v:.2f} m/s exceeds the span")
     return scene
 
 

@@ -100,7 +100,7 @@ def read_poses_csv(path, joints):
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != POSES_HEADER:
         raise DataError(f"{path}: expected header {POSES_HEADER!r}")
-    by_seq: dict[str, dict[int, np.ndarray]] = {}
+    by_seq: dict[str, dict[int, dict[int, tuple]]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -109,16 +109,26 @@ def read_poses_csv(path, joints):
             frame, joint, xyz = int(frame), int(joint), (float(x), float(y), float(z))
         except ValueError:
             raise DataError(f"{path}: line {lineno}: malformed row {line!r}") from None
+        if not all(map(math.isfinite, xyz)):
+            raise DataError(f"{path}: line {lineno}: non-finite coordinate in {line!r}")
         if not 0 <= joint < joints:
             raise DataError(f"{path}: line {lineno}: joint {joint} outside 0..{joints - 1}")
-        frame_map = by_seq.setdefault(seq, {})
-        frame_map.setdefault(frame, np.zeros((joints, 3)))[joint] = xyz
+        rows = by_seq.setdefault(seq, {}).setdefault(frame, {})
+        if joint in rows:
+            raise DataError(f"{path}: line {lineno}: sequence {seq} frame {frame} "
+                            f"repeats joint {joint}")
+        rows[joint] = xyz
     out = {}
     for seq, frame_map in by_seq.items():
         frames = sorted(frame_map)
         if frames != list(range(len(frames))):
             raise DataError(f"{path}: sequence {seq} has non-contiguous frames")
-        out[seq] = np.stack([frame_map[f] for f in frames])
+        for f in frames:
+            missing = [j for j in range(joints) if j not in frame_map[f]]
+            if missing:
+                raise DataError(f"{path}: sequence {seq} frame {f} lacks joints {missing}")
+        out[seq] = np.array([[frame_map[f][j] for j in range(joints)]
+                             for f in frames]).reshape(len(frames), joints, 3)
     return out
 
 
@@ -239,6 +249,10 @@ def load_dataset(root):
     for name in ("train", "val", "test"):
         raw = manifest.get(f"split_{name}", "")
         splits[name] = [s for s in raw.split(",") if s]
+        for seq in splits[name]:
+            if seq not in poses:
+                raise DataError(f"{root}: manifest split_{name} lists sequence {seq!r}, "
+                                f"which has no rows in poses.csv")
     frames = {}
     for seq in poses:
         stack = []

@@ -1,12 +1,11 @@
 """Dense row-major tensors with reverse-mode automatic differentiation.
 
-Values live in numpy arrays (float64 by default, float32 as an opt-in
-storage mode); the graph bookkeeping and every backward rule are local to
-this module. Graphs are built functionally: each op returns a fresh Tensor
-holding its parents and a closure that pushes the upstream gradient to
-them. `backward` walks the reverse topological order exactly once per node
-and accumulates gradients additively, so a tensor feeding two consumers
-receives the sum of both path gradients.
+Values live in float64 numpy arrays; the graph bookkeeping and every
+backward rule are local to this module. Graphs are built functionally: each
+op returns a fresh Tensor holding its parents and a closure that pushes the
+upstream gradient to them. `backward` walks the reverse topological order
+exactly once per node and accumulates gradients additively, so a tensor
+feeding two consumers receives the sum of both path gradients.
 
 All ops are deterministic given identical inputs; dropout takes an explicit
 integer key and draws its mask from a counter-based Philox stream so runs
@@ -19,31 +18,19 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
 
-DEFAULT_DTYPE = np.float64
-
-
-def _as_array(values, dtype):
-    if dtype is not None:
-        return np.asarray(values, dtype=dtype)
-    arr = np.asarray(values)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(DEFAULT_DTYPE)
-    return arr
-
 
 class Tensor:
     """A node in the autodiff graph.
 
-    data          row-major numpy array
+    data          row-major float64 numpy array
     requires_grad whether gradients should flow to (or through) this node
     grad          populated by backward(); same shape as data
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
 
-    def __init__(self, values, requires_grad=False, dtype=None,
-                 _parents=(), _backprop=None):
-        self.data = _as_array(values, dtype)
+    def __init__(self, values, requires_grad=False, _parents=(), _backprop=None):
+        self.data = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
@@ -53,17 +40,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self):
         if self.data.size != 1:
             raise UsageError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
@@ -91,7 +71,7 @@ class Tensor:
 def _lift(x):
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=DEFAULT_DTYPE))
+    return Tensor(x)
 
 
 def _result(data, parents, backprop):

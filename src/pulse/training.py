@@ -20,7 +20,7 @@ from . import tensor as T
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .features import normalize_frame, spatial_magnitude
 from .model import forward, init_params
-from .metrics import occupied_cells, sequence_report
+from .metrics import motion_proxy, occupied_cells, sequence_report
 from .optim import ParamGroup, adam_step, clip_global_norm
 
 
@@ -161,8 +161,7 @@ def build_samples(dataset, split, mcfg):
             raise DataError(
                 f"sequence {seq_id} grid {frames.shape[1:]} != model "
                 f"({mcfg.R}, {mcfg.A}, {mcfg.D})")
-        proxy = np.linalg.norm(np.diff(poses, axis=0), axis=-1).mean(axis=1) \
-            if len(frames) >= 2 else np.zeros(0)
+        proxy = motion_proxy(poses) if len(frames) >= 2 else np.zeros(0)
         bounds = (float(proxy.min()), float(proxy.max())) if len(proxy) else (0.0, 0.0)
         for t, (frame, window) in enumerate(frame_windows(frames, mcfg.frame_window)):
             gate_target = (float(proxy[t]), bounds) if t < len(proxy) else None

@@ -314,15 +314,38 @@ def _rdt_truncated(ds, run, tmp):
     return _eval_args(ds, run / "model.ckpt", tmp), "000_0002.rdt"
 
 
-def _poses_joint(value):
+def _poses_edit(edit, name="poses.csv"):
     def case(ds, run, tmp):
         lines = (ds / "poses.csv").read_text().splitlines()
-        row = lines[3].split(",")
-        row[2] = value  # the joint column
-        lines[3] = ",".join(row)
+        assert lines[1].startswith("000,0,0,") and lines[2].startswith("000,0,1,")
+        edit(lines)
         (ds / "poses.csv").write_text("\n".join(lines) + "\n")
-        return _eval_args(ds, run / "model.ckpt", tmp), "poses.csv"
+        return _eval_args(ds, run / "model.ckpt", tmp), name
     return case
+
+
+def _set_field(index, column, value):
+    """Set one field of line `index` (column 2 is the joint, 3 is x_mm)."""
+    def edit(lines):
+        row = lines[index].split(",")
+        row[column] = value
+        lines[index] = ",".join(row)
+    return edit
+
+
+def _drop_joint_1(lines):
+    del lines[2]
+
+
+def _repeat_joint_0(lines):
+    lines[2] = lines[1]
+
+
+def _split_without_poses(ds, run, tmp):
+    text = (ds / "manifest.txt").read_text()
+    assert "\nsplit_test=\n" in text
+    (ds / "manifest.txt").write_text(text.replace("\nsplit_test=\n", "\nsplit_test=009\n"))
+    return _eval_args(ds, run / "model.ckpt", tmp), "split_test lists sequence '009'"
 
 
 def _rdt_nan(ds, run, tmp):
@@ -341,12 +364,18 @@ def _rdt_other_grid(ds, run, tmp):
     _train_with("--embed_dim", "abc"), _synth_with("--noise_std", "abc"),
     _synth_with("--seed", "abc"), _train_with("--dropout", "x"),
     _train_with("--batch", "0"), _config_file, _ckpt_bad_value, _ckpt_bad_utf8,
-    _rdt_truncated, _poses_joint("x"), _poses_joint("8"), _rdt_nan,
+    _rdt_truncated, _poses_edit(_set_field(3, 2, "x")),
+    _poses_edit(_set_field(3, 2, "8")), _rdt_nan,
     _train_with("--noise_std", "abc"), _ckpt_bad_shape, _rdt_other_grid,
+    _poses_edit(_drop_joint_1, "poses.csv: sequence 000 frame 0 lacks joints [1]"),
+    _poses_edit(_repeat_joint_0, "poses.csv: line 3: sequence 000 frame 0 repeats joint 0"),
+    _poses_edit(_set_field(1, 3, "nan"), "poses.csv: line 2: non-finite coordinate"),
+    _split_without_poses, _synth_with("--frames", "0"),
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
-        "rdt_grid"])
+        "rdt_grid", "poses_missing_joint", "poses_repeated_joint",
+        "poses_nan", "split_without_poses", "synth_frames"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from pulse.errors import DomainError, UsageError
-from pulse.radar import (JOINT_NAMES, RadarConfig, Scatterer, angle_bin,
-                         doppler_bin, make_scene, rad_fft, range_bin,
-                         range_for_bin, render_frame, render_scene_frame,
-                         sin_theta_for_bin, speed_for_bin,
-                         synth_skeleton_sequence)
+from pulse.radar import (BONES, C_LIGHT, JOINT_NAMES, RadarConfig, Scatterer,
+                         SkeletonMotion, angle_bin, doppler_bin, make_scene,
+                         rad_fft, range_bin, range_for_bin, render_frame,
+                         render_scene_frame, sin_theta_for_bin, speed_for_bin)
 
 
 @pytest.fixture
@@ -170,24 +169,34 @@ def test_rad_fft_rejects_incompatible_targets(cfg):
 # ---------------------------------------------------------------------------
 # Skeleton synthesis
 
+def skeleton_sequence(seed, frames, motion, frame_rate=10.0):
+    """(frames, J, 3) mm poses sampled at frame_rate."""
+    t = np.arange(frames)[:, None, None] / frame_rate
+    return SkeletonMotion(seed, motion).joints_mm(t)
+
+
 def test_still_motion_constant_poses():
-    seq = synth_skeleton_sequence(3, 10, "still", 10.0)
+    seq = skeleton_sequence(3, 10, "still")
     assert seq.shape == (10, len(JOINT_NAMES), 3)
     for t in range(1, 10):
         np.testing.assert_array_equal(seq[t], seq[0])
 
 
 def test_same_seed_same_sequence():
-    a = synth_skeleton_sequence(7, 12, "walk", 10.0)
-    b = synth_skeleton_sequence(7, 12, "walk", 10.0)
+    a = skeleton_sequence(7, 12, "walk")
+    b = skeleton_sequence(7, 12, "walk")
     np.testing.assert_array_equal(a, b)
-    c = synth_skeleton_sequence(8, 12, "walk", 10.0)
+    c = skeleton_sequence(8, 12, "walk")
     assert not np.array_equal(a, c)
+    # one time at a time gives the same poses
+    motion = SkeletonMotion(7, "walk")
+    for f in (0, 5, 11):
+        np.testing.assert_allclose(motion.joints_mm(f / 10.0), a[f], rtol=0, atol=1e-9)
 
 
 def test_walk_wrist_displacement_bounded():
     for seed in range(5):
-        seq = synth_skeleton_sequence(seed, 64, "walk", 10.0)
+        seq = skeleton_sequence(seed, 64, "walk")
         wrists = seq[:, [JOINT_NAMES.index("wrist_l"), JOINT_NAMES.index("wrist_r")], :]
         step = np.linalg.norm(np.diff(wrists, axis=0), axis=-1)
         assert step.max() < 100.0  # mm per frame at 10 Hz
@@ -195,7 +204,7 @@ def test_walk_wrist_displacement_bounded():
 
 def test_unknown_motion_rejected():
     with pytest.raises(UsageError):
-        synth_skeleton_sequence(0, 4, "moonwalk", 10.0)
+        SkeletonMotion(0, "moonwalk")
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +226,79 @@ def test_scene_scatterers_inside_span(cfg):
         for sc in scene.scatterers_at(t):
             assert np.linalg.norm(sc.position) < cfg.max_range_m
             assert abs(sc.radial_velocity) < cfg.max_speed_mps
+
+
+def test_scene_matches_per_point_reference(cfg):
+    """48 scatterers in the order body, ghosts, clutter, fan, against the
+    per-bone loop and per-point central difference the arrays replace."""
+    scene = make_scene(cfg, seed=11, motion="walk")
+    base, direction, amp, freq, phase, fan_refl = scene.oscillator
+
+    def points(t):
+        j = scene.motion.joints_m(t)
+        body = [j[0]] + [j[a] + frac * (j[b] - j[a])
+                         for a, b in BONES for frac in (0.2, 0.5, 0.8)]
+        ghost = [np.array([2.0 * scene.mirror_x - p[0], p[1], p[2]]) for p in body]
+        return np.array(body + ghost)
+
+    def fan(t):
+        return base + direction * amp * math.sin(2.0 * math.pi * freq * t + phase)
+
+    for t in (0.0, 0.7, 12.3):
+        scats = scene.scatterers_at(t)
+        assert len(scats) == 48
+        moving, clutter = scats[:44], scats[44:47]
+        np.testing.assert_array_equal([sc.position for sc in moving], points(t))
+        speed = -(np.linalg.norm(points(t + 1e-3), axis=-1)
+                  - np.linalg.norm(points(t - 1e-3), axis=-1)) / 2e-3
+        np.testing.assert_array_equal([sc.radial_velocity for sc in moving], speed)
+        refl = scene.body_reflectivities
+        np.testing.assert_array_equal([sc.reflectivity for sc in moving],
+                                      np.concatenate([refl, 0.3 * refl]))
+        np.testing.assert_array_equal([sc.position for sc in clutter], scene.clutter_positions)
+        assert [sc.radial_velocity for sc in clutter] == [0.0] * 3
+        np.testing.assert_allclose(scats[-1].position, fan(t), rtol=0, atol=1e-12)
+        fan_speed = -(np.linalg.norm(fan(t + 1e-3)) - np.linalg.norm(fan(t - 1e-3))) / 2e-3
+        np.testing.assert_allclose(scats[-1].radial_velocity, fan_speed, rtol=0, atol=1e-9)
+        assert scats[-1].reflectivity == fan_refl
+    # the span check's (T, N, 3) evaluation agrees with one time at a time
+    times = np.array([0.0, 0.7, 12.3])
+    for k, t in enumerate(times):
+        np.testing.assert_allclose(scene.moving_points(times)[k], scene.moving_points(t),
+                                   rtol=0, atol=1e-12)
+
+
+def test_make_scene_span_check_covers_clutter_and_fan():
+    # seed 154, still: the clutter lies farthest out and only the fan moves
+    wide = RadarConfig(noise_std=0.0)
+    scene = make_scene(wide, seed=154, motion="still")
+    n_moving = 2 * len(scene.body_reflectivities)      # body points and ghosts
+    frames = [scene.scatterers_at(t) for t in np.linspace(0.0, 30.0, 61)]
+
+    def extent(first, stop, value):
+        return max(value(sc) for scats in frames for sc in scats[first:stop])
+
+    def dist(sc):
+        return float(np.linalg.norm(sc.position))
+
+    def speed(sc):
+        return abs(sc.radial_velocity)
+
+    clutter_r = extent(n_moving, -1, dist)
+    other_r = max(extent(0, n_moving, dist), extent(-1, None, dist))
+    assert clutter_r > other_r + 0.1
+    fan_v = extent(-1, None, speed)
+    assert extent(0, -1, speed) == 0.0 and fan_v > 0.5
+    # span edge (R - 0.6) range bins halfway between the clutter and the rest
+    edge = (clutter_r + other_r) / 2.0
+    near = RadarConfig(noise_std=0.0, bandwidth_hz=(wide.R - 0.6) * C_LIGHT / (2.0 * edge))
+    with pytest.raises(DomainError, match=r" m exceeds the span"):
+        make_scene(near, seed=154, motion="still")
+    # speed edge 0.98 * wavelength / (4 T_c) at half the fan's peak speed
+    slow = RadarConfig(noise_std=0.0,
+                       chirp_duration_s=0.98 * wide.wavelength_m / (2.0 * fan_v))
+    with pytest.raises(DomainError, match=r" m/s exceeds the span"):
+        make_scene(slow, seed=154, motion="still")
 
 
 def test_clutter_off_scene_has_only_body(cfg):

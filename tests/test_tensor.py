@@ -244,10 +244,3 @@ def test_forward_ops_finite_on_finite_inputs():
                 T.layer_norm(x, T.Tensor(np.ones(5)), T.Tensor(np.zeros(5)))):
         assert np.all(np.isfinite(out.data))
 
-
-def test_float32_storage_mode():
-    x = T.Tensor(np.ones((2, 3), dtype=np.float32), dtype=np.float32)
-    assert x.dtype == np.float32
-    y = T.matmul(x, T.Tensor(np.eye(3, dtype=np.float32), dtype=np.float32))
-    assert y.dtype == np.float32
-    np.testing.assert_array_equal(y.data, x.data)
