@@ -4,6 +4,9 @@ Articulated skeletons move point scatterers through a scene (plus static
 clutter, one fan-like oscillating reflector, and mirrored multipath ghosts);
 each frame is rendered to a complex intermediate-frequency cube and turned
 into a range-angle-Doppler magnitude tensor by three orthonormal numpy FFTs.
+A point target's phase is a sum of a fast-time, a chirp and an element term,
+so the cube is a separable product: one einsum over three small
+per-scatterer phase tables, equal to the per-point sum up to round-off.
 
 Conventions: the radar sits at the origin, +y is boresight, +x lateral,
 +z up. Ranges use the full 3-D distance, azimuth is measured in the x-y
@@ -166,26 +169,42 @@ def render_frame(scatterers, cfg, seed=0):
         a * exp(i 2 pi [f_b t_fast + f_d T_c k + (m d / lambda) sin(theta)])
     with f_b = 2 B r / (c T_c) and f_d = 2 v_r / lambda, followed by
     complex Gaussian noise (per-component std = noise_std) when enabled.
+    The phase is a sum of a fast-time, a chirp and an element term, so the
+    exponential factors: the noise-free cube is
+        einsum('s,sf,sc,se->fce', a, F, C, E)
+    over three per-scatterer tables F (S x fast samples), C (S x chirps)
+    and E (S x elements), equal to the per-point sum up to round-off.
+    Every scatterer is checked against the range and Doppler span first;
+    the first one outside raises DomainError through range_bin/doppler_bin.
     Output shape: (fast_samples, chirps, elements).
     """
     shape = (cfg.fast_samples_per_chirp, cfg.chirps_per_frame, cfg.virtual_elements)
-    cube = np.zeros(shape, dtype=np.complex128)
+    pos = np.array([sc.position for sc in scatterers], dtype=np.float64).reshape(-1, 3)
+    speed = np.array([sc.radial_velocity for sc in scatterers], dtype=np.float64)
+    refl = np.array([sc.reflectivity for sc in scatterers], dtype=np.float64)
+    r = np.linalg.norm(pos, axis=1)
+    beat_hz = 2.0 * cfg.bandwidth_hz * r / (C_LIGHT * cfg.chirp_duration_s)
+    # range_bin's and doppler_bin's tests, negated so a NaN also counts as out
+    outside = ~((beat_hz / cfg.fast_sample_rate_hz * cfg.fast_samples_per_chirp
+                 < cfg.R - 0.5) & (np.abs(speed) <= cfg.max_speed_mps))
+    if outside.any():
+        first = int(np.argmax(outside))
+        range_bin(float(r[first]), cfg)
+        doppler_bin(float(speed[first]), cfg)
+    lateral = np.hypot(pos[:, 0], pos[:, 1])
+    sin_theta = np.divide(pos[:, 0], lateral, out=np.zeros_like(lateral),
+                          where=lateral > 0)
+    doppler_hz = 2.0 * speed / cfg.wavelength_m
     t_fast = np.arange(cfg.fast_samples_per_chirp) / cfg.fast_sample_rate_hz
     chirp_idx = np.arange(cfg.chirps_per_frame)
     elem_idx = np.arange(cfg.virtual_elements)
-    for sc in scatterers:
-        r = float(np.linalg.norm(sc.position))
-        range_bin(r, cfg)                      # span checks raise DomainError
-        doppler_bin(sc.radial_velocity, cfg)
-        lateral = math.hypot(sc.position[0], sc.position[1])
-        sin_theta = sc.position[0] / lateral if lateral > 0 else 0.0
-        beat_hz = 2.0 * cfg.bandwidth_hz * r / (C_LIGHT * cfg.chirp_duration_s)
-        doppler_hz = 2.0 * sc.radial_velocity / cfg.wavelength_m
-        phase = (beat_hz * t_fast[:, None, None]
-                 + doppler_hz * cfg.chirp_duration_s * chirp_idx[None, :, None]
-                 + (cfg.element_spacing_m / cfg.wavelength_m) * sin_theta
-                 * elem_idx[None, None, :])
-        cube += sc.reflectivity * np.exp(2j * np.pi * phase)
+    fast = np.exp(2j * np.pi * (beat_hz[:, None] * t_fast))
+    chirp = np.exp(2j * np.pi * (doppler_hz[:, None] * cfg.chirp_duration_s * chirp_idx))
+    elem = np.exp(2j * np.pi * ((cfg.element_spacing_m / cfg.wavelength_m)
+                                * sin_theta[:, None] * elem_idx))
+    # optimize=True contracts pairwise (elem, then chirp, then one matrix
+    # product with fast) instead of one four-way loop: over 20x faster
+    cube = np.einsum("s,sf,sc,se->fce", refl, fast, chirp, elem, optimize=True)
     if cfg.noise_std > 0:
         entropy = [int(seed)] if np.isscalar(seed) else [int(s) for s in seed]
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
@@ -394,6 +413,9 @@ def split_sequences(n, ratios):
     sequence, and a val sequence whenever two or more exist."""
     if n < 1:
         raise UsageError("need at least one sequence")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise UsageError("--split-ratios must be finite and nonnegative, got "
+                         + ",".join(str(r) for r in ratios))
     r_train, r_val, _ = ratios
     n_train = max(1, int(round(n * r_train)))
     n_val = int(round(n * r_val))
@@ -418,12 +440,12 @@ def emit_dataset(cfg, scenes, ratios, out_dir, seed, frames_per_seq, motions,
     """
     from . import storage
 
+    train_ids, val_ids, test_ids = split_sequences(len(scenes), ratios)
     out = Path(out_dir)
     try:
         (out / "frames").mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create dataset directory {out}: {exc}") from exc
-    train_ids, val_ids, test_ids = split_sequences(len(scenes), ratios)
     pose_rows = []
     for s_idx, scene in enumerate(scenes):
         seq_id = f"{s_idx:03d}"

@@ -371,11 +371,14 @@ def _rdt_other_grid(ds, run, tmp):
     _poses_edit(_repeat_joint_0, "poses.csv: line 3: sequence 000 frame 0 repeats joint 0"),
     _poses_edit(_set_field(1, 3, "nan"), "poses.csv: line 2: non-finite coordinate"),
     _split_without_poses, _synth_with("--frames", "0"),
+    _synth_with("--split-ratios", "nan,0.25,0.25"),
+    _synth_with("--split-ratios", "0.5,-3,0.5", "--sequences", "3"),
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
         "rdt_grid", "poses_missing_joint", "poses_repeated_joint",
-        "poses_nan", "split_without_poses", "synth_frames"])
+        "poses_nan", "split_without_poses", "synth_frames", "split_nan",
+        "split_negative"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

@@ -93,6 +93,56 @@ def test_fast_time_peak_at_range_bin_oracle(cfg):
     assert int(np.argmax(spectrum)) == rb
 
 
+def per_scatterer_reference(scatterers, cfg):
+    """The noise-free cube as one full complex exp per scatterer, summed."""
+    cube = np.zeros((cfg.fast_samples_per_chirp, cfg.chirps_per_frame,
+                     cfg.virtual_elements), dtype=np.complex128)
+    t_fast = np.arange(cfg.fast_samples_per_chirp) / cfg.fast_sample_rate_hz
+    chirp_idx = np.arange(cfg.chirps_per_frame)
+    elem_idx = np.arange(cfg.virtual_elements)
+    for sc in scatterers:
+        r = float(np.linalg.norm(sc.position))
+        lateral = math.hypot(sc.position[0], sc.position[1])
+        sin_theta = sc.position[0] / lateral if lateral > 0 else 0.0
+        beat_hz = 2.0 * cfg.bandwidth_hz * r / (C_LIGHT * cfg.chirp_duration_s)
+        doppler_hz = 2.0 * sc.radial_velocity / cfg.wavelength_m
+        phase = (beat_hz * t_fast[:, None, None]
+                 + doppler_hz * cfg.chirp_duration_s * chirp_idx[None, :, None]
+                 + (cfg.element_spacing_m / cfg.wavelength_m) * sin_theta
+                 * elem_idx[None, None, :])
+        cube += sc.reflectivity * np.exp(2j * np.pi * phase)
+    return cube
+
+
+def test_render_frame_matches_per_scatterer_reference(cfg):
+    # the separable product equals the per-point sum to round-off: 1e-12 of
+    # the cube's peak magnitude (the two differ by at most 6e-15 of it here)
+    scene = make_scene(cfg, seed=21, motion="wave", clutter=True)
+    overhead = Scatterer(np.array([0.0, 0.0, 1.2]), 0.4, 0.9)     # lateral == 0
+    cases = [scene.scatterers_at(t) for t in (0.0, 1.7, 23.4)]
+    cases += [[overhead], scene.scatterers_at(0.5)[:5] + [overhead], []]
+    for scatterers in cases:
+        got = render_frame(scatterers, cfg, seed=0)
+        want = per_scatterer_reference(scatterers, cfg)
+        assert got.shape == want.shape
+        peak = max(np.abs(want).max(), 1.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * peak)
+
+
+@pytest.mark.parametrize("axis", ["range", "speed"])
+def test_render_frame_span_check_covers_every_scatterer(cfg, axis):
+    inside = [scatterer_at_bins(cfg, rb, cfg.A // 2 + 2, cfg.D // 2 + 1)
+              for rb in (3, 8, 14)]
+    bad, match = {
+        "range": (Scatterer([0.0, cfg.max_range_m + 0.2, 0.3], 0.1, 1.0), " m is beyond"),
+        "speed": (Scatterer(inside[0].position, 1.2 * cfg.max_speed_mps, 1.0),
+                  "exceeds unambiguous span"),
+    }[axis]
+    with pytest.raises(DomainError, match=match):
+        render_frame(inside[:2] + [bad] + inside[2:], cfg, seed=0)
+    render_frame(inside, cfg, seed=0)
+
+
 def test_noise_deterministic_for_seed(cfg_noise=RadarConfig(noise_std=0.5)):
     a = render_frame([], cfg_noise, seed=[7, 1, 2])
     b = render_frame([], cfg_noise, seed=[7, 1, 2])

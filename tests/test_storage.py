@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pulse.errors import DataError
+from pulse.errors import DataError, UsageError
 from pulse.radar import RadarConfig, emit_dataset, make_scene, split_sequences
 from pulse.storage import (load_checkpoint, load_dataset, read_manifest,
                            read_poses_csv, read_rdt, save_checkpoint,
@@ -119,6 +119,23 @@ def test_split_sequences_basic():
     assert split_sequences(4, (0.5, 0.25, 0.25)) == (["000", "001"], ["002"], ["003"])
     train, val, test = split_sequences(2, (0.5, 0.25, 0.25))
     assert train and val and not test
+
+
+@pytest.mark.parametrize("ratios", [(0.5, 0.25, 0.25), (0.7, 0.3, 0.0), (1.0, 0.0, 0.0),
+                                    (0.0, 0.0, 1.0), (0.2, 0.9, 0.4), (3.0, 2.0, 1.0)])
+def test_split_sequences_disjoint_and_cover(ratios):
+    for n in range(1, 9):
+        train, val, test = split_sequences(n, ratios)
+        ids = train + val + test
+        assert sorted(ids) == [f"{i:03d}" for i in range(n)], (n, ratios)
+        assert len(set(ids)) == n and train
+
+
+@pytest.mark.parametrize("ratios", [(float("nan"), 0.25, 0.25), (float("inf"), 0.0, 0.0),
+                                    (0.5, -3.0, 0.5), (0.5, 0.25, -0.25)])
+def test_split_sequences_rejects_bad_ratios(ratios):
+    with pytest.raises(UsageError, match="--split-ratios"):
+        split_sequences(3, ratios)
 
 
 def test_emit_dataset_layout_and_round_trip(tmp_path):
