@@ -30,7 +30,7 @@ from .model import (ABLATIONS, ModelConfig, config_from_strings,
                     typed_values)
 from .optim import grad_check, group_errors_by_prefix
 from .radar import JOINT_NAMES, MOTIONS, RadarConfig, emit_dataset, make_scene
-from .storage import load_checkpoint, load_dataset, save_checkpoint
+from .storage import SPLITS, load_checkpoint, load_dataset, save_checkpoint
 from .training import (TrainConfig, evaluate_split, loss_pos, train_model)
 
 
@@ -123,8 +123,12 @@ def write_resolved(resolved, out_dir):
     (Path(out_dir) / "resolved.cfg").write_text("\n".join(lines) + "\n")
 
 
-def _float_csv(x):
-    return repr(float(x))
+def _write_csv(path, header, rows):
+    """Strings and ints as written, other values as repr(float): exact."""
+    def text(v):
+        return str(v) if isinstance(v, (str, int)) else repr(float(v))
+    lines = [header] + [",".join(map(text, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -226,38 +230,48 @@ def load_model(ckpt_path):
     return mcfg, params, seed
 
 
-def _check_grid(mcfg, dataset):
+def _check_split(split, dataset=None):
+    """--split names a split, and one with sequences in `dataset` if given."""
+    if split not in SPLITS + ("all",):
+        raise UsageError(f"--split must be one of {', '.join(SPLITS)} or all, "
+                         f"got {split!r}")
+    if dataset is not None and not dataset.split_sequences(split):
+        raise DataError(f"{dataset.root / 'manifest.txt'}: split {split!r} is empty")
+
+
+def _load_evaluation(args):
+    """eval and diag: the dataset and the checkpoint's model, checked to
+    share a grid and to hold a nonempty --split."""
+    _check_split(args.split)
+    dataset = load_dataset(args.dataset)
+    mcfg, params, _ = load_model(args.checkpoint)
     manifest = dataset.manifest
     grid = (int(manifest["R"]), int(manifest["A"]), int(manifest["D"]))
     if grid != (mcfg.R, mcfg.A, mcfg.D) or int(manifest["J"]) != mcfg.joints:
         raise ConfigError(
             f"checkpoint grid {(mcfg.R, mcfg.A, mcfg.D)}/J={mcfg.joints} does not "
             f"match dataset {grid}/J={manifest['J']}")
+    _check_split(args.split, dataset)
+    return dataset, mcfg, params
 
 
 def cmd_eval(args):
-    dataset = load_dataset(args.dataset)
-    mcfg, params, _ = load_model(args.checkpoint)
-    _check_grid(mcfg, dataset)
+    dataset, mcfg, params = _load_evaluation(args)
     report, preds, gts = evaluate_split(params, mcfg, dataset, args.split,
                                         with_scale=args.pa_scale == "on")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["metric,value"] + [f"{n},{_float_csv(v)}" for n, v in report.as_rows()]
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "metrics.csv", "metric,value", report.as_rows())
     names = dataset.manifest.get("joint_names", ",".join(JOINT_NAMES)).split(",")
-    pj_rows = ["joint,mpjpe,mpjve"]
-    all_pred = np.concatenate(preds, axis=0)
-    all_gt = np.concatenate(gts, axis=0)
-    for name, pj_pos, pj_vel in per_joint_report(all_pred, all_gt, names):
-        pj_rows.append(f"{name},{_float_csv(pj_pos)},{_float_csv(pj_vel)}")
-    (out / "per_joint.csv").write_text("\n".join(pj_rows) + "\n")
+    _write_csv(out / "per_joint.csv", "joint,mpjpe,mpjve",
+               per_joint_report(preds, gts, names))
     for name, value in report.as_rows():
         print(f"{name}: {value:.6f}")
     return 0
 
 
 def cmd_ablate(args):
+    _check_split(args.split)
     resolved, explicit = resolve_config(args)
     dataset = load_dataset(args.dataset)
     tcfg = config_from_resolved(TrainConfig, resolved)
@@ -288,16 +302,15 @@ def cmd_ablate(args):
             runs.append((label, _model_config_for_dataset(local, explicit, dataset)))
     if not runs:
         raise UsageError("nothing to do: pass --variants and/or --sweep")
-    rows = ["variant,mpjpe,pa_mpjpe,mpjve,akv"]
+    _check_split(args.split, dataset)
+    rows = []
     for label, mcfg in runs:
         _, params = _train_once(dataset, mcfg, tcfg)
-        report, _, _ = evaluate_split(params, mcfg, dataset, args.split)
-        rows.append(f"{label},{_float_csv(report.mpjpe)},"
-                    f"{_float_csv(report.pa_mpjpe)},{_float_csv(report.mpjve)},"
-                    f"{_float_csv(report.akv)}")
-        print(f"{label}: mpjpe={report.mpjpe:.3f} pa_mpjpe={report.pa_mpjpe:.3f} "
-              f"mpjve={report.mpjve:.3f} akv={report.akv:.3f}")
-    (out / "ablation.csv").write_text("\n".join(rows) + "\n")
+        metrics = evaluate_split(params, mcfg, dataset, args.split)[0].as_rows()
+        rows.append([label] + [v for _, v in metrics])
+        print(f"{label}: " + " ".join(f"{n}={v:.3f}" for n, v in metrics))
+    _write_csv(out / "ablation.csv", ",".join(["variant"] + [n for n, _ in metrics]),
+               rows)
     write_resolved(resolved, out)
     return 0
 
@@ -328,12 +341,10 @@ def cmd_gradcheck(args):
 
     report = grad_check(build, params, step=args.step)
     grouped = group_errors_by_prefix(report)
-    rows = ["param,max_rel_err"]
-    for name, err in report.items():
-        rows.append(f"{name},{_float_csv(err)}")
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "gradcheck.csv").write_text("\n".join(rows) + "\n")
+        _write_csv(Path(args.out) / "gradcheck.csv", "param,max_rel_err",
+                   report.items())
     width = max(len(n) for n in grouped)
     print(f"{'group'.ljust(width)}  max_rel_err")
     for name in sorted(grouped):
@@ -349,19 +360,17 @@ def cmd_gradcheck(args):
 
 
 def cmd_diag(args):
-    dataset = load_dataset(args.dataset)
-    mcfg, params, _ = load_model(args.checkpoint)
-    _check_grid(mcfg, dataset)
+    if args.bins < 2:
+        raise UsageError(f"--bins must be at least 2, got {args.bins}")
+    dataset, mcfg, params = _load_evaluation(args)
     _, preds, gts, gate_seqs, smaps = evaluate_split(
         params, mcfg, dataset, args.split, collect_gates=True)
     diag = gate_motion_diag(gate_seqs, preds, gts, smaps, bins=args.bins,
                             cell_selection=args.cell_selection)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = ["frame,g_bar,v_t,bin"]
-    for global_frame, (_, _, g_bar, v_t, bin_id) in enumerate(diag.records):
-        rows.append(f"{global_frame},{_float_csv(g_bar)},{_float_csv(v_t)},{bin_id}")
-    (out / "gate_diag.csv").write_text("\n".join(rows) + "\n")
+    _write_csv(out / "gate_diag.csv", "frame,g_bar,v_t,bin",
+               [(i, *record[2:]) for i, record in enumerate(diag.records)])
     if diag.pearson is None:
         print("pearson_r: undefined (zero variance)")
     else:

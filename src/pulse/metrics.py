@@ -10,7 +10,7 @@ explicit Kalman baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,15 +66,8 @@ def pa_mpjpe(pred, gt, with_scale=True):
     """MPJPE after per-frame similarity alignment; never exceeds mpjpe."""
     pred, gt = _check_pair(pred, gt)
     if pred.ndim == 2:
-        pred = pred[None]
-        gt = gt[None]
-    total = 0.0
-    count = 0
-    for p, g in zip(pred, gt):
-        aligned = similarity_align(p, g, with_scale=with_scale)
-        total += float(np.linalg.norm(aligned - g, axis=-1).sum())
-        count += len(g)
-    return total / count
+        pred, gt = pred[None], gt[None]
+    return float(pose_errors(pred, gt, with_scale).aligned.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +93,48 @@ def akv(pred):
 
 
 # ---------------------------------------------------------------------------
-# Aggregation across sequences and per-joint breakdown
+# Per-sequence error table and its reductions
+
+@dataclass
+class PoseErrors:
+    """Per-frame, per-joint errors of one (T, J, 3) sequence."""
+    position: np.ndarray              # (T, J) mm
+    aligned: np.ndarray | None        # (T, J) mm after similarity alignment
+    velocity: np.ndarray              # (T-1, J) mm/frame
+    speed: np.ndarray                 # (T-1, J) predicted speed, mm/frame
+
+
+def pose_errors(pred, gt, with_scale=True, align=True):
+    """The error table every pose metric reduces. Velocities never cross a
+    sequence boundary; a one-frame sequence has empty velocity rows.
+    align=False skips the per-frame alignment (aligned is None)."""
+    pred, gt = _check_pair(pred, gt)
+    if pred.ndim != 3:
+        raise ShapeError(f"need a (T, J, 3) sequence, got shape {pred.shape}")
+    vel_pred = np.diff(pred, axis=0)
+    return PoseErrors(
+        position=np.linalg.norm(pred - gt, axis=-1),
+        aligned=np.stack([np.linalg.norm(similarity_align(p, g, with_scale) - g,
+                                         axis=-1) for p, g in zip(pred, gt)])
+        if align else None,
+        velocity=np.linalg.norm(vel_pred - np.diff(gt, axis=0), axis=-1),
+        speed=np.linalg.norm(vel_pred, axis=-1))
+
+
+def _sequence_errors(preds, gts, with_scale=True, align=True):
+    """pose_errors of each (pred, gt) pair of two matching lists."""
+    if not preds or len(preds) != len(gts):
+        raise ShapeError("need matching nonempty prediction/target lists")
+    return [pose_errors(p, g, with_scale, align) for p, g in zip(preds, gts)]
+
+
+def _pooled(arrays):
+    """Mean over every entry of several sequences' error arrays, each
+    frame-joint term weighted equally; 0.0 when there is none."""
+    arrays = list(arrays)
+    count = sum(a.size for a in arrays)
+    return sum(float(a.sum()) for a in arrays) / count if count else 0.0
+
 
 @dataclass
 class MetricReport:
@@ -110,48 +144,32 @@ class MetricReport:
     akv: float
 
     def as_rows(self):
-        return [("mpjpe", self.mpjpe), ("pa_mpjpe", self.pa_mpjpe),
-                ("mpjve", self.mpjve), ("akv", self.akv)]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 def sequence_report(preds, gts, with_scale=True):
     """Pooled metrics over a list of (T, J, 3) sequences; every frame-joint
     term carries equal weight regardless of sequence lengths."""
-    if not preds or len(preds) != len(gts):
-        raise ShapeError("need matching nonempty prediction/target lists")
-    pos_err = pa_err = 0.0
-    pos_n = 0
-    vel_err = vel_mag = 0.0
-    vel_n = 0
-    for pred, gt in zip(preds, gts):
-        pred, gt = _check_pair(pred, gt)
-        pos_err += float(np.linalg.norm(pred - gt, axis=-1).sum())
-        pos_n += pred.shape[0] * pred.shape[1]
-        pa_err += pa_mpjpe(pred, gt, with_scale=with_scale) * pred.shape[0] * pred.shape[1]
-        if pred.shape[0] >= 2:
-            dv = velocities(pred) - velocities(gt)
-            vel_err += float(np.linalg.norm(dv, axis=-1).sum())
-            vel_mag += float(np.linalg.norm(velocities(pred), axis=-1).sum())
-            vel_n += (pred.shape[0] - 1) * pred.shape[1]
+    errors = _sequence_errors(preds, gts, with_scale)
     return MetricReport(
-        mpjpe=pos_err / pos_n,
-        pa_mpjpe=pa_err / pos_n,
-        mpjve=vel_err / vel_n if vel_n else 0.0,
-        akv=vel_mag / vel_n if vel_n else 0.0,
+        mpjpe=_pooled(e.position for e in errors),
+        pa_mpjpe=_pooled(e.aligned for e in errors),
+        mpjve=_pooled(e.velocity for e in errors),
+        akv=_pooled(e.speed for e in errors),
     )
 
 
-def per_joint_report(pred, gt, joint_names):
-    """Per-joint MPJPE/MPJVE rows; their means equal the scalar metrics."""
-    pred, gt = _check_pair(pred, gt)
-    if len(joint_names) != pred.shape[1]:
-        raise ShapeError(f"{len(joint_names)} names for {pred.shape[1]} joints")
-    rows = []
-    for j, name in enumerate(joint_names):
-        rows.append((name,
-                     mpjpe(pred[:, j:j + 1], gt[:, j:j + 1]),
-                     mpjve(pred[:, j:j + 1], gt[:, j:j + 1])))
-    return rows
+def per_joint_report(preds, gts, joint_names):
+    """Per-joint (name, MPJPE, MPJVE) rows over a list of (T, J, 3)
+    sequences, pooled the way sequence_report pools them: the rows average
+    to its MPJPE and MPJVE."""
+    errors = _sequence_errors(preds, gts, align=False)
+    joints = errors[0].position.shape[1]
+    if len(joint_names) != joints:
+        raise ShapeError(f"{len(joint_names)} names for {joints} joints")
+    return [(name, _pooled(e.position[:, j] for e in errors),
+             _pooled(e.velocity[:, j] for e in errors))
+            for j, name in enumerate(joint_names)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,31 +236,23 @@ def gate_motion_diag(gate_seqs, preds, gts, spatial_maps, bins=5,
     """
     if bins < 2:
         raise DomainError(f"need at least 2 quantile bins, got {bins}")
-    g_scores, v_vals, e_vals, keys = [], [], [], []
-    for idx, (gate_seq, pred, gt, smaps) in enumerate(
-            zip(gate_seqs, preds, gts, spatial_maps)):
-        pred, gt = _check_pair(pred, gt)
-        vel_err = np.linalg.norm(velocities(pred) - velocities(gt), axis=-1).mean(axis=1)
-        proxy = motion_proxy(gt)
-        for t in range(len(proxy)):
-            g_scores.append(frame_gate_score(gate_seq[t], np.asarray(smaps[t]),
-                                             cell_selection))
-            v_vals.append(float(proxy[t]))
-            e_vals.append(float(vel_err[t]))
-            keys.append((idx, t))
-    g_scores = np.array(g_scores)
-    v_vals = np.array(v_vals)
-    e_vals = np.array(e_vals)
+    errors = _sequence_errors(preds, gts, align=False)
+    proxies = [motion_proxy(gt) for gt in gts]
+    keys = [(idx, t) for idx, proxy in enumerate(proxies) for t in range(len(proxy))]
+    g_scores = np.array([frame_gate_score(gate_seqs[idx][t],
+                                          np.asarray(spatial_maps[idx][t]),
+                                          cell_selection) for idx, t in keys])
+    v_vals = np.concatenate(proxies)
+    e_vals = np.concatenate([e.velocity.mean(axis=1) for e in errors])
     r = pearson_r(g_scores, v_vals)
     order = np.argsort(g_scores, kind="stable")
-    chunks = np.array_split(order, bins)
     bin_of = np.zeros(len(order), dtype=int)
     binned = []
-    for b, chunk in enumerate(chunks):
+    for b, chunk in enumerate(np.array_split(order, bins)):
         bin_of[chunk] = b
         binned.append(float(e_vals[chunk].mean()) if len(chunk) else float("nan"))
-    records = [(keys[i][0], keys[i][1], float(g_scores[i]), float(v_vals[i]),
-                int(bin_of[i])) for i in range(len(keys))]
+    records = [key + (float(g), float(v), int(b))
+               for key, g, v, b in zip(keys, g_scores, v_vals, bin_of)]
     return GateDiagnostics(records=records, pearson=r, binned_mpjve=binned)
 
 

@@ -409,26 +409,25 @@ def render_scene_frame(scene, frame_idx, cfg, noise_seed):
 # Dataset emission
 
 def split_sequences(n, ratios):
-    """Deterministic disjoint sequence split. Guarantees at least one train
-    sequence, and a val sequence whenever two or more exist."""
+    """Deterministic disjoint sequence split. The three ratios are weights,
+    divided by their sum. Guarantees at least one train sequence, and a val
+    sequence whenever two or more exist; test takes what train and val
+    leave, unless its weight is zero: then train does."""
     if n < 1:
         raise UsageError("need at least one sequence")
     if not all(math.isfinite(r) and r >= 0 for r in ratios):
         raise UsageError("--split-ratios must be finite and nonnegative, got "
                          + ",".join(str(r) for r in ratios))
-    r_train, r_val, _ = ratios
-    n_train = max(1, int(round(n * r_train)))
-    n_val = int(round(n * r_val))
-    if n >= 2 and n_val == 0:
-        n_val = 1
-    n_train = min(n_train, n - n_val) if n > n_val else n_train
-    if n_train < 1:
-        n_train = 1
-        n_val = min(n_val, n - 1)
-    n_test = n - n_train - n_val
+    total = sum(ratios)
+    if total == 0:
+        raise UsageError("--split-ratios must not all be zero")
+    r_train, r_val, r_test = (r / total for r in ratios)
+    n_val = min(max(int(round(n * r_val)), int(n >= 2)), n - 1)
+    n_train = n - n_val
+    if r_test > 0:
+        n_train = min(max(1, int(round(n * r_train))), n_train)
     ids = [f"{i:03d}" for i in range(n)]
-    return (ids[:n_train], ids[n_train:n_train + n_val],
-            ids[n_train + n_val:n_train + n_val + n_test])
+    return ids[:n_train], ids[n_train:n_train + n_val], ids[n_train + n_val:]
 
 
 def emit_dataset(cfg, scenes, ratios, out_dir, seed, frames_per_seq, motions,

@@ -214,6 +214,9 @@ def load_checkpoint(path):
 # ---------------------------------------------------------------------------
 # Dataset directory access
 
+SPLITS = ("train", "val", "test")
+
+
 class Dataset:
     """In-memory view of an emitted dataset directory."""
 
@@ -226,8 +229,7 @@ class Dataset:
 
     def split_sequences(self, split):
         if split == "all":
-            ids = [sid for name in ("train", "val", "test")
-                   for sid in self.splits.get(name, [])]
+            ids = [sid for name in SPLITS for sid in self.splits.get(name, [])]
         else:
             ids = self.splits.get(split, [])
         return [(sid, self.frames[sid], self.poses[sid]) for sid in ids]
@@ -246,7 +248,7 @@ def load_dataset(root):
     joints = int(manifest["J"])
     poses = read_poses_csv(root / "poses.csv", joints)
     splits = {}
-    for name in ("train", "val", "test"):
+    for name in SPLITS:
         raw = manifest.get(f"split_{name}", "")
         splits[name] = [s for s in raw.split(",") if s]
         for seq in splits[name]:

@@ -176,12 +176,11 @@ def evaluate_split(params, mcfg, dataset, split, with_scale=True,
     """Deterministic eval-mode pass over a split.
 
     Returns (MetricReport, per-sequence predictions, per-sequence ground
-    truth[, gate sequences, spatial-map sequences])."""
+    truth[, gate sequences, spatial-map sequences]). With collect_gates the
+    report is None, sparing the gate diagnostics its per-frame alignment."""
     preds, gts, gate_seqs, smap_seqs = [], [], [], []
     for seq_id, frames, poses in dataset.split_sequences(split):
-        seq_pred = []
-        seq_gates = []
-        seq_smaps = []
+        seq_pred, seq_gates, seq_smaps = [], [], []
         for frame, window in frame_windows(frames, mcfg.frame_window):
             result = forward(window, params, mcfg, train=False)
             seq_pred.append(result.pose.data)
@@ -197,10 +196,9 @@ def evaluate_split(params, mcfg, dataset, split, with_scale=True,
             smap_seqs.append(np.stack(seq_smaps))
     if not preds:
         raise DataError(f"split {split!r} is empty")
-    report = sequence_report(preds, gts, with_scale=with_scale)
     if collect_gates:
-        return report, preds, gts, gate_seqs, smap_seqs
-    return report, preds, gts
+        return None, preds, gts, gate_seqs, smap_seqs
+    return sequence_report(preds, gts, with_scale=with_scale), preds, gts
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,21 @@ def test_eval_matches_training_log_best(cli_run, cli_dataset, tmp_path):
     assert len(pj) == 9  # 8 joints
 
 
+def test_eval_all_per_joint_pools_like_metrics(cli_run, cli_dataset, tmp_path):
+    # --split all pools three sequences: no velocity may span two of them.
+    out = tmp_path / "all"
+    rc = main(["eval", "--checkpoint", str(cli_run / "model.ckpt"),
+               "--dataset", str(cli_dataset), "--split", "all",
+               "--out", str(out)])
+    assert rc == 0
+    rows = dict(line.split(",") for line in
+                (out / "metrics.csv").read_text().splitlines()[1:])
+    pj = [line.split(",") for line in
+          (out / "per_joint.csv").read_text().splitlines()[1:]]
+    assert abs(np.mean([float(r[1]) for r in pj]) - float(rows["mpjpe"])) < 1e-9
+    assert abs(np.mean([float(r[2]) for r in pj]) - float(rows["mpjve"])) < 1e-9
+
+
 def test_eval_reruns_byte_identical(cli_run, cli_dataset, tmp_path):
     outs = []
     for name in ("e1", "e2"):
@@ -276,6 +291,17 @@ def _synth_with(*flags):
     return case
 
 
+def _command_with(command, *flags, name):
+    """`command` on the copied dataset, with the trained checkpoint for eval
+    and diag and one small variant for ablate."""
+    def case(ds, run, tmp):
+        extra = (["--variants", "full", *SMALL_MODEL, *FAST_TRAIN]
+                 if command == "ablate" else ["--checkpoint", str(run / "model.ckpt")])
+        return ([command, "--dataset", str(ds), "--out", str(tmp / "o"), *extra,
+                 *flags], name)
+    return case
+
+
 def _config_file(ds, run, tmp):
     (tmp / "bad.cfg").write_text("lr=fast\n")
     return ["train", "--dataset", str(ds), "--out", str(tmp / "o"),
@@ -373,12 +399,21 @@ def _rdt_other_grid(ds, run, tmp):
     _split_without_poses, _synth_with("--frames", "0"),
     _synth_with("--split-ratios", "nan,0.25,0.25"),
     _synth_with("--split-ratios", "0.5,-3,0.5", "--sequences", "3"),
+    _synth_with("--split-ratios", "0,0,0"),
+    _command_with("eval", "--split", "bogus", name="--split"),
+    _command_with("diag", "--split", "bogus", name="--split"),
+    _command_with("ablate", "--split", "bogus", name="--split"),
+    _command_with("diag", "--split", "all", "--bins", "1", name="--bins"),
+    _command_with("eval", "--split", "test", name="manifest.txt: split 'test' is empty"),
+    _command_with("ablate", "--split", "test",
+                  name="manifest.txt: split 'test' is empty"),
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
         "rdt_grid", "poses_missing_joint", "poses_repeated_joint",
         "poses_nan", "split_without_poses", "synth_frames", "split_nan",
-        "split_negative"])
+        "split_negative", "split_zero", "eval_split", "diag_split",
+        "ablate_split", "diag_bins", "eval_split_empty", "ablate_split_empty"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

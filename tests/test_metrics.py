@@ -181,16 +181,27 @@ def test_velocity_needs_two_frames():
 def test_per_joint_rows_mean_equals_scalar():
     pred, gt = rand_seq(14), rand_seq(15)
     names = [f"j{i}" for i in range(pred.shape[1])]
-    rows = per_joint_report(pred, gt, names)
+    rows = per_joint_report([pred], [gt], names)
     assert abs(np.mean([r[1] for r in rows]) - mpjpe(pred, gt)) < 1e-12
     assert abs(np.mean([r[2] for r in rows]) - mpjve(pred, gt)) < 1e-12
+
+
+def test_per_joint_pools_sequences_like_sequence_report():
+    # Two unequal sequences 10 m apart: a velocity taken across the boundary
+    # between them would dwarf every real one.
+    pred1, gt1 = rand_seq(32, t=4), rand_seq(33, t=4)
+    pred2, gt2 = rand_seq(34, t=7) + 1e4, rand_seq(35, t=7) + 1e4
+    rows = per_joint_report([pred1, pred2], [gt1, gt2], ["a", "b", "c", "d"])
+    rep = sequence_report([pred1, pred2], [gt1, gt2])
+    assert abs(np.mean([r[1] for r in rows]) - rep.mpjpe) < 1e-12
+    assert abs(np.mean([r[2] for r in rows]) - rep.mpjve) < 1e-12
 
 
 def test_per_joint_isolates_single_bad_joint():
     gt = rand_seq(16)
     pred = gt.copy()
     pred[:, 2, :] += np.array([3.0, 4.0, 0.0])
-    rows = per_joint_report(pred, gt, ["a", "b", "c", "d"])
+    rows = per_joint_report([pred], [gt], ["a", "b", "c", "d"])
     assert rows[2][1] == pytest.approx(5.0, abs=1e-12)
     for j in (0, 1, 3):
         assert rows[j][1] == 0.0

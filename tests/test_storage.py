@@ -121,6 +121,12 @@ def test_split_sequences_basic():
     assert train and val and not test
 
 
+def test_split_ratios_are_weights():
+    # A zero test weight leaves test empty; train takes the remainder.
+    assert split_sequences(4, (0.5, 0.25, 0.0)) == (["000", "001", "002"], ["003"], [])
+    assert split_sequences(4, (0.5, 0.5, 0.5)) == (["000"], ["001"], ["002", "003"])
+
+
 @pytest.mark.parametrize("ratios", [(0.5, 0.25, 0.25), (0.7, 0.3, 0.0), (1.0, 0.0, 0.0),
                                     (0.0, 0.0, 1.0), (0.2, 0.9, 0.4), (3.0, 2.0, 1.0)])
 def test_split_sequences_disjoint_and_cover(ratios):
@@ -132,7 +138,8 @@ def test_split_sequences_disjoint_and_cover(ratios):
 
 
 @pytest.mark.parametrize("ratios", [(float("nan"), 0.25, 0.25), (float("inf"), 0.0, 0.0),
-                                    (0.5, -3.0, 0.5), (0.5, 0.25, -0.25)])
+                                    (0.5, -3.0, 0.5), (0.5, 0.25, -0.25),
+                                    (0.0, 0.0, 0.0)])
 def test_split_sequences_rejects_bad_ratios(ratios):
     with pytest.raises(UsageError, match="--split-ratios"):
         split_sequences(3, ratios)
