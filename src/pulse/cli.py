@@ -363,6 +363,11 @@ def cmd_diag(args):
     if args.bins < 2:
         raise UsageError(f"--bins must be at least 2, got {args.bins}")
     dataset, mcfg, params = _load_evaluation(args)
+    for seq_id, frames, _ in dataset.split_sequences(args.split):
+        if len(frames) < 2:
+            raise DataError(f"{dataset.root / 'manifest.txt'}: split {args.split!r} "
+                            f"sequence {seq_id} has {len(frames)} frame; the gate "
+                            f"diagnostics need at least 2 per sequence")
     _, preds, gts, gate_seqs, smaps = evaluate_split(
         params, mcfg, dataset, args.split, collect_gates=True)
     diag = gate_motion_diag(gate_seqs, preds, gts, smaps, bins=args.bins,

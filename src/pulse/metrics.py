@@ -130,10 +130,11 @@ def _sequence_errors(preds, gts, with_scale=True, align=True):
 
 def _pooled(arrays):
     """Mean over every entry of several sequences' error arrays, each
-    frame-joint term weighted equally; 0.0 when there is none."""
+    frame-joint term weighted equally; nan when there is none (one-frame
+    sequences have no velocity terms)."""
     arrays = list(arrays)
     count = sum(a.size for a in arrays)
-    return sum(float(a.sum()) for a in arrays) / count if count else 0.0
+    return sum(float(a.sum()) for a in arrays) / count if count else float("nan")
 
 
 @dataclass
@@ -147,13 +148,14 @@ class MetricReport:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
-def sequence_report(preds, gts, with_scale=True):
+def sequence_report(preds, gts, with_scale=True, align=True):
     """Pooled metrics over a list of (T, J, 3) sequences; every frame-joint
-    term carries equal weight regardless of sequence lengths."""
-    errors = _sequence_errors(preds, gts, with_scale)
+    term carries equal weight regardless of sequence lengths. align=False
+    skips the per-frame alignment and reports pa_mpjpe as nan."""
+    errors = _sequence_errors(preds, gts, with_scale, align)
     return MetricReport(
         mpjpe=_pooled(e.position for e in errors),
-        pa_mpjpe=_pooled(e.aligned for e in errors),
+        pa_mpjpe=_pooled(e.aligned for e in errors) if align else float("nan"),
         mpjve=_pooled(e.velocity for e in errors),
         akv=_pooled(e.speed for e in errors),
     )

@@ -229,12 +229,37 @@ def _lattice_table(R, A, patch_r, patch_a, w):
                          & inside(token_a, cell_a, patches_a, patch_a))
 
 
+@functools.lru_cache(maxsize=None)
+def _lattice_band(R, A, patch_r, patch_a, w):
+    """T.Band of the same pattern: the tokens of one patch row form a query
+    group that reads the cell rows of the w patch rows around it (fewer
+    where w exceeds the grid), and an additive mask taken from the table
+    keeps each token's clipped patch window."""
+    table = _lattice_table(R, A, patch_r, patch_a, w)
+    patches_r, patches_a = R // patch_r, A // patch_a
+    before = min((w - 1) // 2, patches_r - 1)
+    window = before + min(w // 2, patches_r - 1) + 1
+    block = patch_r * A
+    group, token = np.divmod(table.rows, patches_a)
+    mask = np.full((patches_r, patches_a, window * block), -np.inf)
+    mask[group, token, table.cols - (group - before) * block] = 0.0
+    return T.Band(mask, before, block)
+
+
 def neighborhood_table(cfg):
     """LiveEntries of the cross-attention pattern, cached per lattice
     geometry; None for global_interaction, where every cell is live."""
     if cfg.ablation == "global_interaction":
         return None
     return _lattice_table(cfg.R, cfg.A, cfg.patch_r, cfg.patch_a, cfg.neighborhood)
+
+
+def neighborhood_band(cfg):
+    """T.Band the cross-attention reads its keys through, cached per lattice
+    geometry; None for global_interaction, where every cell is a key."""
+    if cfg.ablation == "global_interaction":
+        return None
+    return _lattice_band(cfg.R, cfg.A, cfg.patch_r, cfg.patch_a, cfg.neighborhood)
 
 
 def neighborhood(i, cfg):
@@ -300,28 +325,13 @@ def gate(doppler_tokens, params):
 # ---------------------------------------------------------------------------
 # Prompting
 
-def attention(q, k, v, cfg, bias=None, live=None):
-    """Multi-head scaled dot-product attention over projected (N, d) queries
-    and (M, d) keys and values. Every head adds `bias` to its logits and
-    normalizes each row over its `live` entries (both shared across heads).
-    Returns the concatenated (N, d) head contexts and the per-head (N, M)
-    weight arrays."""
-    inv_sqrt_dk = 1.0 / np.sqrt(cfg.head_dim)
-    contexts, weights = [], []
-    for h in range(cfg.heads):
-        lo, hi = h * cfg.head_dim, (h + 1) * cfg.head_dim
-        q_h, k_h, v_h = (T.slice_lastdim(x, lo, hi) for x in (q, k, v))
-        alpha = T.softmax_lastdim(T.matmul(q_h, T.transpose(k_h)), bias=bias,
-                                  live=live, logit_scale=inv_sqrt_dk)
-        contexts.append(T.matmul(alpha, v_h))
-        weights.append(alpha.data)
-    return T.concat_lastdim(contexts), weights
-
-
 def conditional_cross_attention(spatial, doppler, gates, params, cfg,
                                 return_weights=False):
     """Gate-biased multi-head attention from spatial tokens onto their
     Doppler neighborhoods; rows normalize over the neighborhood per head.
+    Keys are read through the neighborhood_band, so no (N_s, N_v) logits
+    are built; return_weights scatters the per-head weights into dense
+    (N_s, N_v) arrays.
 
     gates enter the logits as an additive bias (gate_strength * gate), shared
     across heads; the ungated/no_gating ablations and gate_strength == 0 drop
@@ -330,13 +340,17 @@ def conditional_cross_attention(spatial, doppler, gates, params, cfg,
     gated = (gates is not None and cfg.gate_strength != 0.0
              and cfg.ablation not in ("ungated", "no_gating"))
     bias = T.scale(T.transpose(gates), cfg.gate_strength) if gated else None
-    contexts, weights = attention(T.matmul(spatial, params["cross_attn.q.weight"]),
-                                  T.matmul(doppler, params["cross_attn.k.weight"]),
-                                  T.matmul(doppler, params["cross_attn.v.weight"]),
-                                  cfg, bias=bias, live=neighborhood_table(cfg))
+    band = neighborhood_band(cfg)
+    contexts, weights = T.attention(T.matmul(spatial, params["cross_attn.q.weight"]),
+                                    T.matmul(doppler, params["cross_attn.k.weight"]),
+                                    T.matmul(doppler, params["cross_attn.v.weight"]),
+                                    cfg.heads, 1.0 / np.sqrt(cfg.head_dim),
+                                    bias=bias, band=band)
     merged = T.affine(contexts, params["cross_attn.out.weight"],
                       params["cross_attn.out.bias"])
-    return (merged, weights) if return_weights else merged
+    if not return_weights:
+        return merged
+    return merged, list(weights[:, 0] if band is None else band.dense(weights))
 
 
 def aggregate_doppler_multiframe(frame_tokens, frame_gates, cfg):
@@ -396,9 +410,10 @@ def spatial_transformer(tokens, params, cfg, train=False, keys=None):
     for i in range(cfg.layers):
         p = f"transformer.{i}"
         h = T.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        ctx, _ = attention(T.matmul(h, params[f"{p}.attn.q.weight"]),
-                           T.matmul(h, params[f"{p}.attn.k.weight"]),
-                           T.matmul(h, params[f"{p}.attn.v.weight"]), cfg)
+        ctx, _ = T.attention(T.matmul(h, params[f"{p}.attn.q.weight"]),
+                             T.matmul(h, params[f"{p}.attn.k.weight"]),
+                             T.matmul(h, params[f"{p}.attn.v.weight"]),
+                             cfg.heads, 1.0 / np.sqrt(cfg.head_dim))
         attn_out = T.affine(ctx, params[f"{p}.attn.out.weight"],
                             params[f"{p}.attn.out.bias"])
         x = T.add(x, T.dropout(attn_out, cfg.dropout, keys.next(), train))

@@ -15,6 +15,7 @@ are bit-reproducible.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ShapeError, UsageError
 
@@ -203,18 +204,6 @@ def concat_lastdim(parts):
     return _result(out, tuple(parts), backprop)
 
 
-def slice_lastdim(x, lo, hi):
-    x = _lift(x)
-    out = x.data[..., lo:hi].copy()
-
-    def backprop(g):
-        full = np.zeros_like(x.data)
-        full[..., lo:hi] = g
-        _accumulate(x, full, fresh=True)
-
-    return _result(out, (x,), backprop)
-
-
 # ---------------------------------------------------------------------------
 # Reductions.
 
@@ -285,81 +274,184 @@ def sqrt(x):
 
 
 class LiveEntries:
-    """The True entries of an (n_rows, n_cols) boolean mask, for a
-    softmax_lastdim that gives every other entry probability exactly 0.
-    Built once per mask; a row with no live entry is rejected.
+    """The True entries of an (n_rows, n_cols) boolean mask. Built once per
+    mask; a row with no live entry is rejected.
 
     shape      : (n_rows, n_cols)
     rows, cols : (L,) row and column index of each live entry, row-major
-    padded     : (n_rows, K) positions into rows/cols of each row's entries,
-                 K the longest row; a shorter row repeats its last entry,
-                 which leaves the row max unchanged
     """
 
     def __init__(self, mask):
         mask = np.asarray(mask, dtype=bool)
         counts = mask.sum(axis=1)
         if not counts.all():
-            raise DomainError("softmax_lastdim: a row has no live entry")
+            raise DomainError("LiveEntries: a row has no live entry")
         self.shape = mask.shape
         self.rows, self.cols = np.nonzero(mask)
-        ends = np.cumsum(counts)
-        self.padded = np.minimum((ends - counts)[:, None] + np.arange(counts.max()),
-                                 ends[:, None] - 1)
-        for arr in (self.rows, self.cols, self.padded):
+        self._starts = np.concatenate([[0], np.cumsum(counts)])
+        for arr in (self.rows, self.cols):
             arr.setflags(write=False)
 
     def row(self, i):
         """Column indices of row i's live entries, ascending."""
-        return self.cols[self.padded[i, 0]:self.padded[i, -1] + 1]
+        return self.cols[self._starts[i]:self._starts[i + 1]]
 
 
-def softmax_lastdim(x, bias=None, live=None, logit_scale=1.0):
-    """Row-wise softmax of logit_scale * x + bias over the last axis,
-    stabilized by max-subtraction.
+class Band:
+    """Key windows of a banded attention pattern.
 
-    bias : optional tensor broadcastable to x, added to the scaled logits
-           (gradient flows to it).
-    live : optional LiveEntries of x's 2-D shape; each row
-           normalizes over its live entries and every other entry is
-           exactly 0. Only the live logits are scaled, added, maxed,
-           exponentiated and divided; the row sums run over the dense rows,
-           so the result is bitwise the dense masked softmax.
+    The N queries form G equal groups of consecutive rows, and the M keys G
+    equal blocks of `block` consecutive rows. Query group g reads the
+    contiguous window of key blocks g - before .. g - before + window - 1;
+    blocks past either end of the keys are zero padding. `mask` is the
+    additive (G, N / G, window * block) array of 0 (visible) and -inf
+    (hidden) over each group's window, so every query keeps exactly its own
+    keys. A query row with no visible key is rejected.
     """
-    x = _lift(x)
+
+    def __init__(self, mask, before, block):
+        mask = np.array(mask, dtype=np.float64)
+        if mask.ndim != 3 or mask.shape[2] % block:
+            raise ShapeError(f"band mask {mask.shape} is not (groups, rows, "
+                             f"window * {block})")
+        self.visible = mask == 0.0
+        self.hidden = ~self.visible
+        if not (self.visible | np.isneginf(mask)).all():
+            raise DomainError("Band: mask entries must be 0 or -inf")
+        if not self.visible.any(axis=2).all():
+            raise DomainError("Band: a query row has no visible key")
+        for arr in (mask, self.visible, self.hidden):
+            arr.setflags(write=False)
+        self.mask = mask
+        self.groups, self.rows_per_group, width = mask.shape
+        self.block = int(block)
+        self.window = width // self.block
+        self.before = int(before)
+
+    def windows(self, x, heads):
+        """(M, heads * e) key rows -> (heads, G, window * block, e): each
+        head's rows of every group's window, zero rows in the padding."""
+        g, b = self.groups, self.block
+        padded = np.zeros((heads, g + self.window - 1, b, x.shape[1] // heads))
+        padded[:, self.before:self.before + g] = \
+            x.reshape(g, b, heads, -1).transpose(2, 0, 1, 3)
+        shifted = sliding_window_view(padded, self.window, axis=1)
+        return shifted.transpose(0, 1, 4, 2, 3).reshape(heads, g, -1, padded.shape[3])
+
+    def overlap_add(self, xw):
+        """Adjoint of windows: (heads, G, window * block, e) -> (M, heads * e),
+        summing each key row over the windows that share it."""
+        heads, g, _, e = xw.shape
+        padded = np.zeros((heads, g + self.window - 1, self.block, e))
+        shifted = xw.reshape(heads, g, self.window, self.block, e)
+        for o in range(self.window):
+            padded[:, o:o + g] += shifted[:, :, o]
+        return padded[:, self.before:self.before + g].transpose(1, 2, 0, 3) \
+            .reshape(g * self.block, heads * e)
+
+    def dense(self, weights):
+        """(heads, G, N / G, window * block) window weights -> (heads, N, M),
+        zero outside each group's window."""
+        heads, g, rows = weights.shape[:3]
+        out = np.zeros((heads, g, rows, g + self.window - 1, self.block))
+        shifted = weights.reshape(heads, g, rows, self.window, self.block)
+        for i in range(g):
+            out[:, i, :, i:i + self.window] = shifted[:, i]
+        return out[:, :, :, self.before:self.before + g].reshape(
+            heads, g * rows, g * self.block)
+
+
+def attention(q, k, v, heads, logit_scale, bias=None, band=None):
+    """Multi-head attention: per head h, softmax(logit_scale * q_h k_h^T +
+    bias) v_h, with the heads as one batch axis.
+
+    q       : (N, d) queries; k, v : (M, d) keys and values. Head h owns the
+              columns h * d/heads .. (h + 1) * d/heads - 1.
+    bias    : optional (1, M) tensor added to every head's logits, per key.
+    band    : optional Band; each query group then scores only the keys of
+              its window, and entries its mask hides get weight exactly 0.
+              None lets every query see every key (one group, one block).
+    Returns the (N, d) tensor of the head contexts side by side, and the
+    weights as a (heads, G, N / G, K) array: G = 1 and K = M without a band,
+    else the band's groups and window width.
+
+    The logits of all heads live in one array and the softmax runs on it in
+    place; the backward is one closure using dz = P * (dP - rowsum(dP * P)).
+    With a band, the key, value and bias gradients of the overlapping
+    windows are added back onto the shared key rows.
+    """
+    q, k, v = _lift(q), _lift(k), _lift(v)
+    n, d = q.shape
+    m = k.shape[0]
+    if k.shape != (m, d) or v.shape != (m, d) or d % heads:
+        raise ShapeError(f"attention needs (N, d) queries and (M, d) keys and "
+                         f"values with heads | d, got {q.shape}, {k.shape}, "
+                         f"{v.shape} and {heads} heads")
+    if band is not None and (band.groups * band.rows_per_group != n
+                             or band.groups * band.block != m):
+        raise ShapeError(f"band of {band.groups} groups of {band.rows_per_group} "
+                         f"queries and blocks of {band.block} keys does not fit "
+                         f"{n} queries and {m} keys")
     c = float(logit_scale)
-    parents = [x]
+    dh = d // heads
+    groups = 1 if band is None else band.groups
+
+    def windows(x, h):
+        if band is None:
+            return x.reshape(1, m, h, -1).transpose(2, 0, 1, 3)
+        return band.windows(x, h)
+
+    def overlap_add(xw):
+        if band is None:
+            return xw[:, 0].transpose(1, 0, 2).reshape(m, -1)
+        return band.overlap_add(xw)
+
+    parents = [q, k, v]
+    qg = q.data.reshape(groups, n // groups, heads, dh).transpose(2, 0, 1, 3) * c
+    kw, vw = windows(k.data, heads), windows(v.data, heads)
+    p = qg @ kw.swapaxes(-1, -2)
+    shift = None if band is None else band.mask
     if bias is not None:
         bias = _lift(bias)
+        if bias.shape != (1, m):
+            raise ShapeError(f"attention bias must be (1, {m}), got {bias.shape}")
         parents.append(bias)
-    if live is None:
-        z = x.data * c
-        if bias is not None:
-            z = z + bias.data
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        out = e / e.sum(axis=-1, keepdims=True)
+        per_key = windows(bias.data.reshape(m, 1), 1)[0, :, None, :, 0]
+        shift = per_key if shift is None else shift + per_key
+    if shift is not None:
+        p += shift
+    p -= p.max(axis=-1, keepdims=True)
+    if band is None:
+        np.exp(p, out=p)
     else:
-        if x.shape != live.shape:
-            raise ShapeError(f"softmax_lastdim: logits {x.shape} != live entries "
-                             f"{live.shape}")
-        rows, cols = live.rows, live.cols
-        z = x.data[rows, cols] * c
-        if bias is not None:
-            z = z + np.broadcast_to(bias.data, x.shape)[rows, cols]
-        e = np.exp(z - z[live.padded].max(axis=1)[rows])
-        out = np.zeros(x.shape, dtype=z.dtype)
-        out[rows, cols] = e
-        out[rows, cols] = e / out.sum(axis=-1)[rows]
+        # exp of -inf takes numpy's slow path: skip the hidden entries
+        np.exp(p, out=p, where=band.visible)
+        np.copyto(p, 0.0, where=band.hidden)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = p @ vw
+    out = ctx.transpose(1, 2, 0, 3).reshape(n, d)
 
     def backprop(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        dz = out * (g - inner)
-        if x.requires_grad:
-            _accumulate(x, _unbroadcast(dz * c, x.shape), fresh=True)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, _unbroadcast(dz, bias.shape), fresh=True)
+        gh = g.reshape(groups, n // groups, heads, dh).transpose(2, 0, 1, 3)
+        if v.requires_grad:
+            _accumulate(v, overlap_add(p.swapaxes(-1, -2) @ gh), fresh=True)
+        bias_grad = bias is not None and bias.requires_grad
+        if not (q.requires_grad or k.requires_grad or bias_grad):
+            return
+        # rowsum(dP * P) = rowsum(g * ctx), as P @ V = ctx
+        dz = gh @ vw.swapaxes(-1, -2)
+        dz -= np.einsum("...e,...e->...", gh, ctx)[..., None]
+        dz *= p
+        if q.requires_grad:
+            dq = (dz @ kw) * c
+            _accumulate(q, dq.transpose(1, 2, 0, 3).reshape(n, d), fresh=True)
+        if k.requires_grad:
+            _accumulate(k, overlap_add(dz.swapaxes(-1, -2) @ qg), fresh=True)
+        if bias_grad:
+            per_key = dz.sum(axis=(0, 2))[None, :, :, None]
+            _accumulate(bias, overlap_add(per_key).reshape(1, m), fresh=True)
 
-    return _result(out, tuple(parents), backprop)
+    return _result(out, tuple(parents), backprop), p
 
 
 def dropout(x, p, key, train):

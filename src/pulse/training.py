@@ -82,18 +82,6 @@ class TrainLog:
                          f"{r.val_akv!r},{r.grad_norm!r},0.0")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def parse_csv_text(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != cls.HEADER:
-            raise DataError(f"train log header mismatch: {lines[:1]}")
-        log = cls()
-        for ln in lines[1:]:
-            epoch, loss, vm, vv, va, gn, secs = ln.split(",")
-            log.add(EpochRecord(int(epoch), float(loss), float(vm), float(vv),
-                                float(va), float(gn), float(secs)))
-        return log
-
 
 # ---------------------------------------------------------------------------
 # Losses
@@ -172,12 +160,13 @@ def build_samples(dataset, split, mcfg):
 
 
 def evaluate_split(params, mcfg, dataset, split, with_scale=True,
-                   collect_gates=False):
+                   collect_gates=False, align=True):
     """Deterministic eval-mode pass over a split.
 
     Returns (MetricReport, per-sequence predictions, per-sequence ground
     truth[, gate sequences, spatial-map sequences]). With collect_gates the
-    report is None, sparing the gate diagnostics its per-frame alignment."""
+    report is None, sparing the gate diagnostics its per-frame alignment;
+    align=False spares it too and leaves the report's pa_mpjpe nan."""
     preds, gts, gate_seqs, smap_seqs = [], [], [], []
     for seq_id, frames, poses in dataset.split_sequences(split):
         seq_pred, seq_gates, seq_smaps = [], [], []
@@ -198,7 +187,8 @@ def evaluate_split(params, mcfg, dataset, split, with_scale=True,
         raise DataError(f"split {split!r} is empty")
     if collect_gates:
         return None, preds, gts, gate_seqs, smap_seqs
-    return sequence_report(preds, gts, with_scale=with_scale), preds, gts
+    report = sequence_report(preds, gts, with_scale=with_scale, align=align)
+    return report, preds, gts
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +266,8 @@ def train_model(dataset, mcfg, tcfg):
             if tcfg.max_steps and global_step >= tcfg.max_steps:
                 done = True
                 break
-        report, _, _ = evaluate_split(params, mcfg, dataset, "val")
+        # the log records no pa_mpjpe, so skip the per-frame alignment
+        report, _, _ = evaluate_split(params, mcfg, dataset, "val", align=False)
         log.add(EpochRecord(
             epoch=epoch,
             loss=float(np.mean(epoch_losses)),

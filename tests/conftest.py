@@ -3,6 +3,7 @@ import pytest
 from pulse.model import ModelConfig
 from pulse.radar import RadarConfig, emit_dataset, make_scene
 from pulse.storage import load_dataset
+from pulse.training import EpochRecord, TrainLog
 
 
 def tiny_radar_cfg():
@@ -16,6 +17,14 @@ def tiny_model_cfg(**kw):
                 heads=2, dropout=0.1, neighborhood=3, joints=8)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def parse_train_log(text):
+    """The EpochRecords of a train_log.csv text, whose header must match."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    assert lines and lines[0] == TrainLog.HEADER, lines[:1]
+    return [EpochRecord(int(epoch), *map(float, rest))
+            for epoch, *rest in (ln.split(",") for ln in lines[1:])]
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 
 from pulse.cli import main
 from pulse.storage import load_checkpoint, save_checkpoint, write_rdt
-from pulse.training import TrainLog
+from tests.conftest import parse_train_log
 
 DESK = ["--bandwidth_hz", "0.5e9", "--R", "16", "--A", "16", "--D", "8",
         "--fast_samples_per_chirp", "32", "--virtual_elements", "4"]
@@ -99,8 +99,8 @@ def test_pulse_seed_env_fallback(tmp_path, monkeypatch):
 
 def test_train_outputs(cli_run):
     assert (cli_run / "model.ckpt").exists()
-    log = TrainLog.parse_csv_text((cli_run / "train_log.csv").read_text())
-    assert len(log.records) == 2
+    log = parse_train_log((cli_run / "train_log.csv").read_text())
+    assert len(log) == 2
     assert (cli_run / "resolved.cfg").exists()
 
 
@@ -139,8 +139,8 @@ def test_eval_matches_training_log_best(cli_run, cli_dataset, tmp_path):
     assert rc == 0
     rows = dict(line.split(",") for line in
                 (out / "metrics.csv").read_text().splitlines()[1:])
-    log = TrainLog.parse_csv_text((cli_run / "train_log.csv").read_text())
-    best = min(r.val_mpjpe for r in log.records)
+    log = parse_train_log((cli_run / "train_log.csv").read_text())
+    best = min(r.val_mpjpe for r in log)
     assert abs(float(rows["mpjpe"]) - best) < 1e-9
     pj = (out / "per_joint.csv").read_text().splitlines()
     assert pj[0] == "joint,mpjpe,mpjve"
@@ -386,6 +386,13 @@ def _rdt_other_grid(ds, run, tmp):
     return _eval_args(ds, run / "model.ckpt", tmp), "000_0003.rdt"
 
 
+def _diag_one_frame(ds, run, tmp):
+    synth(tmp / "one", extra=["--frames", "1"])
+    return (["diag", "--checkpoint", str(run / "model.ckpt"), "--dataset",
+             str(tmp / "one"), "--split", "all", "--out", str(tmp / "o")],
+            "split 'all' sequence 000 has 1 frame")
+
+
 @pytest.mark.parametrize("case", [
     _train_with("--embed_dim", "abc"), _synth_with("--noise_std", "abc"),
     _synth_with("--seed", "abc"), _train_with("--dropout", "x"),
@@ -407,13 +414,15 @@ def _rdt_other_grid(ds, run, tmp):
     _command_with("eval", "--split", "test", name="manifest.txt: split 'test' is empty"),
     _command_with("ablate", "--split", "test",
                   name="manifest.txt: split 'test' is empty"),
+    _diag_one_frame,
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
         "rdt_grid", "poses_missing_joint", "poses_repeated_joint",
         "poses_nan", "split_without_poses", "synth_frames", "split_nan",
         "split_negative", "split_zero", "eval_split", "diag_split",
-        "ablate_split", "diag_bins", "eval_split_empty", "ablate_split_empty"])
+        "ablate_split", "diag_bins", "eval_split_empty", "ablate_split_empty",
+        "diag_one_frame"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

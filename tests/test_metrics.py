@@ -217,6 +217,26 @@ def test_sequence_report_pools_frames():
     assert rep.pa_mpjpe <= rep.mpjpe + 1e-9
 
 
+def test_sequence_report_without_alignment_keeps_other_metrics():
+    preds = [rand_seq(21, t=4), rand_seq(22, t=3)]
+    gts = [rand_seq(23, t=4), rand_seq(24, t=3)]
+    full = sequence_report(preds, gts)
+    fast = sequence_report(preds, gts, align=False)
+    assert math.isnan(fast.pa_mpjpe)
+    assert (fast.mpjpe, fast.mpjve, fast.akv) == (full.mpjpe, full.mpjve, full.akv)
+
+
+def test_one_frame_sequences_have_no_velocity_metrics():
+    # no velocity term exists: nan, not the 0.0 of perfect stability
+    preds = [rand_seq(25, t=1), rand_seq(26, t=1)]
+    gts = [rand_seq(27, t=1), rand_seq(28, t=1)]
+    rep = sequence_report(preds, gts)
+    assert rep.mpjpe > 0.0 and rep.pa_mpjpe > 0.0
+    assert math.isnan(rep.mpjve) and math.isnan(rep.akv)
+    rows = per_joint_report(preds, gts, ["a", "b", "c", "d"])
+    assert all(math.isnan(mpjve) for _, _, mpjve in rows)
+
+
 # ---------------------------------------------------------------------------
 # gate diagnostics
 

@@ -265,6 +265,67 @@ def test_locality_far_cell_cannot_change_context():
         np.testing.assert_array_equal(out2[i], base[i])
 
 
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_cross_attention_matches_dense_head_loop(ablation, w):
+    # a 16x8 grid of 2x4 patches: 8 patch rows, windows clipped at the
+    # edges, and w=9 wider than the grid
+    cfg = desk_cfg(R=16, A=8, patch_r=2, patch_a=4, neighborhood=w,
+                   ablation=ablation, gate_strength=0.8)
+    params = init_params(cfg, seed=62, randomize_all=True)
+    rng = np.random.default_rng(63)
+    spatial = T.Tensor(rng.standard_normal((cfg.n_spatial, cfg.embed_dim)),
+                       requires_grad=True)
+    doppler = T.Tensor(rng.standard_normal((cfg.n_cells, cfg.embed_dim)),
+                       requires_grad=True)
+    gates = T.Tensor(rng.uniform(0.0, 1.0, (cfg.n_cells, 1)), requires_grad=True)
+    g = rng.standard_normal((cfg.n_spatial, cfg.embed_dim))
+    out, weights = conditional_cross_attention(spatial, doppler, gates, params, cfg,
+                                               return_weights=True)
+    T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+
+    # reference: a loop over heads of the dense masked softmax, and its
+    # backward by hand
+    wq, wk, wv, wo = (params[f"cross_attn.{n}.weight"].data
+                      for n in ("q", "k", "v", "out"))
+    q, k, v = spatial.data @ wq, doppler.data @ wk, doppler.data @ wv
+    gated = ablation not in ("ungated", "no_gating")
+    bias = cfg.gate_strength * gates.data.T if gated else 0.0
+    mask = np.zeros((cfg.n_spatial, cfg.n_cells), dtype=bool)
+    for i in range(cfg.n_spatial):
+        mask[i, neighborhood(i, cfg)] = True
+    c = 1.0 / np.sqrt(cfg.head_dim)
+    g_ctx = g @ wo.T
+    ctx, dq, dk, dv = (np.zeros_like(x) for x in (q, q, k, v))
+    dbias = np.zeros((1, cfg.n_cells))
+    for h in range(cfg.heads):
+        cols = slice(h * cfg.head_dim, (h + 1) * cfg.head_dim)
+        z = q[:, cols] @ k[:, cols].T * c + bias
+        zmax = np.where(mask, z, -np.inf).max(axis=-1, keepdims=True)
+        e = np.where(mask, np.exp(np.where(mask, z, zmax) - zmax), 0.0)
+        alpha = e / e.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(weights[h], alpha, rtol=1e-12, atol=0)
+        assert np.all(weights[h][~mask] == 0.0)
+        ctx[:, cols] = alpha @ v[:, cols]
+        dp = g_ctx[:, cols] @ v[:, cols].T
+        dz = alpha * (dp - (dp * alpha).sum(axis=-1, keepdims=True))
+        dq[:, cols] = dz * c @ k[:, cols]
+        dk[:, cols] = (dz * c).T @ q[:, cols]
+        dv[:, cols] = alpha.T @ g_ctx[:, cols]
+        dbias += dz.sum(axis=0, keepdims=True)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    assert close(out.data, ctx @ wo + params["cross_attn.out.bias"].data)
+    assert close(spatial.grad, dq @ wq.T)
+    assert close(doppler.grad, dk @ wk.T + dv @ wv.T)
+    if gated:
+        assert close(gates.grad, cfg.gate_strength * dbias.T)
+    else:
+        assert gates.grad is None
+
+
 # ---------------------------------------------------------------------------
 # Aggregation
 

@@ -3,6 +3,7 @@ import pytest
 
 from pulse import tensor as T
 from pulse.errors import DomainError
+from pulse.model import _lattice_band
 from pulse.optim import (ParamGroup, adam_step, clip_global_norm, grad_check,
                          group_errors_by_prefix, uniform_init)
 
@@ -27,9 +28,19 @@ def op_cases():
     bias = rng.standard_normal(5) * 0.3
     other = rng.standard_normal((4, 5)) + 2.5
     w = rng.standard_normal((5, 3))
-    mask = rng.random((4, 5)) > 0.4
-    mask[:, 0] = True
-    live = T.LiveEntries(mask)
+    # attention: dense over 5 keys, and banded on a 16x8 grid of 2x4
+    # patches with window 4, which clips at the top and bottom rows
+    keys = rng.standard_normal((5, 4))
+    band = _lattice_band(16, 8, 2, 4, 4)
+    queries = rng.standard_normal((16, 4))
+    cells = rng.standard_normal((128, 4))
+    gates = rng.uniform(0.0, 1.0, (1, 128))
+    target = rng.standard_normal((16, 4))
+
+    def banded(q=queries, k=cells, v=cells, b=gates):
+        out, _ = T.attention(q, k, v, 2, 0.6, bias=b, band=band)
+        return T.tsum(T.mul(out, T.Tensor(target)))
+
     return [
         c("add", lambda x: T.tsum(T.add(x, T.Tensor(other))), (4, 5)),
         c("sub", lambda x: T.tsum(T.sub(T.Tensor(other), x)), (4, 5)),
@@ -42,17 +53,22 @@ def op_cases():
                                             T.Tensor(other.reshape(2, 10)))), (4, 5)),
         c("concat", lambda x: T.tsum(T.mul(T.concat_lastdim([x, x]),
                                            T.Tensor(np.tile(other, (1, 2))))), (4, 5)),
-        c("slice", lambda x: T.tsum(T.mul(T.slice_lastdim(x, 1, 4),
-                                          T.Tensor(other[:, 1:4]))), (4, 5)),
         c("mean", lambda x: T.tsum(T.mul(T.mean_over_axis(x, 0), T.Tensor(other[0]))), (4, 5)),
         c("relu", lambda x: T.tsum(T.mul(T.relu(x), T.Tensor(other))), (4, 5)),
         c("sigmoid", lambda x: T.tsum(T.mul(T.sigmoid(x), T.Tensor(other))), (4, 5)),
         c("sqrt", lambda x: T.tsum(T.sqrt(T.mul(x, x))), (4, 5)),
-        c("softmax", lambda x: T.tsum(T.mul(T.softmax_lastdim(x, live=live,
-                                                              logit_scale=0.7),
-                                            T.Tensor(other))), (4, 5)),
-        c("softmax_bias", lambda x: T.tsum(T.mul(
-            T.softmax_lastdim(T.Tensor(other), bias=x), T.Tensor(other))), (4, 5)),
+        c("softmax", lambda x: T.tsum(T.mul(T.attention(x, T.Tensor(keys), T.Tensor(keys),
+                                                        2, 0.7)[0],
+                                            T.Tensor(other[:, :4]))), (4, 4)),
+        c("softmax_bias", lambda x: T.tsum(T.mul(T.attention(
+            T.Tensor(other[:, :4]), T.Tensor(keys), T.Tensor(keys), 2, 0.7, bias=x)[0],
+            T.Tensor(other[:, 1:]))), (1, 5)),
+        c("attention", lambda x: T.tsum(T.mul(T.attention(x, x, x, 2, 0.7)[0],
+                                              T.Tensor(other[:, :4]))), (4, 4)),
+        c("attention_band_q", lambda x: banded(q=x), (16, 4)),
+        c("attention_band_k", lambda x: banded(k=x), (128, 4)),
+        c("attention_band_v", lambda x: banded(v=x), (128, 4)),
+        c("attention_band_bias", lambda x: banded(b=x), (1, 128)),
         c("layer_norm", lambda x: T.tsum(T.mul(
             T.layer_norm(x, T.Tensor(gain), T.Tensor(bias)), T.Tensor(other))), (4, 5)),
         c("dropout", lambda x: T.tsum(T.mul(T.dropout(x, 0.4, key=9, train=True),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pulse import tensor as T
 from pulse.errors import DomainError, ShapeError, UsageError
+from pulse.model import _lattice_band, _lattice_table
 
 
 def rand(rng, *shape):
@@ -61,88 +62,82 @@ def test_matmul_backward_rules():
 
 
 # ---------------------------------------------------------------------------
-# softmax_lastdim
+# attention: its softmax, the band and its backward
+
+def attend(q, k, v=None, bias=None, band=None, heads=1, scale=1.0):
+    _, p = T.attention(q, k, k if v is None else v, heads, scale, bias=bias, band=band)
+    return p
+
+
+def dense_mask(R, A, patch_r, patch_a, w):
+    table = _lattice_table(R, A, patch_r, patch_a, w)
+    mask = np.zeros(table.shape, dtype=bool)
+    mask[table.rows, table.cols] = True
+    return mask
+
 
 def test_softmax_equal_logits():
-    out = T.softmax_lastdim(T.Tensor(np.zeros(4))).data
-    np.testing.assert_allclose(out, [0.25, 0.25, 0.25, 0.25], atol=1e-15)
+    # zero queries: every key gets the same logit
+    p = attend(np.zeros((1, 2)), np.arange(8.0).reshape(4, 2))
+    np.testing.assert_allclose(p[0, 0], [[0.25, 0.25, 0.25, 0.25]], atol=1e-15)
 
 
 def test_softmax_hand_case():
-    out = T.softmax_lastdim(T.Tensor([0.0, math.log(3.0)])).data
-    np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12)
+    p = attend(np.ones((1, 1)), np.array([[0.0], [math.log(3.0)]]))
+    np.testing.assert_allclose(p[0, 0], [[0.25, 0.75]], atol=1e-12)
 
 
 def test_softmax_bias_shift_invariance():
     rng = np.random.default_rng(3)
-    x = T.Tensor(rand(rng, 5, 6))
-    bias = rand(rng, 5, 6)
-    base = T.softmax_lastdim(x, bias=T.Tensor(bias)).data
-    shifted = T.softmax_lastdim(x, bias=T.Tensor(bias + 7.25)).data
+    q, k = rand(rng, 5, 4), rand(rng, 6, 4)
+    bias = rand(rng, 1, 6)
+    base = attend(q, k, bias=T.Tensor(bias), heads=2)
+    shifted = attend(q, k, bias=T.Tensor(bias + 7.25), heads=2)
     assert np.max(np.abs(base - shifted)) < 1e-12
 
 
 def test_softmax_mask_zeroes_and_renormalizes():
     rng = np.random.default_rng(4)
-    x = T.Tensor(rand(rng, 3, 5))
-    mask = np.ones((3, 5), dtype=bool)
-    mask[0, 2] = False
-    mask[2, :2] = False
-    out = T.softmax_lastdim(x, live=T.LiveEntries(mask)).data
-    assert out[0, 2] == 0.0
-    assert out[2, 0] == 0.0 and out[2, 1] == 0.0
-    np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
+    band = _lattice_band(16, 8, 2, 4, 3)
+    mask = dense_mask(16, 8, 2, 4, 3)
+    p = band.dense(attend(rand(rng, 16, 4), rand(rng, 128, 4), band=band, heads=2))
+    assert p.shape == (2, 16, 128)
+    assert np.all(p[:, ~mask] == 0.0) and np.all(p[:, mask] > 0.0)
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_softmax_fully_masked_row_rejected():
-    mask = np.array([[True, True], [False, False]])
+    mask = np.zeros((2, 2, 4))
+    mask[1, 0] = -np.inf
     with pytest.raises(DomainError):
-        T.softmax_lastdim(T.Tensor(np.zeros((2, 2))), live=T.LiveEntries(mask))
+        T.Band(mask, 0, 2)
+    with pytest.raises(DomainError):
+        T.LiveEntries(np.array([[True, True], [False, False]]))
 
 
 def test_softmax_live_entries_shape_mismatch_rejected():
-    live = T.LiveEntries(np.ones((2, 3), dtype=bool))
+    band = _lattice_band(16, 8, 2, 4, 3)
     with pytest.raises(ShapeError):
-        T.softmax_lastdim(T.Tensor(np.zeros((2, 4))), live=live)
-
-
-def test_softmax_live_entries_bitwise_match_dense_mask():
-    rng = np.random.default_rng(6)
-    rows, cols, c = 8, 700, 0.35
-    # rows of unequal length, one with a single entry; column 350 is
-    # shared by every row
-    mask = rng.random((rows, cols)) < np.linspace(0.02, 0.9, rows)[:, None]
-    mask[:, 350] = True
-    mask[5] = False
-    mask[5, 350] = True
-    x = T.Tensor(4.0 * rand(rng, rows, cols), requires_grad=True)
-    bias = T.Tensor(rand(rng, 1, cols), requires_grad=True)
-    g = rand(rng, rows, cols)
-    out = T.softmax_lastdim(x, bias=bias, live=T.LiveEntries(mask), logit_scale=c)
-    T.backward(T.tsum(T.mul(out, T.Tensor(g))))
-
-    # the dense masked softmax of scaled logits, and its backward
-    z = x.data * c + bias.data
-    zmax = np.where(mask, z, -np.inf).max(axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(np.where(mask, z, zmax) - zmax), 0.0)
-    ref = e / e.sum(axis=-1, keepdims=True)
-    dz = ref * (g - (g * ref).sum(axis=-1, keepdims=True))
-    assert np.array_equal(out.data, ref)
-    assert np.array_equal(x.grad, dz * c)
-    assert np.array_equal(bias.grad, dz.sum(axis=0, keepdims=True))
+        attend(np.zeros((16, 4)), np.zeros((64, 4)), band=band)
+    with pytest.raises(ShapeError):
+        attend(np.zeros((8, 4)), np.zeros((128, 4)), band=band)
+    with pytest.raises(ShapeError):
+        attend(np.zeros((16, 4)), np.zeros((128, 4)), bias=np.zeros((16, 128)),
+               band=band)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.integers(2, 7), st.integers(2, 9))
-def test_softmax_rows_sum_to_one(seed, rows, cols):
+@given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 5))
+def test_softmax_rows_sum_to_one(seed, patches_r, patches_a, patch_r, patch_a, w):
     rng = np.random.default_rng(seed)
-    x = T.Tensor(10.0 * rand(rng, rows, cols))
-    bias = T.Tensor(rand(rng, cols))
-    mask = rng.random((rows, cols)) > 0.3
-    mask[:, 0] = True  # keep every row feasible
-    out = T.softmax_lastdim(x, bias=bias, live=T.LiveEntries(mask)).data
-    np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
-    assert np.all(out[~mask] == 0.0)
+    R, A = patches_r * patch_r, patches_a * patch_a
+    band = _lattice_band(R, A, patch_r, patch_a, w)
+    mask = dense_mask(R, A, patch_r, patch_a, w)
+    p = band.dense(attend(10.0 * rand(rng, patches_r * patches_a, 2),
+                          rand(rng, R * A, 2), bias=rand(rng, 1, R * A), band=band))
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.all(p[:, ~mask] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +235,7 @@ def test_broadcast_add_unbroadcasts_grad():
 def test_forward_ops_finite_on_finite_inputs():
     rng = np.random.default_rng(7)
     x = T.Tensor(1e3 * rand(rng, 4, 5))
-    for out in (T.softmax_lastdim(x), T.sigmoid(x), T.relu(x),
+    for out in (T.attention(x, x, x, 5, 1.0)[0], T.sigmoid(x), T.relu(x),
                 T.layer_norm(x, T.Tensor(np.ones(5)), T.Tensor(np.zeros(5)))):
         assert np.all(np.isfinite(out.data))
 

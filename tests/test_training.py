@@ -10,7 +10,7 @@ from pulse.training import (EpochRecord, TrainConfig, TrainLog,
                             build_samples, evaluate_split,
                             frame_gate_score_tensor, loss_gate, loss_pos,
                             minmax_normalize, train_model)
-from tests.conftest import tiny_model_cfg
+from tests.conftest import parse_train_log, tiny_model_cfg
 
 
 def desk_train_cfg(**kw):
@@ -97,10 +97,10 @@ def test_train_log_round_trip_and_zeroed_seconds():
     log.add(EpochRecord(2, 2.0, 9.0, 1.4, 0.6, 3.1, seconds=11.2))
     text = log.to_csv_text()
     assert text.splitlines()[0] == TrainLog.HEADER
-    again = TrainLog.parse_csv_text(text)
-    assert [r.epoch for r in again.records] == [1, 2]
-    assert again.records[0].val_mpjpe == 10.0
-    assert all(r.seconds == 0.0 for r in again.records)
+    again = parse_train_log(text)
+    assert [r.epoch for r in again] == [1, 2]
+    assert again[0].val_mpjpe == 10.0
+    assert all(r.seconds == 0.0 for r in again)
 
 
 def test_train_log_requires_increasing_epochs():
