@@ -321,6 +321,9 @@ GRADCHECK_DEFAULTS = {"R": "8", "A": "8", "D": "4", "embed_dim": "8",
 
 
 def cmd_gradcheck(args):
+    for flag, value in (("--step", args.step), ("--tol", args.tol)):
+        if not 0.0 < value < np.inf:
+            raise UsageError(f"{flag} must be positive and finite, got {value}")
     resolved, explicit = resolve_config(args)
     for key, value in GRADCHECK_DEFAULTS.items():
         if key not in explicit:

@@ -23,6 +23,7 @@ the attention logits), global_interaction (no neighborhood restriction).
 from __future__ import annotations
 
 import functools
+import math
 import typing
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -58,6 +59,15 @@ class ModelConfig:
     head_scale: float = 100.0    # fixed output scale of the regression MLP
 
     def __post_init__(self):
+        for name in ("R", "A", "D", "patch_r", "patch_a", "embed_dim", "heads",
+                     "joints"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.layers < 0:
+            raise ConfigError(f"layers must be >= 0, got {self.layers}")
+        for name in ("gate_strength", "agg_eps", "head_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.R % self.patch_r or self.A % self.patch_a:
             raise ConfigError(
                 f"grid {self.R}x{self.A} not divisible by patch "
@@ -212,46 +222,28 @@ def init_params(cfg, seed, randomize_all=False):
 # Neighborhoods on the shared range-angle lattice
 
 @functools.lru_cache(maxsize=None)
-def _lattice_table(R, A, patch_r, patch_a, w):
-    """LiveEntries of the (N_s, N_v) neighborhood pattern: spatial token i
-    sees the cells of the w x w patch window centered on patch i, clipped
-    to the grid."""
-    patches_r, patches_a = R // patch_r, A // patch_a
-    token_r, token_a = np.divmod(np.arange(patches_r * patches_a), patches_a)
-    cell_r, cell_a = np.divmod(np.arange(R * A), A)
-
-    def inside(token, cell, patches, size):
-        lo = np.maximum(token - (w - 1) // 2, 0) * size
-        hi = (np.minimum(token + w // 2, patches - 1) + 1) * size
-        return (cell >= lo[:, None]) & (cell < hi[:, None])
-
-    return T.LiveEntries(inside(token_r, cell_r, patches_r, patch_r)
-                         & inside(token_a, cell_a, patches_a, patch_a))
-
-
-@functools.lru_cache(maxsize=None)
 def _lattice_band(R, A, patch_r, patch_a, w):
-    """T.Band of the same pattern: the tokens of one patch row form a query
-    group that reads the cell rows of the w patch rows around it (fewer
-    where w exceeds the grid), and an additive mask taken from the table
-    keeps each token's clipped patch window."""
-    table = _lattice_table(R, A, patch_r, patch_a, w)
+    """T.Band of the neighborhood pattern: spatial token i sees the cells of
+    the w x w patch window centered on patch i, clipped to the grid.
+
+    The tokens of one patch row form a query group that reads the cell rows
+    of the w patch rows around it (fewer where w exceeds the grid). A key of
+    that window is visible to a token when its patch row is on the grid and
+    its patch column is within the token's column window."""
     patches_r, patches_a = R // patch_r, A // patch_a
-    before = min((w - 1) // 2, patches_r - 1)
-    window = before + min(w // 2, patches_r - 1) + 1
-    block = patch_r * A
-    group, token = np.divmod(table.rows, patches_a)
-    mask = np.full((patches_r, patches_a, window * block), -np.inf)
-    mask[group, token, table.cols - (group - before) * block] = 0.0
-    return T.Band(mask, before, block)
-
-
-def neighborhood_table(cfg):
-    """LiveEntries of the cross-attention pattern, cached per lattice
-    geometry; None for global_interaction, where every cell is live."""
-    if cfg.ablation == "global_interaction":
-        return None
-    return _lattice_table(cfg.R, cfg.A, cfg.patch_r, cfg.patch_a, cfg.neighborhood)
+    lo, hi = (w - 1) // 2, w // 2
+    before = min(lo, patches_r - 1)
+    window = before + min(hi, patches_r - 1) + 1
+    # a window slot's patch row is at most lo above and hi below the
+    # group's own, so only the grid edge can hide it
+    row = np.arange(patches_r)[:, None] - before + np.arange(window)
+    row_ok = (row >= 0) & (row < patches_r)
+    col = np.arange(A) // patch_a - np.arange(patches_a)[:, None]
+    col_ok = (col >= -lo) & (col <= hi)
+    visible = row_ok[:, None, :, None, None] & col_ok[None, :, None, None, :]
+    shape = (patches_r, patches_a, window, patch_r, A)
+    return T.Band(np.broadcast_to(visible, shape).reshape(patches_r, patches_a, -1),
+                  before, patch_r * A)
 
 
 def neighborhood_band(cfg):
@@ -263,22 +255,26 @@ def neighborhood_band(cfg):
 
 
 def neighborhood(i, cfg):
-    """Doppler cell indices a spatial token may attend to: the cells of the
-    w x w patch window centered on patch i, clipped to the grid. The
-    global_interaction ablation returns every cell."""
+    """Doppler cell indices a spatial token may attend to, ascending: the
+    cells of the w x w patch window centered on patch i, clipped to the
+    grid, read off the band. The global_interaction ablation returns every
+    cell."""
     if not 0 <= i < cfg.n_spatial:
         raise UsageError(f"spatial token index {i} out of range")
-    table = neighborhood_table(cfg)
-    return np.arange(cfg.n_cells) if table is None else table.row(i)
+    band = neighborhood_band(cfg)
+    if band is None:
+        return np.arange(cfg.n_cells)
+    group, token = divmod(i, cfg.patches_a)
+    first = (group - band.before) * band.block
+    return first + np.flatnonzero(band.visible[group, token])
 
 
 def neighborhood_mean_matrix(cfg):
     """(N_s, N_v) matrix whose product with the Doppler tokens averages
     each spatial token's neighborhood."""
-    table = neighborhood_table(cfg)
-    mean = np.zeros(table.shape)
-    mean[table.rows, table.cols] = 1.0 / np.bincount(table.rows)[table.rows]
-    return mean
+    band = neighborhood_band(cfg)
+    count = band.visible.sum(axis=2, keepdims=True)
+    return band.dense((band.visible / count)[None])[0]
 
 
 # ---------------------------------------------------------------------------

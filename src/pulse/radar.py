@@ -59,6 +59,9 @@ class RadarConfig:
     frame_rate_hz: float = 10.0
 
     def __post_init__(self):
+        for name in ("R", "virtual_elements"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.R > self.fast_samples_per_chirp:
             raise ConfigError(
                 f"R={self.R} exceeds fast_samples_per_chirp={self.fast_samples_per_chirp}")
@@ -68,8 +71,13 @@ class RadarConfig:
         for name in ("chirps_per_frame", "fast_samples_per_chirp", "A"):
             if not _is_pow2(getattr(self, name)):
                 raise ConfigError(f"{name} must be a power of two")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be nonnegative")
+        for name in ("carrier_hz", "bandwidth_hz", "chirp_duration_s", "frame_rate_hz"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be nonnegative and finite, "
+                              f"got {self.noise_std}")
 
     @property
     def D(self):
@@ -208,8 +216,8 @@ def render_frame(scatterers, cfg, seed=0):
     if cfg.noise_std > 0:
         entropy = [int(seed)] if np.isscalar(seed) else [int(s) for s in seed]
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-        cube += cfg.noise_std * (rng.standard_normal(shape)
-                                 + 1j * rng.standard_normal(shape))
+        cube.real += cfg.noise_std * rng.standard_normal(shape)
+        cube.imag += cfg.noise_std * rng.standard_normal(shape)
     return cube
 
 

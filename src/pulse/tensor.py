@@ -273,57 +273,32 @@ def sqrt(x):
     return _result(out, (x,), backprop)
 
 
-class LiveEntries:
-    """The True entries of an (n_rows, n_cols) boolean mask. Built once per
-    mask; a row with no live entry is rejected.
-
-    shape      : (n_rows, n_cols)
-    rows, cols : (L,) row and column index of each live entry, row-major
-    """
-
-    def __init__(self, mask):
-        mask = np.asarray(mask, dtype=bool)
-        counts = mask.sum(axis=1)
-        if not counts.all():
-            raise DomainError("LiveEntries: a row has no live entry")
-        self.shape = mask.shape
-        self.rows, self.cols = np.nonzero(mask)
-        self._starts = np.concatenate([[0], np.cumsum(counts)])
-        for arr in (self.rows, self.cols):
-            arr.setflags(write=False)
-
-    def row(self, i):
-        """Column indices of row i's live entries, ascending."""
-        return self.cols[self._starts[i]:self._starts[i + 1]]
-
-
 class Band:
     """Key windows of a banded attention pattern.
 
     The N queries form G equal groups of consecutive rows, and the M keys G
     equal blocks of `block` consecutive rows. Query group g reads the
     contiguous window of key blocks g - before .. g - before + window - 1;
-    blocks past either end of the keys are zero padding. `mask` is the
-    additive (G, N / G, window * block) array of 0 (visible) and -inf
-    (hidden) over each group's window, so every query keeps exactly its own
-    keys. A query row with no visible key is rejected.
+    blocks past either end of the keys are zero padding. `visible` is the
+    boolean (G, N / G, window * block) array of the keys each query keeps
+    in its group's window; `mask` is the additive 0 / -inf array derived
+    from it and `hidden` its complement. A query row with no visible key is
+    rejected.
     """
 
-    def __init__(self, mask, before, block):
-        mask = np.array(mask, dtype=np.float64)
-        if mask.ndim != 3 or mask.shape[2] % block:
-            raise ShapeError(f"band mask {mask.shape} is not (groups, rows, "
-                             f"window * {block})")
-        self.visible = mask == 0.0
-        self.hidden = ~self.visible
-        if not (self.visible | np.isneginf(mask)).all():
-            raise DomainError("Band: mask entries must be 0 or -inf")
-        if not self.visible.any(axis=2).all():
+    def __init__(self, visible, before, block):
+        visible = np.array(visible, dtype=bool)
+        if visible.ndim != 3 or visible.shape[2] % block:
+            raise ShapeError(f"band visibility {visible.shape} is not (groups, "
+                             f"rows, window * {block})")
+        if not visible.any(axis=2).all():
             raise DomainError("Band: a query row has no visible key")
-        for arr in (mask, self.visible, self.hidden):
+        self.visible = visible
+        self.hidden = ~visible
+        self.mask = np.where(visible, 0.0, -np.inf)
+        for arr in (self.mask, self.visible, self.hidden):
             arr.setflags(write=False)
-        self.mask = mask
-        self.groups, self.rows_per_group, width = mask.shape
+        self.groups, self.rows_per_group, width = visible.shape
         self.block = int(block)
         self.window = width // self.block
         self.before = int(before)
@@ -369,7 +344,7 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
               columns h * d/heads .. (h + 1) * d/heads - 1.
     bias    : optional (1, M) tensor added to every head's logits, per key.
     band    : optional Band; each query group then scores only the keys of
-              its window, and entries its mask hides get weight exactly 0.
+              its window, and keys it hides get weight exactly 0.
               None lets every query see every key (one group, one block).
     Returns the (N, d) tensor of the head contexts side by side, and the
     weights as a (heads, G, N / G, K) array: G = 1 and K = M without a band,

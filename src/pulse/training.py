@@ -10,6 +10,7 @@ come from the motion cues, not from smoothing.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,18 +38,19 @@ class TrainConfig:
     max_steps: int = 0                # 0 = no step cap (desk-scale runs cap this)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise UsageError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise UsageError(f"lr must be positive and finite, got {self.lr}")
         if self.patience < 1:
             raise UsageError(f"patience must be >= 1, got {self.patience}")
         if self.batch < 1 or self.epochs < 1:
             raise UsageError(f"batch and epochs must be >= 1, got "
                              f"{self.batch} and {self.epochs}")
-        if self.clip <= 0:
-            raise UsageError(f"clip must be positive, got {self.clip}")
-        if self.weight_decay < 0 or self.max_steps < 0:
-            raise UsageError(f"weight_decay and max_steps must be >= 0, got "
-                             f"{self.weight_decay} and {self.max_steps}")
+        if not 0.0 < self.clip < math.inf:
+            raise UsageError(f"clip must be positive and finite, got {self.clip}")
+        for name in ("weight_decay", "gate_loss_weight", "max_steps"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise UsageError(f"{name} must be finite and >= 0, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass

@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from pulse import tensor as T
 from pulse.cli import main
 from pulse.storage import load_checkpoint, save_checkpoint, write_rdt
 from tests.conftest import parse_train_log
@@ -248,6 +249,15 @@ def test_gradcheck_fails_with_impossible_tol():
     assert rc == 4
 
 
+def test_gradcheck_fails_on_a_wrong_gradient(monkeypatch):
+    def relu_passing_every_gradient(x):
+        return T._result(np.maximum(x.data, 0.0), (x,), lambda g: T._accumulate(x, g))
+
+    monkeypatch.setattr(T, "relu", relu_passing_every_gradient)
+    rc = main(["gradcheck", "--R", "8", "--A", "8", "--D", "4", "--seed", "1"])
+    assert rc == 4
+
+
 def test_diag_outputs(cli_run, cli_dataset, tmp_path, capsys):
     out = tmp_path / "diag"
     rc = main(["diag", "--checkpoint", str(cli_run / "model.ckpt"),
@@ -288,6 +298,12 @@ def _train_with(*flags):
 def _synth_with(*flags):
     def case(ds, run, tmp):
         return ["synth", "--out", str(tmp / "o"), *DESK, *flags], flags[0].lstrip("-")
+    return case
+
+
+def _gradcheck_with(*flags):
+    def case(ds, run, tmp):
+        return ["gradcheck", "--R", "8", "--A", "8", "--D", "4", *flags], flags[0]
     return case
 
 
@@ -415,6 +431,16 @@ def _diag_one_frame(ds, run, tmp):
     _command_with("ablate", "--split", "test",
                   name="manifest.txt: split 'test' is empty"),
     _diag_one_frame,
+    _train_with("--heads", "0"), _train_with("--heads", "-2"),
+    _train_with("--patch_r", "0"), _train_with("--embed_dim", "0"),
+    _train_with("--layers", "-1"), _train_with("--lr", "nan"),
+    _train_with("--weight_decay", "nan"), _train_with("--clip", "nan"),
+    _synth_with("--frame_rate_hz", "0"), _synth_with("--frame_rate_hz", "nan"),
+    _synth_with("--chirp_duration_s", "0"), _synth_with("--bandwidth_hz", "0"),
+    _synth_with("--carrier_hz", "0"), _synth_with("--noise_std", "nan"),
+    _synth_with("--noise_std", "inf"),
+    _gradcheck_with("--tol", "nan"), _gradcheck_with("--tol", "0"),
+    _gradcheck_with("--step", "nan"), _gradcheck_with("--step", "inf"),
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
@@ -422,7 +448,12 @@ def _diag_one_frame(ds, run, tmp):
         "poses_nan", "split_without_poses", "synth_frames", "split_nan",
         "split_negative", "split_zero", "eval_split", "diag_split",
         "ablate_split", "diag_bins", "eval_split_empty", "ablate_split_empty",
-        "diag_one_frame"])
+        "diag_one_frame", "heads_zero", "heads_negative", "patch_r_zero",
+        "embed_dim_zero", "layers_negative", "lr_nan", "weight_decay_nan",
+        "clip_nan", "frame_rate_zero", "frame_rate_nan", "chirp_duration_zero",
+        "bandwidth_zero", "carrier_zero", "noise_std_nan", "noise_std_inf",
+        "gradcheck_tol_nan", "gradcheck_tol_zero", "gradcheck_step_nan",
+        "gradcheck_step_inf"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

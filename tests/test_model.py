@@ -8,7 +8,8 @@ from pulse.model import (ABLATIONS, ModelConfig,
                          aggregate_doppler_multiframe,
                          conditional_cross_attention, config_from_text,
                          config_to_text, forward, gate, init_params,
-                         neighborhood, neighborhood_table, patch_matrix,
+                         neighborhood, neighborhood_band,
+                         neighborhood_mean_matrix, patch_matrix,
                          regress, residual_update, spatial_transformer,
                          tokenize_doppler, tokenize_spatial)
 from pulse.optim import grad_check, group_errors_by_prefix
@@ -43,6 +44,14 @@ def test_config_divisibility_enforced():
         ModelConfig(embed_dim=30, heads=4)
     with pytest.raises(ConfigError):
         ModelConfig(ablation="missing")
+
+
+@pytest.mark.parametrize("bad", [dict(heads=0), dict(patch_a=0), dict(joints=0),
+                                 dict(layers=-1), dict(agg_eps=float("nan")),
+                                 dict(gate_strength=float("inf"))])
+def test_config_rejects_nonpositive_sizes_and_nonfinite_scales(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        ModelConfig(**bad)
 
 
 def test_config_text_round_trip():
@@ -155,10 +164,12 @@ def test_window_covering_grid_matches_global():
 @pytest.mark.parametrize("kw", [{}, dict(neighborhood=1), dict(neighborhood=2),
                                 dict(R=16, A=8, patch_r=2, patch_a=4, neighborhood=4)],
                          ids=["w3", "w1", "w2", "w4_rect"])
-def test_neighborhood_table_rows_match_lists(kw):
+def test_neighborhood_rows_match_lists(kw):
     cfg = desk_cfg(**kw)
-    table = neighborhood_table(cfg)
-    assert table.shape == (cfg.n_spatial, cfg.n_cells)
+    band = neighborhood_band(cfg)
+    visible = band.dense(band.visible[None].astype(float))[0]
+    mean = neighborhood_mean_matrix(cfg)
+    assert visible.shape == mean.shape == (cfg.n_spatial, cfg.n_cells)
     offsets = range(-((cfg.neighborhood - 1) // 2), cfg.neighborhood // 2 + 1)
     for i in range(cfg.n_spatial):
         # the cells of the clipped patch window, listed patch by patch
@@ -169,8 +180,12 @@ def test_neighborhood_table_rows_match_lists(kw):
                 for r in range(pr * cfg.patch_r, (pr + 1) * cfg.patch_r):
                     for a in range(pa * cfg.patch_a, (pa + 1) * cfg.patch_a):
                         cells.append(r * cfg.A + a)
-        np.testing.assert_array_equal(table.cols[table.rows == i], sorted(cells))
-        np.testing.assert_array_equal(neighborhood(i, cfg), sorted(cells))
+        cells = sorted(cells)
+        np.testing.assert_array_equal(neighborhood(i, cfg), cells)
+        np.testing.assert_array_equal(np.flatnonzero(visible[i]), cells)
+        expected = np.zeros(cfg.n_cells)
+        expected[cells] = 1.0 / len(cells)
+        np.testing.assert_array_equal(mean[i], expected)
 
 
 # ---------------------------------------------------------------------------

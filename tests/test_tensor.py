@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pulse import tensor as T
 from pulse.errors import DomainError, ShapeError, UsageError
-from pulse.model import _lattice_band, _lattice_table
+from pulse.model import _lattice_band
 
 
 def rand(rng, *shape):
@@ -70,10 +70,8 @@ def attend(q, k, v=None, bias=None, band=None, heads=1, scale=1.0):
 
 
 def dense_mask(R, A, patch_r, patch_a, w):
-    table = _lattice_table(R, A, patch_r, patch_a, w)
-    mask = np.zeros(table.shape, dtype=bool)
-    mask[table.rows, table.cols] = True
-    return mask
+    band = _lattice_band(R, A, patch_r, patch_a, w)
+    return band.dense(band.visible[None].astype(float))[0] == 1.0
 
 
 def test_softmax_equal_logits():
@@ -107,12 +105,13 @@ def test_softmax_mask_zeroes_and_renormalizes():
 
 
 def test_softmax_fully_masked_row_rejected():
-    mask = np.zeros((2, 2, 4))
-    mask[1, 0] = -np.inf
+    visible = np.ones((2, 2, 4), dtype=bool)
+    visible[1, 0, :3] = False
+    band = T.Band(visible, 0, 2)
+    np.testing.assert_array_equal(band.mask, np.where(visible, 0.0, -np.inf))
+    visible[1, 0, 3] = False
     with pytest.raises(DomainError):
-        T.Band(mask, 0, 2)
-    with pytest.raises(DomainError):
-        T.LiveEntries(np.array([[True, True], [False, False]]))
+        T.Band(visible, 0, 2)
 
 
 def test_softmax_live_entries_shape_mismatch_rejected():

@@ -256,7 +256,8 @@ def test_evaluate_split_deterministic_and_self_consistent(tiny_dataset):
 
 def test_train_config_validation():
     for bad in (dict(lr=0.0), dict(patience=0), dict(batch=0), dict(epochs=0),
-                dict(clip=0.0), dict(weight_decay=-0.1), dict(max_steps=-1)):
+                dict(clip=0.0), dict(weight_decay=-0.1), dict(max_steps=-1),
+                dict(gate_loss_weight=-1.0), dict(gate_loss_weight=float("nan"))):
         with pytest.raises(UsageError):
             TrainConfig(**bad)
 
