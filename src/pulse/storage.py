@@ -205,6 +205,8 @@ def load_checkpoint(path):
         shape = struct.unpack(f"<{ndim}I", rd.take(4 * ndim))
         n = math.prod(shape)
         data = np.frombuffer(rd.take(8 * n), dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(data).all():
+            raise DataError(f"{path}: parameter {name!r} holds a non-finite value")
         params.append((name, data))
     if rd.off != len(blob):
         raise DataError(f"{path}: trailing bytes in checkpoint")

@@ -3,9 +3,11 @@
 Values live in float64 numpy arrays; the graph bookkeeping and every
 backward rule are local to this module. Graphs are built functionally: each
 op returns a fresh Tensor holding its parents and a closure that pushes the
-upstream gradient to them. `backward` walks the reverse topological order
-exactly once per node and accumulates gradients additively, so a tensor
-feeding two consumers receives the sum of both path gradients.
+upstream gradient to them; an op none of whose inputs requires grad records
+neither, so a forward on constant parameters builds no graph. `backward`
+walks the reverse topological order exactly once per node and accumulates
+gradients additively, so a tensor feeding two consumers receives the sum of
+both path gradients; it frees each interior node as it finishes it.
 
 All ops are deterministic given identical inputs; dropout takes an explicit
 integer key and draws its mask from a counter-based Philox stream so runs
@@ -476,11 +478,21 @@ def layer_norm(x, gain, bias):
     return add(mul(div(centered, sd), gain), bias)
 
 
+def _consumed(g):
+    raise UsageError("backward reached a node whose graph an earlier backward "
+                     "already consumed; build the graph again (one backward "
+                     "per graph)")
+
+
 def backward(loss):
     """Populate .grad on every requires_grad tensor reachable from `loss`.
 
     Reverse topological order, one visit per node; multi-use tensors
-    accumulate contributions additively.
+    accumulate contributions additively. The walk consumes the graph: once
+    an interior node's closure has run, the node drops its parents, its
+    closure and its gradient, so each buffer is freed as soon as nothing
+    upstream needs it. Leaves keep .grad. A second backward through a
+    consumed node raises UsageError.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -503,5 +515,8 @@ def backward(loss):
 
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._backprop is not None and node.grad is not None:
+        if node._backprop is None:
+            continue
+        if node.grad is not None:
             node._backprop(node.grad)
+        node._parents, node._backprop, node.grad = (), _consumed, None

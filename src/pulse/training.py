@@ -168,12 +168,16 @@ def evaluate_split(params, mcfg, dataset, split, with_scale=True,
     Returns (MetricReport, per-sequence predictions, per-sequence ground
     truth[, gate sequences, spatial-map sequences]). With collect_gates the
     report is None, sparing the gate diagnostics its per-frame alignment;
-    align=False spares it too and leaves the report's pa_mpjpe nan."""
+    align=False spares it too and leaves the report's pa_mpjpe nan.
+
+    The forward runs on constant tensors sharing the parameters' arrays, so
+    it records no graph and leaves every .grad untouched."""
+    constants = {name: T.Tensor(p.data) for name, p in params.params.items()}
     preds, gts, gate_seqs, smap_seqs = [], [], [], []
     for seq_id, frames, poses in dataset.split_sequences(split):
         seq_pred, seq_gates, seq_smaps = [], [], []
         for frame, window in frame_windows(frames, mcfg.frame_window):
-            result = forward(window, params, mcfg, train=False)
+            result = forward(window, constants, mcfg, train=False)
             seq_pred.append(result.pose.data)
             if collect_gates:
                 seq_gates.append(result.gate.data.reshape(-1)

@@ -351,6 +351,18 @@ def _ckpt_bad_shape(ds, run, tmp):
     return _eval_args(ds, tmp / "m.ckpt", tmp), "m.ckpt"
 
 
+def _ckpt_nan(command, param):
+    """`command` on a checkpoint with one NaN entry in `param`."""
+    def case(ds, run, tmp):
+        text, seed, named = load_checkpoint(run / "model.ckpt")
+        dict(named)[param].reshape(-1)[0] = np.nan
+        save_checkpoint(tmp / "m.ckpt", text, seed, named)
+        return ([command, "--checkpoint", str(tmp / "m.ckpt"), "--dataset", str(ds),
+                 "--split", "val", "--out", str(tmp / "o")],
+                f"m.ckpt: parameter {param!r}")
+    return case
+
+
 def _rdt_truncated(ds, run, tmp):
     (ds / "frames" / "000_0002.rdt").write_bytes(b"RDT1")
     return _eval_args(ds, run / "model.ckpt", tmp), "000_0002.rdt"
@@ -441,6 +453,8 @@ def _diag_one_frame(ds, run, tmp):
     _synth_with("--noise_std", "inf"),
     _gradcheck_with("--tol", "nan"), _gradcheck_with("--tol", "0"),
     _gradcheck_with("--step", "nan"), _gradcheck_with("--step", "inf"),
+    _ckpt_nan("eval", "head.l2.weight"), _ckpt_nan("diag", "token_gate.bias"),
+    _ckpt_nan("eval", "pos_embed"), _ckpt_nan("diag", "pos_embed"),
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
@@ -453,7 +467,8 @@ def _diag_one_frame(ds, run, tmp):
         "clip_nan", "frame_rate_zero", "frame_rate_nan", "chirp_duration_zero",
         "bandwidth_zero", "carrier_zero", "noise_std_nan", "noise_std_inf",
         "gradcheck_tol_nan", "gradcheck_tol_zero", "gradcheck_step_nan",
-        "gradcheck_step_inf"])
+        "gradcheck_step_inf", "ckpt_nan_head_eval", "ckpt_nan_gate_diag",
+        "ckpt_nan_pos_eval", "ckpt_nan_pos_diag"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

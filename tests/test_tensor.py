@@ -223,6 +223,21 @@ def test_backward_fanout_sums_both_paths():
     np.testing.assert_allclose(x.grad, x1.grad + x2.grad, atol=1e-15)
 
 
+def test_second_backward_on_a_consumed_graph_raises():
+    x = T.Tensor([[3.0]])
+    w = T.Tensor([[2.0]], requires_grad=True)
+    y = T.matmul(x, w)
+    loss = T.tsum(T.mul(y, y))
+    T.backward(loss)
+    np.testing.assert_array_equal(w.grad, [[36.0]])
+    with pytest.raises(UsageError):
+        T.backward(loss)
+    # a new graph on top of a consumed node cannot reach w either
+    with pytest.raises(UsageError):
+        T.backward(T.tsum(T.scale(y, 2.0)))
+    np.testing.assert_array_equal(w.grad, [[36.0]])
+
+
 def test_broadcast_add_unbroadcasts_grad():
     x = T.Tensor(np.ones((3, 4)), requires_grad=True)
     b = T.Tensor(np.zeros(4), requires_grad=True)

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from pulse import tensor as T
+from pulse import training
 from pulse.errors import DataError, NumericError, ShapeError, UsageError
-from pulse.model import forward, init_params
+from pulse.model import ABLATIONS, forward, init_params
 from pulse.optim import adam_step, clip_global_norm
 from pulse.storage import Dataset
-from pulse.training import (EpochRecord, TrainConfig, TrainLog,
+from pulse.training import (EpochRecord, TrainConfig, TrainLog, _mix_key,
                             build_samples, evaluate_split,
-                            frame_gate_score_tensor, loss_gate, loss_pos,
-                            minmax_normalize, train_model)
+                            frame_gate_score_tensor, frame_windows, loss_gate,
+                            loss_pos, minmax_normalize, train_model)
 from tests.conftest import parse_train_log, tiny_model_cfg
 
 
@@ -176,7 +177,6 @@ def test_single_step_matches_manual_adam(tiny_dataset):
     result = train_model(tiny_dataset, mcfg, tcfg)
 
     # manual replication of the first optimizer step
-    from pulse.training import _mix_key
     samples = build_samples(tiny_dataset, "train", mcfg)
     params = init_params(mcfg, tcfg.seed)
     mean_pose = np.mean([s.pose for s in samples], axis=0).reshape(-1)
@@ -269,3 +269,109 @@ def test_train_with_frame_window(tiny_dataset):
     rep, preds, _ = evaluate_split(result.params, mcfg, tiny_dataset, "val")
     assert np.isfinite(rep.mpjpe)
     assert preds[0].shape == (8, 8, 3)
+
+
+@pytest.mark.parametrize("frame_window", [1, 2])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_evaluate_split_builds_no_graph_and_matches_forward(
+        tiny_dataset, monkeypatch, ablation, frame_window):
+    mcfg = tiny_model_cfg(ablation=ablation, frame_window=frame_window)
+    params = init_params(mcfg, seed=4, randomize_all=True)
+    untouched = {name: np.full(p.shape, 7.0) for name, p in params.params.items()}
+    for name, p in params.params.items():
+        p.grad = untouched[name]
+    results = []
+
+    def recording_forward(window, constants, *args, **kwargs):
+        for name, p in params.params.items():
+            assert constants[name].data is p.data
+        results.append(forward(window, constants, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    _, preds, _ = evaluate_split(params, mcfg, tiny_dataset, "all")
+    _, gate_preds, _, gates, _ = evaluate_split(params, mcfg, tiny_dataset, "all",
+                                                collect_gates=True)
+    for result in results:
+        for t in (result.pose, result.gate, *result.frame_gates):
+            assert t is None or (not t.requires_grad and t._parents == ()
+                                 and t._backprop is None)
+
+    # reference: one forward per frame on the grad-carrying parameters
+    sequences = tiny_dataset.split_sequences("all")
+    for (_, frames, _), seq_pred, seq_gate_pred, seq_gates in zip(
+            sequences, preds, gate_preds, gates, strict=True):
+        for t, (_, window) in enumerate(frame_windows(frames, frame_window)):
+            ref = forward(window, params, mcfg, train=False)
+            assert ref.pose.requires_grad
+            np.testing.assert_array_equal(seq_pred[t], ref.pose.data)
+            np.testing.assert_array_equal(seq_gate_pred[t], ref.pose.data)
+            ref_gate = (np.zeros(mcfg.n_cells) if ref.gate is None
+                        else ref.gate.data.reshape(-1))
+            np.testing.assert_array_equal(seq_gates[t], ref_gate)
+    for name, p in params.params.items():
+        assert p.grad is untouched[name] and (p.grad == 7.0).all()
+
+
+def _retaining_backward(loss):
+    """The walk that keeps the whole graph: the reference for T.backward."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in visited:
+            continue
+        if expanded:
+            visited.add(id(node))
+            topo.append(node)
+            continue
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backprop is not None and node.grad is not None:
+            node._backprop(node.grad)
+
+
+def _graph(loss):
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_backward_frees_the_graph_and_keeps_leaf_gradients(tiny_dataset):
+    # one desk training batch as train_model builds it: dropout, a two-frame
+    # window and the gate loss all on
+    mcfg = tiny_model_cfg(dropout=0.1, frame_window=2)
+    batch = build_samples(tiny_dataset, "train", mcfg)[2:6]
+    assert all(s.gate_target is not None for s in batch)
+
+    def batch_loss(params):
+        total = None
+        for k, sample in enumerate(batch):
+            result = forward(sample.window, params, mcfg, train=True,
+                             base_key=_mix_key(3, 0, k))
+            score = frame_gate_score_tensor(result.gate, sample.smap)
+            term = T.add(loss_pos(result.pose, sample.pose),
+                         T.scale(loss_gate(score, *sample.gate_target), 30.0))
+            total = term if total is None else T.add(total, term)
+        return T.scale(total, 1.0 / len(batch))
+
+    reference = init_params(mcfg, seed=6, randomize_all=True)
+    _retaining_backward(batch_loss(reference))
+    params = init_params(mcfg, seed=6, randomize_all=True)
+    loss = batch_loss(params)
+    interior = [n for n in _graph(loss) if n._backprop is not None]
+    assert len(interior) > 300
+    T.backward(loss)
+    for name, p in params.params.items():
+        assert p.grad is not None, name
+        np.testing.assert_array_equal(p.grad, reference[name].grad, err_msg=name)
+    for node in interior:
+        assert node._parents == () and node.grad is None
+        assert node._backprop is T._consumed
