@@ -27,7 +27,7 @@ from .errors import (ConfigError, DataError, DomainError, NumericError,
 from .metrics import gate_motion_diag, per_joint_report
 from .model import (ABLATIONS, ModelConfig, config_from_strings,
                     config_from_text, config_to_text, forward, init_params,
-                    typed_values)
+                    params_from_arrays, typed_values)
 from .optim import grad_check, group_errors_by_prefix
 from .radar import JOINT_NAMES, MOTIONS, RadarConfig, emit_dataset, make_scene
 from .storage import SPLITS, load_checkpoint, load_dataset, save_checkpoint
@@ -184,9 +184,7 @@ def _model_config_for_dataset(resolved, explicit, dataset, **overrides):
 
 def _train_once(dataset, mcfg, tcfg):
     result = train_model(dataset, mcfg, tcfg)
-    params = init_params(mcfg, tcfg.seed)
-    params.load_values(result.best_values)
-    return result, params
+    return result, params_from_arrays(mcfg, result.best_values.items())
 
 
 def cmd_train(args):
@@ -212,20 +210,16 @@ def cmd_train(args):
 
 
 def load_model(ckpt_path):
+    """-> (model config, parameters, seed) of a checkpoint, its parameters
+    checked against the config's param_table and used without a copy."""
     config_text, seed, named = load_checkpoint(ckpt_path)
     try:
         mcfg = config_from_text(config_text)
     except ConfigError as exc:
         raise ConfigError(f"{ckpt_path}: {exc}") from None
-    params = init_params(mcfg, seed)
-    names = params.names()
-    stored = [name for name, _ in named]
-    if stored != names:
-        raise DataError(
-            f"{ckpt_path}: parameter names do not match the stored model config")
     try:
-        params.load_values(dict(named))
-    except UsageError as exc:
+        params = params_from_arrays(mcfg, named)
+    except DataError as exc:
         raise DataError(f"{ckpt_path}: {exc}") from None
     return mcfg, params, seed
 

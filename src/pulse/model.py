@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, DataError, ShapeError, UsageError
 from .features import cell_spectra, spatial_magnitude
 from .optim import ParamGroup, uniform_init
 
@@ -145,8 +145,84 @@ def config_from_text(text):
 # ---------------------------------------------------------------------------
 # Parameters
 
+def _zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _ones(rng, shape):
+    return np.ones(shape)
+
+
+def _fan_in(rng, shape):
+    """uniform_init with the input width shape[0] as the fan-in."""
+    return uniform_init(rng, shape, shape[0])
+
+
+def _pos_uniform(rng, shape):
+    return rng.uniform(-0.1, 0.1, size=shape)
+
+
+def param_table(cfg):
+    """The model's parameters as ordered (name, shape, initializer) rows;
+    initializer(rng, shape) draws the initial values. init_params draws
+    from it and params_from_arrays checks stored parameters against it."""
+    d, hidden = cfg.embed_dim, cfg.mlp_hidden
+
+    def affine(name, n_in, n_out, weight=_fan_in):
+        return [(f"{name}.weight", (n_in, n_out), weight),
+                (f"{name}.bias", (n_out,), _zeros)]
+
+    patch_in = cfg.patch_r * cfg.patch_a
+    rows = [*affine("spatial_encoder", patch_in, d),
+            ("pos_embed", (cfg.n_spatial, d), _pos_uniform),
+            *affine("doppler_encoder.l1", cfg.D, d),
+            *affine("doppler_encoder.l2", d, d),
+            *affine("token_gate", d, 1),
+            *[(f"cross_attn.{proj}.weight", (d, d), _fan_in) for proj in "qkv"],
+            *affine("cross_attn.out", d, d),
+            *affine("residual_gate", d, 1)]
+    if cfg.ablation == "naive_concat":
+        rows += affine("concat_fuse", 2 * d, d)
+    for i in range(cfg.layers):
+        p = f"transformer.{i}"
+        rows += [(f"{p}.ln1.gain", (d,), _ones), (f"{p}.ln1.bias", (d,), _zeros),
+                 *[(f"{p}.attn.{proj}.weight", (d, d), _fan_in) for proj in "qkv"],
+                 *affine(f"{p}.attn.out", d, d, weight=_zeros),
+                 (f"{p}.ln2.gain", (d,), _ones), (f"{p}.ln2.bias", (d,), _zeros),
+                 *affine(f"{p}.mlp.l1", d, hidden),
+                 *affine(f"{p}.mlp.l2", hidden, d, weight=_zeros)]
+    rows += [*affine("head.l1", cfg.n_spatial * d, hidden),
+             ("head.l2.weight", (hidden, cfg.joints * 3), _fan_in),
+             ("head.out_bias", (cfg.joints * 3,), _zeros)]
+    return rows
+
+
+def params_from_arrays(cfg, named):
+    """ParamGroup over the (name, float64 array) pairs `named`, which must
+    match param_table(cfg) row for row in name and shape; the arrays become
+    the parameters without a copy. A mismatch raises DataError naming the
+    first parameter that differs, before anything is allocated."""
+    named = list(named)
+    table = param_table(cfg)
+    for i, ((name, values), (want, shape, _)) in enumerate(zip(named, table)):
+        if name != want:
+            raise DataError(f"parameter {i} is {name!r}, the model config "
+                            f"expects {want!r}")
+        if values.shape != shape:
+            raise DataError(f"parameter {name!r} shape {values.shape} != "
+                            f"expected {shape}")
+    if len(named) != len(table):
+        raise DataError(f"{len(named)} parameters stored, the model config "
+                        f"has {len(table)}")
+    g = ParamGroup()
+    for name, values in named:
+        g.add(name, values)
+    return g
+
+
 def init_params(cfg, seed, randomize_all=False):
-    """Seeded parameter group for the full computation graph.
+    """Seeded parameter group for the full computation graph, drawn from
+    param_table in its order.
 
     Affine weights are uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases
     zero, layernorm gains one. Transformer output projections start at zero
@@ -156,47 +232,9 @@ def init_params(cfg, seed, randomize_all=False):
     checking where no activation is flat or saturated, not a training init.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 303]))
-    d = cfg.embed_dim
     g = ParamGroup()
-    patch_in = cfg.patch_r * cfg.patch_a
-    g.add("spatial_encoder.weight", uniform_init(rng, (patch_in, d), patch_in))
-    g.add("spatial_encoder.bias", np.zeros(d))
-    g.add("pos_embed", rng.uniform(-0.1, 0.1, size=(cfg.n_spatial, d)))
-    g.add("doppler_encoder.l1.weight", uniform_init(rng, (cfg.D, d), cfg.D))
-    g.add("doppler_encoder.l1.bias", np.zeros(d))
-    g.add("doppler_encoder.l2.weight", uniform_init(rng, (d, d), d))
-    g.add("doppler_encoder.l2.bias", np.zeros(d))
-    g.add("token_gate.weight", uniform_init(rng, (d, 1), d))
-    g.add("token_gate.bias", np.zeros(1))
-    for proj in ("q", "k", "v"):
-        g.add(f"cross_attn.{proj}.weight", uniform_init(rng, (d, d), d))
-    g.add("cross_attn.out.weight", uniform_init(rng, (d, d), d))
-    g.add("cross_attn.out.bias", np.zeros(d))
-    g.add("residual_gate.weight", uniform_init(rng, (d, 1), d))
-    g.add("residual_gate.bias", np.zeros(1))
-    if cfg.ablation == "naive_concat":
-        g.add("concat_fuse.weight", uniform_init(rng, (2 * d, d), 2 * d))
-        g.add("concat_fuse.bias", np.zeros(d))
-    for i in range(cfg.layers):
-        p = f"transformer.{i}"
-        g.add(f"{p}.ln1.gain", np.ones(d))
-        g.add(f"{p}.ln1.bias", np.zeros(d))
-        for proj in ("q", "k", "v"):
-            g.add(f"{p}.attn.{proj}.weight", uniform_init(rng, (d, d), d))
-        g.add(f"{p}.attn.out.weight", np.zeros((d, d)))
-        g.add(f"{p}.attn.out.bias", np.zeros(d))
-        g.add(f"{p}.ln2.gain", np.ones(d))
-        g.add(f"{p}.ln2.bias", np.zeros(d))
-        g.add(f"{p}.mlp.l1.weight", uniform_init(rng, (d, cfg.mlp_hidden), d))
-        g.add(f"{p}.mlp.l1.bias", np.zeros(cfg.mlp_hidden))
-        g.add(f"{p}.mlp.l2.weight", np.zeros((cfg.mlp_hidden, d)))
-        g.add(f"{p}.mlp.l2.bias", np.zeros(d))
-    flat = cfg.n_spatial * d
-    g.add("head.l1.weight", uniform_init(rng, (flat, cfg.mlp_hidden), flat))
-    g.add("head.l1.bias", np.zeros(cfg.mlp_hidden))
-    g.add("head.l2.weight", uniform_init(rng, (cfg.mlp_hidden, cfg.joints * 3),
-                                         cfg.mlp_hidden))
-    g.add("head.out_bias", np.zeros(cfg.joints * 3))
+    for name, shape, initializer in param_table(cfg):
+        g.add(name, initializer(rng, shape))
     if randomize_all:
         # Redraw everything (including the zero/one-initialized tensors) so
         # no branch output is exactly zero and no softmax or sigmoid

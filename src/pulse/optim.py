@@ -13,15 +13,17 @@ from .tensor import Tensor, backward
 
 
 class ParamGroup:
-    """Ordered named parameters plus per-parameter Adam moment buffers.
+    """Ordered named parameters. A float64 array given to `add` becomes the
+    parameter's storage without a copy.
 
-    Moment buffers are created zeroed and always match parameter shapes.
+    `moments` holds each parameter's Adam (m, v) buffers; it stays empty
+    until adam_step first updates the group, so a group that is only
+    evaluated allocates no optimizer state.
     """
 
     def __init__(self):
         self.params: dict[str, Tensor] = {}
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.step_count = 0
 
     def add(self, name, values):
@@ -29,8 +31,6 @@ class ParamGroup:
             raise UsageError(f"duplicate parameter name {name!r}")
         t = Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
         self.params[name] = t
-        self.m[name] = np.zeros_like(t.data)
-        self.v[name] = np.zeros_like(t.data)
         return t
 
     def __getitem__(self, name):
@@ -88,7 +88,8 @@ def adam_step(group, grads, lr, beta1=0.9, beta2=0.999, eps_adam=1e-8,
     """One Adam update over every parameter in the group.
 
     Decoupled weight decay shrinks parameters by lr*wd before the moment
-    update, so the decay never enters the moment estimates.
+    update, so the decay never enters the moment estimates. A parameter's
+    moment buffers are created zeroed on its first update.
     """
     if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
         raise DomainError(f"beta1/beta2 must lie in (0,1), got {beta1}, {beta2}")
@@ -100,8 +101,9 @@ def adam_step(group, grads, lr, beta1=0.9, beta2=0.999, eps_adam=1e-8,
         g = grads[name]
         if weight_decay:
             p.data -= lr * weight_decay * p.data
-        m = group.m[name]
-        v = group.v[name]
+        if name not in group.moments:
+            group.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = group.moments[name]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -121,16 +123,19 @@ class GradReport(dict):
 def grad_check(build_loss, group, step=1e-5):
     """Compare autodiff gradients against central differences.
 
-    build_loss(group) must construct a fresh scalar loss graph from the
-    group's current parameter values. Returns a GradReport
+    build_loss(params) must construct a fresh scalar loss graph from the
+    current values of params[name]: the group for the analytic backward,
+    and for the central-difference probes constant tensors that share the
+    parameters' arrays, so a probe records no graph. Returns a GradReport
     {name: max relative error} with the relative error of entry i defined
     as |a_i - n_i| / max(|a_i|, |n_i|, 1e-8).
     """
     if step <= 0:
         raise DomainError(f"grad_check step must be positive, got {step}")
+    constants = {name: Tensor(p.data) for name, p in group.params.items()}
 
     def eval_loss():
-        val = build_loss(group).item()
+        val = build_loss(constants).item()
         if not math.isfinite(val):
             raise NumericError(f"non-finite loss {val} at a probe point")
         return val

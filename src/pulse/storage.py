@@ -203,8 +203,14 @@ def load_checkpoint(path):
         name = rd.string()
         ndim = rd.u32()
         shape = struct.unpack(f"<{ndim}I", rd.take(4 * ndim))
-        n = math.prod(shape)
-        data = np.frombuffer(rd.take(8 * n), dtype="<f8").reshape(shape).copy()
+        values = np.frombuffer(rd.take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            data = values.reshape(shape).copy()
+        except ValueError:
+            # numpy refuses a rank above its limit and a shape whose extents
+            # overflow its index type, even when one extent is 0
+            raise DataError(f"{path}: parameter {name!r} has an invalid "
+                            f"rank-{ndim} shape") from None
         if not np.isfinite(data).all():
             raise DataError(f"{path}: parameter {name!r} holds a non-finite value")
         params.append((name, data))

@@ -19,7 +19,8 @@ from pulse.features import reconstruct_rad, spatial_magnitude
 from pulse.metrics import (akv, gate_motion_diag, kalman_smooth, mpjpe, mpjve,
                            pa_mpjpe)
 from pulse.model import (ModelConfig, conditional_cross_attention, forward,
-                         gate, init_params, tokenize_doppler, tokenize_spatial)
+                         gate, init_params, params_from_arrays, tokenize_doppler,
+                         tokenize_spatial)
 from pulse.radar import (RadarConfig, Scatterer, angle_bin, doppler_bin,
                          range_bin, range_for_bin, rad_fft, render_frame,
                          sin_theta_for_bin, speed_for_bin)
@@ -72,8 +73,7 @@ def trained_models(desk_dataset):
             mcfg = ModelConfig(**DESK["grid"], **DESK["model"], ablation=variant)
             tcfg = TrainConfig(**DESK["train"], seed=seed)
             result = train_model(dataset, mcfg, tcfg)
-            params = init_params(mcfg, seed)
-            params.load_values(result.best_values)
+            params = params_from_arrays(mcfg, result.best_values.items())
             models[(variant, seed)] = (params, mcfg)
     train_seconds = time.perf_counter() - t0
     return dataset, models, synth_seconds + train_seconds

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulse import tensor as T
 from pulse.cli import main
+from pulse.model import config_from_text, init_params
 from pulse.storage import load_checkpoint, save_checkpoint, write_rdt
 from tests.conftest import parse_train_log
 
@@ -363,6 +368,48 @@ def _ckpt_nan(command, param):
     return case
 
 
+def _init_checkpoint(run, path):
+    """Save init_params of the trained run's model config to `path`: its
+    zero biases make a misread header field read zero extents."""
+    text, seed, _ = load_checkpoint(run / "model.ckpt")
+    params = init_params(config_from_text(text), seed)
+    save_checkpoint(path, text, seed, [(n, params[n].data) for n in params.names()])
+    return path.read_bytes()
+
+
+def _header_field(blob, name, index):
+    """Byte offset of parameter `name`'s rank (index -1) or dims[index]."""
+    label = name.encode()
+    rank_at = blob.index(struct.pack("<I", len(label)) + label) + 4 + len(label)
+    return rank_at + 4 * (index + 1)
+
+
+def _ckpt_flip(name, index, bit):
+    """eval on the init checkpoint with one bit of `name`'s rank (index -1)
+    or dims[index] flipped."""
+    def case(ds, run, tmp):
+        blob = bytearray(_init_checkpoint(run, tmp / "m.ckpt"))
+        at = _header_field(blob, name, index)
+        field = struct.unpack_from("<I", blob, at)[0] ^ (1 << bit)
+        struct.pack_into("<I", blob, at, field)
+        (tmp / "m.ckpt").write_bytes(bytes(blob))
+        return _eval_args(ds, tmp / "m.ckpt", tmp), "m.ckpt: parameter "
+    return case
+
+
+def _ckpt_huge_config(ds, run, tmp):
+    # a stored config far beyond any address space, over the tiny parameters
+    text, seed, named = load_checkpoint(run / "model.ckpt")
+    lines = [{"R=16": "R=1048576", "A=16": "A=1048576",
+              "embed_dim=8": "embed_dim=1024"}.get(line, line)
+             for line in text.splitlines()]
+    assert lines != text.splitlines()
+    save_checkpoint(tmp / "m.ckpt", "\n".join(lines), seed, named)
+    return (_eval_args(ds, tmp / "m.ckpt", tmp),
+            "m.ckpt: parameter 'spatial_encoder.weight' shape (16, 8) != "
+            "expected (16, 1024)")
+
+
 def _rdt_truncated(ds, run, tmp):
     (ds / "frames" / "000_0002.rdt").write_bytes(b"RDT1")
     return _eval_args(ds, run / "model.ckpt", tmp), "000_0002.rdt"
@@ -455,6 +502,8 @@ def _diag_one_frame(ds, run, tmp):
     _gradcheck_with("--step", "nan"), _gradcheck_with("--step", "inf"),
     _ckpt_nan("eval", "head.l2.weight"), _ckpt_nan("diag", "token_gate.bias"),
     _ckpt_nan("eval", "pos_embed"), _ckpt_nan("diag", "pos_embed"),
+    _ckpt_flip("spatial_encoder.bias", -1, 9),
+    _ckpt_flip("doppler_encoder.l1.bias", 0, 10), _ckpt_huge_config,
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
@@ -468,7 +517,8 @@ def _diag_one_frame(ds, run, tmp):
         "bandwidth_zero", "carrier_zero", "noise_std_nan", "noise_std_inf",
         "gradcheck_tol_nan", "gradcheck_tol_zero", "gradcheck_step_nan",
         "gradcheck_step_inf", "ckpt_nan_head_eval", "ckpt_nan_gate_diag",
-        "ckpt_nan_pos_eval", "ckpt_nan_pos_diag"])
+        "ckpt_nan_pos_eval", "ckpt_nan_pos_diag", "ckpt_rank_flip",
+        "ckpt_dims_flip", "ckpt_huge_config"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)
@@ -478,3 +528,57 @@ def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, cap
     assert rc in (2, 3), err
     assert name in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# checkpoint fuzz: a damaged checkpoint exits 3 (or, where a flip still
+# parses and matches the model, 0), never with a traceback
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory, cli_run):
+    """(work dir, init checkpoint bytes, bit positions of its header fields:
+    everything but the float64 payload, which can flip to a legal value)."""
+    work = tmp_path_factory.mktemp("fuzz")
+    blob = _init_checkpoint(cli_run, work / "base.ckpt")
+    text, _, named = load_checkpoint(work / "base.ckpt")
+    header = list(range(8 + 4 + 4 + len(text.encode()) + 8 + 4))
+    at = len(header)
+    for name, values in named:
+        size = 4 + len(name.encode()) + 4 + 4 * values.ndim
+        header += range(at, at + size)
+        at += size + values.nbytes
+    assert at == len(blob)
+    return work, blob, [8 * byte + bit for byte in header for bit in range(8)]
+
+
+def _eval_damaged(ds, work, blob):
+    (work / "m.ckpt").write_bytes(blob)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(_eval_args(ds, work / "m.ckpt", work) + ["--split", "val"])
+    return rc, err.getvalue()
+
+
+def _fuzz(examples):
+    return settings(max_examples=examples, derandomize=True, database=None,
+                    deadline=None)
+
+
+@_fuzz(100)
+@given(data=st.data())
+def test_truncated_checkpoint_exits_3(data, cli_dataset, fuzz_checkpoint):
+    work, blob, _ = fuzz_checkpoint
+    size = data.draw(st.integers(0, len(blob) - 1))
+    rc, err = _eval_damaged(cli_dataset, work, blob[:size])
+    assert rc == 3 and "m.ckpt" in err, (size, err)
+
+
+@_fuzz(400)
+@given(data=st.data())
+def test_checkpoint_header_bit_flip_exits_0_or_3(data, cli_dataset, fuzz_checkpoint):
+    work, blob, bits = fuzz_checkpoint
+    bit = data.draw(st.sampled_from(bits))
+    damaged = bytearray(blob)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    rc, err = _eval_damaged(cli_dataset, work, bytes(damaged))
+    assert rc in (0, 3), (bit, err)

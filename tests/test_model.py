@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from pulse import tensor as T
-from pulse.errors import ConfigError, UsageError
+from pulse.errors import ConfigError, DataError, UsageError
 from pulse.features import spatial_magnitude
 from pulse.model import (ABLATIONS, ModelConfig,
                          aggregate_doppler_multiframe,
                          conditional_cross_attention, config_from_text,
                          config_to_text, forward, gate, init_params,
                          neighborhood, neighborhood_band,
-                         neighborhood_mean_matrix, patch_matrix,
-                         regress, residual_update, spatial_transformer,
+                         neighborhood_mean_matrix, param_table,
+                         params_from_arrays, patch_matrix, regress, residual_update, spatial_transformer,
                          tokenize_doppler, tokenize_spatial)
 from pulse.optim import grad_check, group_errors_by_prefix
 from pulse.training import loss_pos
@@ -58,6 +58,37 @@ def test_config_text_round_trip():
     cfg = desk_cfg(gate_strength=0.5, ablation="ungated", agg_eps=1e-6)
     again = config_from_text(config_to_text(cfg))
     assert again == cfg
+
+
+# ---------------------------------------------------------------------------
+# Parameters
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_param_table_is_init_params_layout(ablation):
+    cfg = desk_cfg(ablation=ablation)
+    for randomize_all in (False, True):
+        params = init_params(cfg, seed=3, randomize_all=randomize_all)
+        assert [(n, params[n].data.shape) for n in params.names()] == \
+            [(name, shape) for name, shape, _ in param_table(cfg)]
+
+
+def test_params_from_arrays_shares_arrays_and_checks_the_table():
+    cfg = desk_cfg()
+    named = [(n, p.data) for n, p in init_params(cfg, seed=3).params.items()]
+    params = params_from_arrays(cfg, named)
+    assert all(params[n].data is values for n, values in named)
+    assert params.moments == {}
+    renamed = [("pos", named[0][1])] + named[1:]
+    with pytest.raises(DataError, match="parameter 0 is 'pos', the model config "
+                                        "expects 'spatial_encoder.weight'"):
+        params_from_arrays(cfg, renamed)
+    reshaped = named[:2] + [("pos_embed", np.zeros((3, 8)))] + named[3:]
+    with pytest.raises(DataError, match=r"'pos_embed' shape \(3, 8\) != "
+                                        r"expected \(16, 8\)"):
+        params_from_arrays(cfg, reshaped)
+    with pytest.raises(DataError, match=f"{len(named) - 1} parameters stored, "
+                                        f"the model config has {len(named)}"):
+        params_from_arrays(cfg, named[:-1])
 
 
 # ---------------------------------------------------------------------------

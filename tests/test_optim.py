@@ -209,7 +209,12 @@ def test_group_errors_by_prefix():
 
 
 def test_moment_buffers_match_shapes_and_start_zero():
+    # no buffers before the first step; a zero-gradient first step without
+    # decay leaves the zeroed buffers zero
     group = make_group({"w": np.ones((3, 2)), "b": np.ones(2)})
-    for name in group.names():
-        assert group.m[name].shape == group[name].data.shape
-        assert np.all(group.m[name] == 0.0) and np.all(group.v[name] == 0.0)
+    assert group.moments == {}
+    adam_step(group, {"w": np.zeros((3, 2)), "b": np.zeros(2)}, lr=0.1)
+    assert list(group.moments) == group.names()
+    for name, (m, v) in group.moments.items():
+        assert m.shape == v.shape == group[name].data.shape
+        assert np.all(m == 0.0) and np.all(v == 0.0)
