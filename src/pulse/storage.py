@@ -12,6 +12,7 @@ PULSECKP    magic, u32 version, length-prefixed UTF-8 model-config text,
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -141,16 +142,25 @@ def _pack_str(text):
 
 
 class _Reader:
-    def __init__(self, blob, path):
-        self.blob = blob
+    """Reads an open checkpoint file of `size` bytes, checking each read
+    against the bytes left before it reads or allocates anything."""
+
+    def __init__(self, fh, size, path):
+        self.fh = fh
+        self.size = size
         self.off = 0
         self.path = path
 
-    def take(self, n):
-        if self.off + n > len(self.blob):
+    def _advance(self, n):
+        if self.off + n > self.size:
             raise DataError(f"{self.path}: truncated checkpoint")
-        out = self.blob[self.off:self.off + n]
         self.off += n
+
+    def take(self, n):
+        self._advance(n)
+        out = self.fh.read(n)
+        if len(out) != n:
+            raise DataError(f"{self.path}: truncated checkpoint")
         return out
 
     def u32(self):
@@ -166,6 +176,22 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise DataError(f"{self.path}: string at offset "
                             f"{self.off - len(blob) + exc.start} is not UTF-8") from None
+
+    def floats(self, name, shape):
+        """The float64 values of parameter `name`, read straight into a
+        fresh array: no whole-file buffer is held next to the parameters,
+        so a reload reuses the heap pages the last one freed."""
+        self._advance(8 * math.prod(shape))
+        try:
+            values = np.empty(shape, dtype="<f8")
+        except ValueError:
+            # numpy refuses a rank above its limit and a shape whose extents
+            # overflow its index type, even when one extent is 0
+            raise DataError(f"{self.path}: parameter {name!r} has an invalid "
+                            f"rank-{len(shape)} shape") from None
+        if self.fh.readinto(values) != values.nbytes:
+            raise DataError(f"{self.path}: truncated checkpoint")
+        return values
 
 
 def save_checkpoint(path, config_text, seed, named_params):
@@ -186,36 +212,29 @@ def save_checkpoint(path, config_text, seed, named_params):
 def load_checkpoint(path):
     """-> (config_text, seed, ordered list of (name, array))."""
     try:
-        blob = Path(path).read_bytes()
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rd = _Reader(blob, path)
-    if rd.take(8) != CKP_MAGIC:
-        raise DataError(f"{path}: bad checkpoint magic")
-    version = rd.u32()
-    if version != CKP_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    config_text = rd.string()
-    seed = rd.u64()
-    count = rd.u32()
-    params = []
-    for _ in range(count):
-        name = rd.string()
-        ndim = rd.u32()
-        shape = struct.unpack(f"<{ndim}I", rd.take(4 * ndim))
-        values = np.frombuffer(rd.take(8 * math.prod(shape)), dtype="<f8")
-        try:
-            data = values.reshape(shape).copy()
-        except ValueError:
-            # numpy refuses a rank above its limit and a shape whose extents
-            # overflow its index type, even when one extent is 0
-            raise DataError(f"{path}: parameter {name!r} has an invalid "
-                            f"rank-{ndim} shape") from None
-        if not np.isfinite(data).all():
-            raise DataError(f"{path}: parameter {name!r} holds a non-finite value")
-        params.append((name, data))
-    if rd.off != len(blob):
-        raise DataError(f"{path}: trailing bytes in checkpoint")
+    with fh:
+        rd = _Reader(fh, os.fstat(fh.fileno()).st_size, path)
+        if rd.take(8) != CKP_MAGIC:
+            raise DataError(f"{path}: bad checkpoint magic")
+        version = rd.u32()
+        if version != CKP_VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
+        config_text = rd.string()
+        seed = rd.u64()
+        count = rd.u32()
+        params = []
+        for _ in range(count):
+            name = rd.string()
+            ndim = rd.u32()
+            data = rd.floats(name, struct.unpack(f"<{ndim}I", rd.take(4 * ndim)))
+            if not np.isfinite(data).all():
+                raise DataError(f"{path}: parameter {name!r} holds a non-finite value")
+            params.append((name, data))
+        if rd.off != rd.size:
+            raise DataError(f"{path}: trailing bytes in checkpoint")
     return config_text, seed, params
 
 
