@@ -179,8 +179,8 @@ class _Reader:
 
     def floats(self, name, shape):
         """The float64 values of parameter `name`, read straight into a
-        fresh array: no whole-file buffer is held next to the parameters,
-        so a reload reuses the heap pages the last one freed."""
+        fresh array. No whole-file buffer is held next to the parameters,
+        so a reload can reuse the heap pages the last load freed."""
         self._advance(8 * math.prod(shape))
         try:
             values = np.empty(shape, dtype="<f8")
