@@ -30,7 +30,8 @@ from .model import (ABLATIONS, ModelConfig, config_from_strings,
                     params_from_arrays, typed_values)
 from .optim import grad_check, group_errors_by_prefix
 from .radar import JOINT_NAMES, MOTIONS, RadarConfig, emit_dataset, make_scene
-from .storage import SPLITS, load_checkpoint, load_dataset, save_checkpoint
+from .storage import (SPLITS, load_checkpoint, load_dataset, read_text,
+                      save_checkpoint)
 from .training import (TrainConfig, evaluate_split, loss_pos, train_model)
 
 
@@ -70,11 +71,7 @@ def _add_config_flags(parser):
 
 def read_config_file(path):
     values = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    for line in text.splitlines():
+    for line in read_text(path, error=ConfigError).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -330,11 +327,11 @@ def cmd_gradcheck(args):
               for _ in range(mcfg.frame_window)]
     # Regression target near the probe-point pose: keeps the loss and its
     # rounding noise small so the finite differences stay well conditioned.
-    base_pose = forward(frames, params, mcfg).pose.data
+    base_pose = forward([frames], params, mcfg).pose.data
     target = base_pose + rng.uniform(-5.0, 5.0, size=base_pose.shape)
 
     def build(group):
-        return loss_pos(forward(frames, group, mcfg).pose, target)
+        return loss_pos(forward([frames], group, mcfg).pose, target)
 
     report = grad_check(build, params, step=args.step)
     grouped = group_errors_by_prefix(report)

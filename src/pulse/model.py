@@ -320,30 +320,46 @@ def neighborhood_mean_matrix(cfg):
 
 def patch_matrix(s_map, cfg):
     """(N_s, patch_r*patch_a) matrix of flattened non-overlapping patches,
-    patches in row-major order over the patch lattice."""
+    patches in row-major order over the patch lattice; a (B, R, A) batch of
+    maps gives one matrix per map."""
     s = np.asarray(s_map, dtype=np.float64)
-    if s.shape != (cfg.R, cfg.A):
+    if s.shape[-2:] != (cfg.R, cfg.A) or s.ndim not in (2, 3):
         raise ShapeError(f"spatial map shape {s.shape} != ({cfg.R}, {cfg.A})")
-    blocks = s.reshape(cfg.patches_r, cfg.patch_r, cfg.patches_a, cfg.patch_a)
-    return blocks.transpose(0, 2, 1, 3).reshape(cfg.n_spatial, -1)
+    lead = s.shape[:-2]
+    blocks = s.reshape(lead + (cfg.patches_r, cfg.patch_r, cfg.patches_a, cfg.patch_a))
+    return np.swapaxes(blocks, -3, -2).reshape(lead + (cfg.n_spatial, -1))
 
 
 def tokenize_spatial(s_map, params, cfg):
-    """Patch-encode the spatial map and add the learned positional
-    embeddings. doppler_only zeroes the encoder output (embeddings stay)."""
+    """Patch-encode the spatial map (or each map of a (B, R, A) batch) and
+    add the learned positional embeddings. doppler_only zeroes the encoder
+    output (embeddings stay)."""
     pos = params["pos_embed"]
+    s_map = np.asarray(s_map)
+    batched = s_map.ndim == 3
     if cfg.ablation == "doppler_only":
-        return T.add(pos, 0.0)
-    patches = T.Tensor(patch_matrix(s_map, cfg))
+        # + 0.0 gives every sample its own copy of the embeddings
+        zero = T.Tensor(np.zeros((len(s_map), 1, 1)), batched=True) if batched else 0.0
+        return T.add(pos, zero)
+    patches = T.Tensor(patch_matrix(s_map, cfg), batched=batched)
     content = T.affine(patches, params["spatial_encoder.weight"],
                        params["spatial_encoder.bias"])
     return T.add(content, pos)
 
 
+def _stack(arrays):
+    """np.stack, without the copy for a batch of one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def tokenize_doppler(volume, params):
     """Embed every cell's Doppler spectrum independently with a shared
-    two-layer ReLU MLP: (N_v, D) -> (N_v, d)."""
-    spectra = T.Tensor(cell_spectra(volume))
+    two-layer ReLU MLP: (N_v, D) -> (N_v, d). A list of B volumes is a
+    batch and gives (B, N_v, d)."""
+    if isinstance(volume, list):
+        spectra = T.Tensor(_stack([cell_spectra(v) for v in volume]), batched=True)
+    else:
+        spectra = T.Tensor(cell_spectra(volume))
     h = T.relu(T.affine(spectra, params["doppler_encoder.l1.weight"],
                         params["doppler_encoder.l1.bias"]))
     return T.affine(h, params["doppler_encoder.l2.weight"],
@@ -364,8 +380,8 @@ def conditional_cross_attention(spatial, doppler, gates, params, cfg,
     """Gate-biased multi-head attention from spatial tokens onto their
     Doppler neighborhoods; rows normalize over the neighborhood per head.
     Keys are read through the neighborhood_band, so no (N_s, N_v) logits
-    are built; return_weights scatters the per-head weights into dense
-    (N_s, N_v) arrays.
+    are built; return_weights scatters the per-head weights of an unbatched
+    call into dense (N_s, N_v) arrays.
 
     gates enter the logits as an additive bias (gate_strength * gate), shared
     across heads; the ungated/no_gating ablations and gate_strength == 0 drop
@@ -394,7 +410,7 @@ def aggregate_doppler_multiframe(frame_tokens, frame_gates, cfg):
         raise ShapeError("token and gate windows must be nonempty and aligned")
     shape = frame_tokens[0].shape
     for t, gv in zip(frame_tokens, frame_gates):
-        if t.shape != shape or gv.shape != (shape[0], 1):
+        if t.shape != shape or gv.shape != shape[:-1] + (1,):
             raise ShapeError("aggregation inputs disagree on the cell lattice")
     num = T.mul(frame_gates[0], frame_tokens[0])
     den = frame_gates[0]
@@ -424,22 +440,24 @@ def naive_concat_update(spatial, doppler, params, cfg):
 # Spatial reasoning and regression
 
 class _KeyStream:
-    """Distinct dropout keys derived from a per-forward base key."""
+    """Distinct dropout keys derived from per-forward base keys, one stream
+    per sample of a batch: next() gives each sample its next key."""
 
-    def __init__(self, base):
-        self.base = int(base)
+    def __init__(self, bases):
+        self.bases = [int(b) for b in bases]
         self.count = 0
 
     def next(self):
-        key = (self.base * 131 + self.count) & (2**64 - 1)
+        keys = [(b * 131 + self.count) & (2**64 - 1) for b in self.bases]
         self.count += 1
-        return key
+        return keys
 
 
 def spatial_transformer(tokens, params, cfg, train=False, keys=None):
     """Pre-norm transformer blocks (self-attention + ReLU MLP, residuals,
-    dropout on both branch outputs when training)."""
-    keys = keys or _KeyStream(0)
+    dropout on both branch outputs when training). Training takes batched
+    tokens and their _KeyStream."""
+    keys = keys or _KeyStream([])
     x = tokens
     for i in range(cfg.layers):
         p = f"transformer.{i}"
@@ -460,13 +478,15 @@ def spatial_transformer(tokens, params, cfg, train=False, keys=None):
 
 
 def regress(embedding, params, cfg):
-    """Flatten the token embedding and regress joints (J, 3) in mm; the MLP
-    output is multiplied by a fixed scale so weights stay O(1)."""
-    flat = T.reshape(embedding, (1, cfg.n_spatial * cfg.embed_dim))
+    """Flatten the token embedding and regress joints (J, 3) in mm, (B, J, 3)
+    for a batch; the MLP output is multiplied by a fixed scale so weights
+    stay O(1)."""
+    lead = embedding.shape[:-2]
+    flat = T.reshape(embedding, lead + (1, cfg.n_spatial * cfg.embed_dim))
     h = T.relu(T.affine(flat, params["head.l1.weight"], params["head.l1.bias"]))
     out = T.add(T.scale(T.matmul(h, params["head.l2.weight"]), cfg.head_scale),
                 params["head.out_bias"])
-    return T.reshape(out, (cfg.joints, 3))
+    return T.reshape(out, lead + (cfg.joints, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -474,35 +494,44 @@ def regress(embedding, params, cfg):
 
 @dataclass
 class ForwardResult:
-    pose: T.Tensor                       # (J, 3) mm
-    gate: Optional[T.Tensor]             # gate used at the prompting stage, (N_v, 1)
-    frame_gates: list                    # per input frame, (N_v, 1)
+    pose: T.Tensor                       # (B, J, 3) mm
+    gate: Optional[T.Tensor]             # gate used at the prompting stage, (B, N_v, 1)
+    frame_gates: list                    # per input frame, (B, N_v, 1)
 
 
-def forward(frames, params, cfg, train=False, base_key=0,
+def forward(windows, params, cfg, train=False, base_keys=None,
             force_aggregate=False):
-    """Window of frame tensors -> pose (plus gate diagnostics).
+    """Batch of windows of frames -> poses (plus gate diagnostics), one per
+    window; a single window is a batch of one. Every tensor of the result
+    has the leading batch axis, and each sample's values are bitwise those
+    of its window run alone.
 
     The spatial map comes from the last frame only; Doppler tokens and gates
     are computed per frame and, for windows longer than one frame (or when
     force_aggregate is set), merged by confidence-weighted aggregation with
-    the prompting gate recomputed from the merged tokens.
+    the prompting gate recomputed from the merged tokens. base_keys gives
+    each sample its own dropout key stream (default 0 for every sample).
     """
-    frames = list(frames)
-    if len(frames) != cfg.frame_window:
-        raise UsageError(
-            f"expected a window of {cfg.frame_window} frames, got {len(frames)}")
-    keys = _KeyStream(base_key)
-    spatial = tokenize_spatial(spatial_magnitude(frames[-1]), params, cfg)
+    windows = [list(w) for w in windows]
+    for w in windows:
+        if len(w) != cfg.frame_window:
+            raise UsageError(
+                f"expected a window of {cfg.frame_window} frames, got {len(w)}")
+    keys = _KeyStream([0] * len(windows) if base_keys is None else base_keys)
+    if len(keys.bases) != len(windows):
+        raise UsageError(f"{len(keys.bases)} dropout keys for {len(windows)} windows")
+    spatial = tokenize_spatial(_stack([spatial_magnitude(w[-1]) for w in windows]),
+                               params, cfg)
 
     gate_used = None
     frame_gates = []
     if cfg.ablation == "spatial_only":
         updated = spatial
     else:
-        tokens = [tokenize_doppler(f, params) for f in frames]
+        tokens = [tokenize_doppler([w[f] for w in windows], params)
+                  for f in range(cfg.frame_window)]
         frame_gates = [gate(t, params) for t in tokens]
-        if len(frames) > 1 or force_aggregate:
+        if cfg.frame_window > 1 or force_aggregate:
             doppler = aggregate_doppler_multiframe(tokens, frame_gates, cfg)
             gate_used = gate(doppler, params)
         else:

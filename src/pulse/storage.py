@@ -60,18 +60,28 @@ def read_rdt(path):
 # ---------------------------------------------------------------------------
 # Manifest (key=value lines) and pose CSV
 
+def read_text(path, error=DataError):
+    """The UTF-8 text of file `path`. An unreadable file raises DataError; a
+    byte that is not UTF-8 raises `error`, naming the file and the byte's
+    offset."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not UTF-8") from None
+
+
 def write_manifest(path, entries):
     lines = [f"{key}={value}" for key, value in entries.items()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_manifest(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     entries = {}
-    for line in text.splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line:
             continue
@@ -95,10 +105,7 @@ def write_poses_csv(path, rows):
 
 def read_poses_csv(path, joints):
     """-> {seq_id: (T, J, 3) mm array} with frames in index order."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != POSES_HEADER:
         raise DataError(f"{path}: expected header {POSES_HEADER!r}")
     by_seq: dict[str, dict[int, dict[int, tuple]]] = {}
@@ -264,24 +271,30 @@ class Dataset:
 
 def load_dataset(root):
     root = Path(root)
-    manifest = read_manifest(root / "manifest.txt")
+    manifest_path = root / "manifest.txt"
+    manifest = read_manifest(manifest_path)
     for key in ("seed", "R", "A", "D", "J", "frame_rate"):
         if key not in manifest:
-            raise DataError(f"{root}: manifest missing key {key!r}")
+            raise DataError(f"{manifest_path}: missing key {key!r}")
     for key in ("R", "A", "D", "J"):
         if not manifest[key].isdecimal():
-            raise DataError(f"{root}: manifest {key}={manifest[key]!r} is not an integer")
+            raise DataError(f"{manifest_path}: {key}={manifest[key]!r} is not an integer")
     grid = tuple(int(manifest[key]) for key in ("R", "A", "D"))
     joints = int(manifest["J"])
     poses = read_poses_csv(root / "poses.csv", joints)
     splits = {}
+    listed = {}                     # sequence -> the split that lists it
     for name in SPLITS:
         raw = manifest.get(f"split_{name}", "")
         splits[name] = [s for s in raw.split(",") if s]
         for seq in splits[name]:
             if seq not in poses:
-                raise DataError(f"{root}: manifest split_{name} lists sequence {seq!r}, "
+                raise DataError(f"{manifest_path}: split_{name} lists sequence {seq!r}, "
                                 f"which has no rows in poses.csv")
+            if seq in listed:
+                raise DataError(f"{manifest_path}: split_{name} lists sequence {seq!r}, "
+                                f"which split_{listed[seq]} already lists")
+            listed[seq] = name
     frames = {}
     for seq in poses:
         stack = []

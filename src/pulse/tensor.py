@@ -9,6 +9,14 @@ walks the reverse topological order exactly once per node and accumulates
 gradients additively, so a tensor feeding two consumers receives the sum of
 both path gradients; it frees each interior node as it finishes it.
 
+A batched tensor has a leading batch axis of independent samples; ops on it
+act on each sample as they would on that sample alone. An unbatched tensor
+a batched op reads (a parameter every sample shares) receives each sample's
+gradient summed on its own, and backward folds those sample by sample once
+the walk ends: all of sample 0's contributions in walk order, then sample
+1's, and so on. So a batch of B gives bitwise the gradients of B per-sample
+graphs summed in a loop.
+
 All ops are deterministic given identical inputs; dropout takes an explicit
 integer key and draws its mask from a counter-based Philox stream so runs
 are bit-reproducible.
@@ -27,17 +35,26 @@ class Tensor:
 
     data          row-major float64 numpy array
     requires_grad whether gradients should flow to (or through) this node
+    batched       whether axis 0 of data is a batch of independent samples
     grad          populated by backward(); same shape as data
+    live          during backward, the boolean mask of the batch rows grad
+                  holds a contribution for; None while it holds all of them
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
+    __slots__ = ("data", "grad", "requires_grad", "batched", "live", "_parents",
+                 "_backprop", "_parts", "_waiting")
 
-    def __init__(self, values, requires_grad=False, _parents=(), _backprop=None):
+    def __init__(self, values, requires_grad=False, _parents=(), _backprop=None,
+                 batched=False):
         self.data = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
+        self.batched = bool(batched)
         self.grad = None
+        self.live = None
         self._parents = _parents
         self._backprop = _backprop
+        self._parts = None      # deferred per-sample gradients, see _defer
+        self._waiting = 0       # consumers a leaf still waits on during backward
 
     @property
     def shape(self):
@@ -59,31 +76,100 @@ def _lift(x):
 
 
 def _result(data, parents, backprop):
-    requires = any(p.requires_grad for p in parents)
+    batched = requires = False
+    for p in parents:
+        batched = batched or p.batched
+        requires = requires or p.requires_grad
     if not requires:
-        return Tensor(data, requires_grad=False)
-    return Tensor(data, requires_grad=True, _parents=tuple(parents), _backprop=backprop)
+        return Tensor(data, batched=batched)
+    return Tensor(data, requires_grad=True, _parents=tuple(parents),
+                  _backprop=backprop, batched=batched)
 
 
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
+def _unbroadcast(grad, shape, lead=0):
+    """Sum `grad` down to `shape`, undoing numpy broadcasting. lead=1 keeps
+    grad's leading batch axis and sums each sample's gradient on its own,
+    to (batch, *shape)."""
+    while grad.ndim > len(shape) + lead:
+        grad = grad.sum(axis=lead)
+    for axis, extent in enumerate(shape, start=lead):
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
+    return grad.reshape(grad.shape[:lead] + tuple(shape))
 
 
-def _accumulate(tensor, grad, fresh=False):
+# Set by backward while it runs a node's closure: the boolean mask of the
+# batch rows the node's gradient holds, or None for all of them. Only
+# take() leaves rows out.
+_live = None
+
+
+def _accumulate(tensor, grad, fresh=False, live=None):
     """Add `grad` into tensor.grad. fresh=True asserts the caller hands over
-    ownership of a newly allocated array, skipping the defensive copy."""
+    ownership of a newly allocated array, skipping the defensive copy.
+
+    The contribution covers the batch rows of `live` within those of the
+    running closure; rows outside it are left as they are, as if the
+    contribution never reached those samples."""
     if not tensor.requires_grad:
         return
+    if _live is not None:
+        live = _live if live is None else live & _live
     if tensor.grad is None:
         tensor.grad = grad if fresh else np.array(grad, dtype=tensor.data.dtype)
-    else:
+        tensor.live = live
+    elif live is None and tensor.live is None:
         tensor.grad += grad
+    else:
+        every = np.ones(len(grad), dtype=bool)
+        old = every if tensor.live is None else tensor.live
+        new = every if live is None else live
+        tensor.grad[old & new] += grad[old & new]
+        tensor.grad[new & ~old] = grad[new & ~old]
+        tensor.live = None if (old | new).all() else old | new
+
+
+def _defer(tensor, grads):
+    """Keep the per-sample gradients `grads`, shape (batch, *tensor.shape),
+    of an unbatched leaf until its last consumer in the walk has handed in
+    its own, then fold them all; see _fold."""
+    if tensor._backprop is not None:
+        raise UsageError("a batched op read an unbatched interior tensor; only "
+                         "leaves may be shared by the samples of a batch")
+    if tensor._parts is None:
+        tensor._parts = []
+    tensor._parts.append((grads, _live))
+    tensor._waiting -= 1
+    if tensor._waiting == 0:
+        _fold(tensor)
+
+
+def _fold(tensor):
+    """Add a leaf's deferred per-sample gradients into its .grad sample-major:
+    sample 0's contributions in walk order, then sample 1's, and so on,
+    which is the order a loop of per-sample graphs would add them in."""
+    parts, tensor._parts = tensor._parts, None
+    for b in range(len(parts[0][0])):
+        for grads, live in parts:
+            if live is None or live[b]:
+                if tensor.grad is None:
+                    tensor.grad = grads[b].copy()
+                else:
+                    tensor.grad += grads[b]
+
+
+def _push(tensor, grad, batched, fresh=False):
+    """Hand `tensor` its share `grad` of the gradient of a broadcasting op's
+    output. An unbatched tensor a batched op read gets each sample's share
+    summed on its own and deferred; any other gets the share summed down to
+    its shape."""
+    if not tensor.requires_grad:
+        return
+    if batched and not tensor.batched:
+        _defer(tensor, _unbroadcast(grad, tensor.shape, lead=1))
+    else:
+        _accumulate(tensor, _unbroadcast(grad, tensor.shape),
+                    fresh=fresh or grad.shape != tensor.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +180,9 @@ def add(a, b):
     out = a.data + b.data
 
     def backprop(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape), fresh=g.shape != a.shape)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape), fresh=g.shape != b.shape)
+        batched = a.batched or b.batched
+        _push(a, g, batched)
+        _push(b, g, batched)
 
     return _result(out, (a, b), backprop)
 
@@ -107,10 +192,10 @@ def sub(a, b):
     out = a.data - b.data
 
     def backprop(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape), fresh=g.shape != a.shape)
+        batched = a.batched or b.batched
+        _push(a, g, batched)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape), fresh=True)
+            _push(b, -g, batched, fresh=True)
 
     return _result(out, (a, b), backprop)
 
@@ -120,10 +205,11 @@ def mul(a, b):
     out = a.data * b.data
 
     def backprop(g):
+        batched = a.batched or b.batched
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+            _push(a, g * b.data, batched, fresh=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape), fresh=True)
+            _push(b, g * a.data, batched, fresh=True)
 
     return _result(out, (a, b), backprop)
 
@@ -133,11 +219,11 @@ def div(a, b):
     out = a.data / b.data
 
     def backprop(g):
+        batched = a.batched or b.batched
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape), fresh=True)
+            _push(a, g / b.data, batched, fresh=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-                        fresh=True)
+            _push(b, -g * a.data / (b.data * b.data), batched, fresh=True)
 
     return _result(out, (a, b), backprop)
 
@@ -154,28 +240,32 @@ def scale(x, c):
 
 
 def matmul(a, b):
+    """(m,k)@(k,n); either side may carry a leading batch axis."""
     a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if not 2 <= a.data.ndim <= 2 + a.batched or not 2 <= b.data.ndim <= 2 + b.batched \
+            or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul needs (m,k)@(k,n), got {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
     def backprop(g):
+        batched = a.batched or b.batched
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T, fresh=True)
+            _push(a, g @ b.data.swapaxes(-1, -2), batched, fresh=True)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g, fresh=True)
+            _push(b, a.data.swapaxes(-1, -2) @ g, batched, fresh=True)
 
     return _result(out, (a, b), backprop)
 
 
 def transpose(x):
+    """Swap the last two axes of a matrix, or of each matrix of a batch."""
     x = _lift(x)
-    if x.data.ndim != 2:
+    if x.data.ndim != 2 + x.batched:
         raise ShapeError(f"transpose expects a 2-D tensor, got shape {x.shape}")
-    out = x.data.T.copy()
+    out = x.data.swapaxes(-1, -2).copy()
 
     def backprop(g):
-        _accumulate(x, g.T.copy(), fresh=True)
+        _accumulate(x, g.swapaxes(-1, -2).copy(), fresh=True)
 
     return _result(out, (x,), backprop)
 
@@ -306,14 +396,18 @@ class Band:
         self.before = int(before)
 
     def windows(self, x, heads):
-        """(M, heads * e) key rows -> (heads, G, window * block, e): each
-        head's rows of every group's window, zero rows in the padding."""
+        """(..., M, heads * e) key rows -> (..., heads, G, window * block, e):
+        each head's rows of every group's window, zero rows in the padding.
+        Leading axes (a batch) pass through."""
         g, b = self.groups, self.block
-        padded = np.zeros((heads, g + self.window - 1, b, x.shape[1] // heads))
-        padded[:, self.before:self.before + g] = \
-            x.reshape(g, b, heads, -1).transpose(2, 0, 1, 3)
-        shifted = sliding_window_view(padded, self.window, axis=1)
-        return shifted.transpose(0, 1, 4, 2, 3).reshape(heads, g, -1, padded.shape[3])
+        lead = x.shape[:-2]
+        t, n = tuple(range(len(lead))), len(lead)
+        padded = np.zeros(lead + (heads, g + self.window - 1, b, x.shape[-1] // heads))
+        padded[..., self.before:self.before + g, :, :] = \
+            x.reshape(lead + (g, b, heads, -1)).transpose(t + (n + 2, n, n + 1, n + 3))
+        shifted = sliding_window_view(padded, self.window, axis=n + 1)
+        return shifted.transpose(t + (n, n + 1, n + 4, n + 2, n + 3)).reshape(
+            lead + (heads, g, -1, padded.shape[-1]))
 
     def overlap_add(self, xw):
         """Adjoint of windows: (heads, G, window * block, e) -> (M, heads * e),
@@ -350,7 +444,9 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
               None lets every query see every key (one group, one block).
     Returns the (N, d) tensor of the head contexts side by side, and the
     weights as a (heads, G, N / G, K) array: G = 1 and K = M without a band,
-    else the band's groups and window width.
+    else the band's groups and window width. Batched q, k, v and bias carry
+    one more leading axis, and so do both results; the backward then runs
+    one sample at a time.
 
     The logits of all heads live in one array and the softmax runs on it in
     place; the backward is one closure using dz = P * (dP - rowsum(dP * P)).
@@ -358,9 +454,11 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
     windows are added back onto the shared key rows.
     """
     q, k, v = _lift(q), _lift(k), _lift(v)
-    n, d = q.shape
-    m = k.shape[0]
-    if k.shape != (m, d) or v.shape != (m, d) or d % heads:
+    *lead, n, d = q.shape
+    lead = tuple(lead)
+    m = k.shape[-2]
+    if len(lead) != q.batched or k.shape != lead + (m, d) \
+            or v.shape != lead + (m, d) or d % heads:
         raise ShapeError(f"attention needs (N, d) queries and (M, d) keys and "
                          f"values with heads | d, got {q.shape}, {k.shape}, "
                          f"{v.shape} and {heads} heads")
@@ -372,10 +470,13 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
     c = float(logit_scale)
     dh = d // heads
     groups = 1 if band is None else band.groups
+    # (..., G, N / G, heads, dh) <-> (..., heads, G, N / G, dh)
+    t, i = tuple(range(len(lead))), len(lead)
+    heads_first, heads_third = t + (i + 2, i, i + 1, i + 3), t + (i + 1, i + 2, i, i + 3)
 
     def windows(x, h):
         if band is None:
-            return x.reshape(1, m, h, -1).transpose(2, 0, 1, 3)
+            return x.reshape(lead + (1, m, h, -1)).transpose(heads_first)
         return band.windows(x, h)
 
     def overlap_add(xw):
@@ -383,17 +484,21 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
             return xw[:, 0].transpose(1, 0, 2).reshape(m, -1)
         return band.overlap_add(xw)
 
+    def split_heads(x):
+        """(..., N, d) -> (..., heads, G, N / G, dh)"""
+        return x.reshape(lead + (groups, n // groups, heads, dh)).transpose(heads_first)
+
     parents = [q, k, v]
-    qg = q.data.reshape(groups, n // groups, heads, dh).transpose(2, 0, 1, 3) * c
+    qg = split_heads(q.data) * c
     kw, vw = windows(k.data, heads), windows(v.data, heads)
     p = qg @ kw.swapaxes(-1, -2)
     shift = None if band is None else band.mask
     if bias is not None:
         bias = _lift(bias)
-        if bias.shape != (1, m):
+        if bias.shape != lead + (1, m):
             raise ShapeError(f"attention bias must be (1, {m}), got {bias.shape}")
         parents.append(bias)
-        per_key = windows(bias.data.reshape(m, 1), 1)[0, :, None, :, 0]
+        per_key = windows(bias.data.reshape(lead + (m, 1)), 1)[..., 0][..., None, :]
         shift = per_key if shift is None else shift + per_key
     if shift is not None:
         p += shift
@@ -406,27 +511,39 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
         np.copyto(p, 0.0, where=band.hidden)
     p /= p.sum(axis=-1, keepdims=True)
     ctx = p @ vw
-    out = ctx.transpose(1, 2, 0, 3).reshape(n, d)
+    out = ctx.transpose(heads_third).reshape(lead + (n, d))
 
-    def backprop(g):
-        gh = g.reshape(groups, n // groups, heads, dh).transpose(2, 0, 1, 3)
-        if v.requires_grad:
-            _accumulate(v, overlap_add(p.swapaxes(-1, -2) @ gh), fresh=True)
-        bias_grad = bias is not None and bias.requires_grad
+    bias_grad = bias is not None and bias.requires_grad
+
+    def sample_grads(gh, p, qg, kw, vw, ctx):
+        """One sample's gradients of v, q, k and bias, None where not needed."""
+        dv = overlap_add(p.swapaxes(-1, -2) @ gh) if v.requires_grad else None
         if not (q.requires_grad or k.requires_grad or bias_grad):
-            return
+            return dv, None, None, None
         # rowsum(dP * P) = rowsum(g * ctx), as P @ V = ctx
         dz = gh @ vw.swapaxes(-1, -2)
         dz -= np.einsum("...e,...e->...", gh, ctx)[..., None]
         dz *= p
-        if q.requires_grad:
-            dq = (dz @ kw) * c
-            _accumulate(q, dq.transpose(1, 2, 0, 3).reshape(n, d), fresh=True)
-        if k.requires_grad:
-            _accumulate(k, overlap_add(dz.swapaxes(-1, -2) @ qg), fresh=True)
-        if bias_grad:
-            per_key = dz.sum(axis=(0, 2))[None, :, :, None]
-            _accumulate(bias, overlap_add(per_key).reshape(1, m), fresh=True)
+        dq = ((dz @ kw) * c).transpose(1, 2, 0, 3).reshape(n, d) \
+            if q.requires_grad else None
+        dk = overlap_add(dz.swapaxes(-1, -2) @ qg) if k.requires_grad else None
+        db = overlap_add(dz.sum(axis=(0, 2))[None, :, :, None]).reshape(1, m) \
+            if bias_grad else None
+        return dv, dq, dk, db
+
+    def backprop(g):
+        gh = split_heads(g)
+        if not lead:
+            grads = sample_grads(gh, p, qg, kw, vw, ctx)
+        else:
+            # a sample at a time: whole-batch temporaries (1.5 MB each at the
+            # desk profile) made the allocator hand pages back and fault them
+            # in again on every step
+            per_sample = zip(*(sample_grads(*one) for one in zip(gh, p, qg, kw, vw, ctx)))
+            grads = [None if parts[0] is None else np.stack(parts) for parts in per_sample]
+        for tensor, grad in zip((v, q, k, bias), grads):
+            if grad is not None:
+                _accumulate(tensor, grad, fresh=True)
 
     return _result(out, tuple(parents), backprop), p
 
@@ -435,16 +552,27 @@ def dropout(x, p, key, train):
     """Inverted dropout; identity when train is off.
 
     The mask comes from a Philox stream keyed by `key`, so a fixed key
-    reproduces the same mask bit-for-bit regardless of call order.
+    reproduces the same mask bit-for-bit regardless of call order. A batched
+    x takes one key per sample, and each sample draws its own mask.
     """
     x = _lift(x)
     if not 0.0 <= p < 1.0:
         raise DomainError(f"dropout probability must be in [0,1), got {p}")
     if not train or p == 0.0:
         return x
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(int(key) & (2**64 - 1))))
-    keep = rng.random(x.shape) >= p
+
+    def draw(k, shape):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(int(k) & (2**64 - 1))))
+        return rng.random(shape)
+
+    if x.batched:
+        if len(key) != len(x.data):
+            raise ShapeError(f"{len(key)} dropout keys for a batch of {len(x.data)}")
+        draws = np.stack([draw(k, x.shape[1:]) for k in key])
+    else:
+        draws = draw(key, x.shape)
+    keep = draws >= p
     factor = keep / (1.0 - p)
     out = x.data * factor
 
@@ -452,6 +580,55 @@ def dropout(x, p, key, train):
         _accumulate(x, g * factor, fresh=True)
 
     return _result(out, (x,), backprop)
+
+
+def take(x, rows):
+    """Samples `rows` (distinct indices) of a batched tensor, as a batch of
+    their own. Their gradient reaches x in those rows only; the other rows
+    get no contribution, as if this op were absent from their samples."""
+    x = _lift(x)
+    rows = np.asarray(rows, dtype=np.intp)
+    out = x.data[rows]
+
+    def backprop(g):
+        full = np.zeros(x.shape)
+        full[rows] = g
+        live = np.zeros(len(full), dtype=bool)
+        live[rows] = True
+        _accumulate(x, full, fresh=True, live=live)
+
+    return _result(out, (x,), backprop)
+
+
+def scatter(x, rows, size):
+    """Adjoint of take: a batch of `size` samples holding x's samples at
+    `rows` and -0.0 elsewhere. -0.0 is the additive identity of every
+    float, so adding the result leaves the other samples' values exact."""
+    x = _lift(x)
+    rows = np.asarray(rows, dtype=np.intp)
+    out = np.full((size,) + x.shape[1:], -0.0)
+    out[rows] = x.data
+
+    def backprop(g):
+        _accumulate(x, g[rows], fresh=True)
+
+    return _result(out, (x,), backprop)
+
+
+def fold_sum(x):
+    """Sum over the batch axis as the left fold ((x0 + x1) + x2) + ..., the
+    order of a per-sample loop; numpy's sum is pairwise from 8 terms on."""
+    x = _lift(x)
+    out = x.data[0]
+    for value in x.data[1:]:
+        out = out + value
+
+    def backprop(g):
+        _accumulate(x, np.broadcast_to(g, x.shape).copy(), fresh=True)
+
+    total = _result(out, (x,), backprop)
+    total.batched = False
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +668,11 @@ def backward(loss):
     accumulate contributions additively. The walk consumes the graph: once
     an interior node's closure has run, the node drops its parents, its
     closure and its gradient, so each buffer is freed as soon as nothing
-    upstream needs it. Leaves keep .grad. A second backward through a
-    consumed node raises UsageError.
+    upstream needs it. Leaves keep .grad; the per-sample gradients a batch
+    deferred to a leaf are folded in once its last consumer has run. A
+    second backward through a consumed node raises UsageError.
     """
+    global _live
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     # Iterative DFS topological sort over the requires_grad subgraph.
@@ -507,6 +686,9 @@ def backward(loss):
         if expanded:
             visited.add(id(node))
             topo.append(node)
+            for parent in node._parents:
+                if parent.requires_grad and parent._backprop is None:
+                    parent._waiting += 1
             continue
         stack.append((node, True))
         for parent in node._parents:
@@ -514,9 +696,22 @@ def backward(loss):
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backprop is None:
-            continue
-        if node.grad is not None:
-            node._backprop(node.grad)
-        node._parents, node._backprop, node.grad = (), _consumed, None
+    try:
+        for node in reversed(topo):
+            if node._backprop is None:
+                continue
+            if node.grad is not None:
+                _live = node.live
+                node._backprop(node.grad)
+            node._parents, node._backprop, node.grad = (), _consumed, None
+    except BaseException:
+        for node in topo:
+            node.live, node._parts, node._waiting = None, None, 0
+        raise
+    finally:
+        _live = None
+    # a consumer whose gradient stayed None never handed its share in
+    for node in topo:
+        node.live, node._waiting = None, 0
+        if node._parts is not None:
+            _fold(node)

@@ -90,13 +90,13 @@ class TrainLog:
 
 def loss_pos(pred, gt):
     """Mean over joints of the Euclidean error (mm); pred is a (J, 3) graph
-    tensor, gt an array."""
+    tensor, gt an array. A (B, J, 3) batch gives one loss per sample."""
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"pose shapes differ: {pred.shape} vs {gt.shape}")
     diff = T.sub(pred, T.Tensor(gt))
-    sq_norm = T.tsum(T.mul(diff, diff), axis=1)
-    return T.mean_over_axis(T.sqrt(sq_norm), axis=0)
+    sq_norm = T.tsum(T.mul(diff, diff), axis=-1)
+    return T.mean_over_axis(T.sqrt(sq_norm), axis=-1)
 
 
 def minmax_normalize(value, lo, hi):
@@ -106,19 +106,24 @@ def minmax_normalize(value, lo, hi):
     return (value - lo) / (hi - lo)
 
 
-def loss_gate(gate_score, proxy_value, bounds):
-    """Squared error between a frame gate score (scalar graph tensor) and the
-    min-max-normalized motion proxy."""
-    target = minmax_normalize(proxy_value, *bounds)
-    diff = T.sub(gate_score, float(target))
-    return T.reshape(T.mul(diff, diff), ())
+def loss_gate(gate_scores, proxy_values, bounds):
+    """Squared errors between a batch of frame gate scores (a (B,) graph
+    tensor) and their min-max-normalized motion proxies: B proxy values and
+    B (lo, hi) bounds."""
+    targets = [minmax_normalize(v, *b) for v, b in zip(proxy_values, bounds)]
+    diff = T.sub(gate_scores, T.Tensor(targets))
+    return T.mul(diff, diff)
 
 
-def frame_gate_score_tensor(gate_tensor, spatial_map):
-    """Differentiable mean gate over the occupied_cells of the frame."""
-    selected = occupied_cells(spatial_map)
-    weights = selected.astype(np.float64) / selected.sum()
-    return T.reshape(T.matmul(T.Tensor(weights[None, :]), gate_tensor), ())
+def frame_gate_score_tensor(gates, spatial_maps):
+    """Differentiable mean gate over the occupied_cells of each frame: a
+    (B, N_v, 1) batch of gates and B spatial maps -> (B,) scores."""
+    weights = []
+    for smap in spatial_maps:
+        selected = occupied_cells(smap)
+        weights.append(selected.astype(np.float64) / selected.sum())
+    score = T.matmul(T.Tensor(np.stack(weights)[:, None, :], batched=True), gates)
+    return T.reshape(score, (len(weights),))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +182,8 @@ def evaluate_split(params, mcfg, dataset, split, with_scale=True,
     for seq_id, frames, poses in dataset.split_sequences(split):
         seq_pred, seq_gates, seq_smaps = [], [], []
         for frame, window in frame_windows(frames, mcfg.frame_window):
-            result = forward(window, constants, mcfg, train=False)
-            seq_pred.append(result.pose.data)
+            result = forward([window], constants, mcfg, train=False)
+            seq_pred.append(result.pose.data[0])
             if collect_gates:
                 seq_gates.append(result.gate.data.reshape(-1)
                                  if result.gate is not None
@@ -213,6 +218,27 @@ def _mix_key(seed, step, sample_idx):
     return (int(seed) * 1_000_003 + step * 1009 + sample_idx) & (2**63 - 1)
 
 
+def batch_loss(batch, params, mcfg, tcfg, step):
+    """Mean training loss of a batch of samples, from one forward of the
+    whole batch: loss_pos per sample, plus the weighted gate loss for the
+    samples that have a gate target. The per-sample losses are summed in
+    batch order, so the loss and its gradients are bitwise those of one
+    graph per sample added up in a loop."""
+    result = forward([s.window for s in batch], params, mcfg, train=True,
+                     base_keys=[_mix_key(tcfg.seed, step, k) for k in range(len(batch))])
+    terms = loss_pos(result.pose, np.stack([s.pose for s in batch]))
+    rows = [k for k, s in enumerate(batch) if s.gate_target is not None]
+    if tcfg.gate_loss_weight > 0 and rows and result.gate is not None:
+        # picked by index: a 0/1 weight would add exact zeros to the others
+        score = frame_gate_score_tensor(T.take(result.gate, rows),
+                                        [batch[k].smap for k in rows])
+        proxies, bounds = zip(*(batch[k].gate_target for k in rows))
+        gate_terms = loss_gate(score, proxies, bounds)
+        terms = T.add(terms, T.scatter(T.scale(gate_terms, tcfg.gate_loss_weight),
+                                       rows, len(batch)))
+    return T.scale(T.fold_sum(terms), 1.0 / len(batch))
+
+
 def train_model(dataset, mcfg, tcfg):
     """Minimize loss_pos (+ optional gate loss) with Adam; keep the best
     validation-MPJPE parameters; stop early after `patience` stale epochs."""
@@ -245,19 +271,7 @@ def train_model(dataset, mcfg, tcfg):
         epoch_norms = []
         for start in range(0, len(order), tcfg.batch):
             batch = [train_samples[i] for i in order[start:start + tcfg.batch]]
-            total = None
-            for k, sample in enumerate(batch):
-                result = forward(sample.window, params, mcfg, train=True,
-                                 base_key=_mix_key(tcfg.seed, global_step, k))
-                term = loss_pos(result.pose, sample.pose)
-                if tcfg.gate_loss_weight > 0 and sample.gate_target is not None \
-                        and result.gate is not None:
-                    score = frame_gate_score_tensor(result.gate, sample.smap)
-                    proxy, bounds = sample.gate_target
-                    term = T.add(term, T.scale(loss_gate(score, proxy, bounds),
-                                               tcfg.gate_loss_weight))
-                total = term if total is None else T.add(total, term)
-            loss = T.scale(total, 1.0 / len(batch))
+            loss = batch_loss(batch, params, mcfg, tcfg, global_step)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NumericError(

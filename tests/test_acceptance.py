@@ -108,8 +108,8 @@ def test_ablation_equivalences():
     params = init_params(cfg_full0, seed=21, randomize_all=True)
     rng = np.random.default_rng(22)
     frames = [rng.random((16, 16, 8))]
-    a = forward(frames, params, cfg_full0).pose.data
-    b = forward(frames, params, cfg_ungated).pose.data
+    a = forward([frames], params, cfg_full0).pose.data
+    b = forward([frames], params, cfg_ungated).pose.data
     assert np.array_equal(a, b)
 
     # (b) constant gates reproduce ungated attention weights within 1e-12
@@ -128,12 +128,12 @@ def test_ablation_equivalences():
     # (c) spatial_only output invariant to arbitrary Doppler perturbations
     cfg_sp = ModelConfig(R=16, A=16, D=8, patch_r=4, patch_a=4, embed_dim=8,
                          layers=2, heads=2, joints=4, ablation="spatial_only")
-    base = forward(frames, params, cfg_sp).pose.data
+    base = forward([frames], params, cfg_sp).pose.data
     for trial in range(5):
         vol = frames[0] * (1.0 + rng.random((16, 16, 8)))
         scale_ra = spatial_magnitude(frames[0]) / np.maximum(
             spatial_magnitude(vol), 1e-300)
-        out = forward([vol * scale_ra[:, :, None]], params, cfg_sp).pose.data
+        out = forward([[vol * scale_ra[:, :, None]]], params, cfg_sp).pose.data
         np.testing.assert_allclose(out, base, atol=1e-9)
     _passline("ablation-equivalences",
               f"beta0 bit-identical, const-gate diff {worst:.1e}, "
@@ -151,8 +151,8 @@ def test_multiframe_reduction():
         params = init_params(cfg, seed=seed, randomize_all=True)
         rng = np.random.default_rng(100 + seed)
         frames = [rng.random((16, 16, 8))]
-        direct = forward(frames, params, cfg).pose.data
-        agg = forward(frames, params, cfg, force_aggregate=True).pose.data
+        direct = forward([frames], params, cfg).pose.data
+        agg = forward([frames], params, cfg, force_aggregate=True).pose.data
         rel = np.max(np.abs(direct - agg)) / max(np.max(np.abs(direct)), 1e-300)
         worst = max(worst, rel)
     assert worst < 1e-5

@@ -449,6 +449,31 @@ def _split_without_poses(ds, run, tmp):
     return _eval_args(ds, run / "model.ckpt", tmp), "split_test lists sequence '009'"
 
 
+def _high_bit(name, byte):
+    """Flip the high bit of byte `byte` of dataset file `name`: no longer UTF-8."""
+    def case(ds, run, tmp):
+        blob = bytearray((ds / name).read_bytes())
+        blob[byte] ^= 0x80
+        (ds / name).write_bytes(bytes(blob))
+        return _eval_args(ds, run / "model.ckpt", tmp), f"{name}: byte {byte} is not UTF-8"
+    return case
+
+
+def _config_not_utf8(ds, run, tmp):
+    (tmp / "bad.cfg").write_bytes(b"lr=0.01\nbatch=\xff4\n")
+    return (["train", "--dataset", str(ds), "--out", str(tmp / "o"),
+             "--config", str(tmp / "bad.cfg")], "bad.cfg: byte 14 is not UTF-8")
+
+
+def _split_listed_twice(old, new, name):
+    def case(ds, run, tmp):
+        text = (ds / "manifest.txt").read_text()
+        assert old in text
+        (ds / "manifest.txt").write_text(text.replace(old, new))
+        return _eval_args(ds, run / "model.ckpt", tmp), name
+    return case
+
+
 def _rdt_nan(ds, run, tmp):
     frame = np.ones((16, 16, 8))
     frame[1, 2, 3] = np.nan
@@ -504,6 +529,11 @@ def _diag_one_frame(ds, run, tmp):
     _ckpt_nan("eval", "pos_embed"), _ckpt_nan("diag", "pos_embed"),
     _ckpt_flip("spatial_encoder.bias", -1, 9),
     _ckpt_flip("doppler_encoder.l1.bias", 0, 10), _ckpt_huge_config,
+    _high_bit("manifest.txt", 3), _high_bit("poses.csv", 40), _config_not_utf8,
+    _split_listed_twice("split_val=002", "split_val=000",
+                        "split_val lists sequence '000', which split_train already lists"),
+    _split_listed_twice("split_train=000", "split_train=000,000",
+                        "split_train lists sequence '000', which split_train already lists"),
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
@@ -518,7 +548,8 @@ def _diag_one_frame(ds, run, tmp):
         "gradcheck_tol_nan", "gradcheck_tol_zero", "gradcheck_step_nan",
         "gradcheck_step_inf", "ckpt_nan_head_eval", "ckpt_nan_gate_diag",
         "ckpt_nan_pos_eval", "ckpt_nan_pos_diag", "ckpt_rank_flip",
-        "ckpt_dims_flip", "ckpt_huge_config"])
+        "ckpt_dims_flip", "ckpt_huge_config", "manifest_utf8", "poses_utf8",
+        "config_utf8", "split_in_two_splits", "split_repeated"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)
@@ -582,3 +613,63 @@ def test_checkpoint_header_bit_flip_exits_0_or_3(data, cli_dataset, fuzz_checkpo
     damaged[bit // 8] ^= 1 << (bit % 8)
     rc, err = _eval_damaged(cli_dataset, work, bytes(damaged))
     assert rc in (0, 3), (bit, err)
+
+
+# ---------------------------------------------------------------------------
+# dataset fuzz: a damaged .rdt header, manifest.txt or poses.csv exits 2 or 3
+# (or 0, where the damage leaves a legal file), never with a traceback
+
+FUZZ_FILES = {"rdt": "frames/001_0003.rdt", "manifest": "manifest.txt",
+              "poses": "poses.csv"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory, cli_dataset):
+    work = tmp_path_factory.mktemp("datafuzz")
+    shutil.copytree(cli_dataset, work / "ds")
+    return work, work / "ds"
+
+
+def _eval_damaged_file(fuzz_dataset, cli_run, kind, damage):
+    """eval of the val split with file `kind` replaced by damage(its bytes)."""
+    work, ds = fuzz_dataset
+    path = ds / FUZZ_FILES[kind]
+    original = path.read_bytes()
+    path.write_bytes(damage(original))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(_eval_args(ds, cli_run / "model.ckpt", work) + ["--split", "val"])
+    finally:
+        path.write_bytes(original)
+    assert "Traceback" not in err.getvalue()
+    return rc, err.getvalue()
+
+
+@_fuzz(60)
+@given(kind=st.sampled_from(sorted(FUZZ_FILES)), data=st.data())
+def test_truncated_dataset_file_exits_cleanly(kind, data, fuzz_dataset, cli_run):
+    size = (fuzz_dataset[1] / FUZZ_FILES[kind]).stat().st_size
+    keep = data.draw(st.integers(0, size - 1))
+    rc, err = _eval_damaged_file(fuzz_dataset, cli_run, kind, lambda b: b[:keep])
+    # an .rdt must hold its whole payload; a poses.csv cut at a row boundary
+    # is a shorter legal table
+    assert rc == 3 if kind == "rdt" else rc in (0, 3), (kind, keep, err)
+    assert rc == 0 or FUZZ_FILES[kind].split("/")[-1] in err, (kind, keep, err)
+
+
+@_fuzz(120)
+@given(kind=st.sampled_from(sorted(FUZZ_FILES)), data=st.data())
+def test_dataset_file_bit_flip_exits_cleanly(kind, data, fuzz_dataset, cli_run):
+    # the .rdt payload is left out: a flipped float32 can be a legal value
+    size = 16 if kind == "rdt" else (fuzz_dataset[1] / FUZZ_FILES[kind]).stat().st_size
+    bit = data.draw(st.integers(0, 8 * size - 1))
+
+    def flip(blob):
+        damaged = bytearray(blob)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        return bytes(damaged)
+
+    rc, err = _eval_damaged_file(fuzz_dataset, cli_run, kind, flip)
+    assert rc in (0, 2, 3), (kind, bit, err)

@@ -484,8 +484,8 @@ def test_eval_forward_deterministic():
     cfg = desk_cfg()
     params = init_params(cfg, seed=33)
     frames = rand_frames(cfg, 34)
-    a = forward(frames, params, cfg).pose.data
-    b = forward(frames, params, cfg).pose.data
+    a = forward([frames], params, cfg).pose.data
+    b = forward([frames], params, cfg).pose.data
     np.testing.assert_array_equal(a, b)
 
 
@@ -494,9 +494,9 @@ def test_train_forward_dropout_reproducible():
     # randomized params: zero-init branch outputs would make dropout a no-op
     params = init_params(cfg, seed=35, randomize_all=True)
     frames = rand_frames(cfg, 36)
-    a = forward(frames, params, cfg, train=True, base_key=5).pose.data
-    b = forward(frames, params, cfg, train=True, base_key=5).pose.data
-    c = forward(frames, params, cfg, train=True, base_key=6).pose.data
+    a = forward([frames], params, cfg, train=True, base_keys=[5]).pose.data
+    b = forward([frames], params, cfg, train=True, base_keys=[5]).pose.data
+    c = forward([frames], params, cfg, train=True, base_keys=[6]).pose.data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -505,7 +505,7 @@ def test_window_length_checked():
     cfg = desk_cfg(frame_window=3)
     params = init_params(cfg, seed=37)
     with pytest.raises(UsageError):
-        forward(rand_frames(cfg, 38, n=2), params, cfg)
+        forward([rand_frames(cfg, 38, n=2)], params, cfg)
 
 
 def test_beta_zero_bit_identical_to_ungated():
@@ -513,8 +513,8 @@ def test_beta_zero_bit_identical_to_ungated():
     cfg_un = desk_cfg(ablation="ungated", gate_strength=1.0)
     params = init_params(cfg, seed=39)
     frames = rand_frames(cfg, 40)
-    a = forward(frames, params, cfg).pose.data
-    b = forward(frames, params, cfg_un).pose.data
+    a = forward([frames], params, cfg).pose.data
+    b = forward([frames], params, cfg_un).pose.data
     assert np.array_equal(a, b)
 
 
@@ -523,15 +523,15 @@ def test_no_gating_equals_ungated_computation():
     cfg_un = desk_cfg(ablation="ungated")
     params = init_params(cfg_ng, seed=41)
     frames = rand_frames(cfg_ng, 42)
-    np.testing.assert_array_equal(forward(frames, params, cfg_ng).pose.data,
-                                  forward(frames, params, cfg_un).pose.data)
+    np.testing.assert_array_equal(forward([frames], params, cfg_ng).pose.data,
+                                  forward([frames], params, cfg_un).pose.data)
 
 
 def test_spatial_only_invariant_to_doppler():
     cfg = desk_cfg(ablation="spatial_only")
     params = init_params(cfg, seed=43)
     frames = rand_frames(cfg, 44)
-    base = forward(frames, params, cfg).pose.data
+    base = forward([frames], params, cfg).pose.data
     rng = np.random.default_rng(45)
     for _ in range(3):
         tweaked = frames[0] * (1.0 + rng.random((cfg.R, cfg.A, cfg.D)))
@@ -539,7 +539,7 @@ def test_spatial_only_invariant_to_doppler():
         scale_ra = spatial_magnitude(frames[0]) / np.maximum(
             spatial_magnitude(tweaked), 1e-300)
         tweaked = tweaked * scale_ra[:, :, None]
-        out = forward([tweaked], params, cfg).pose.data
+        out = forward([[tweaked]], params, cfg).pose.data
         np.testing.assert_allclose(out, base, atol=1e-9)
 
 
@@ -549,14 +549,14 @@ def test_doppler_only_ignores_spatial_encoder():
     cfg = desk_cfg(ablation="doppler_only")
     params = init_params(cfg, seed=46)
     frames = rand_frames(cfg, 47)
-    base = forward(frames, params, cfg).pose.data
+    base = forward([frames], params, cfg).pose.data
     params["spatial_encoder.weight"].data[:] = 7.7
     params["spatial_encoder.bias"].data[:] = -3.0
-    out = forward(frames, params, cfg).pose.data
+    out = forward([frames], params, cfg).pose.data
     np.testing.assert_array_equal(base, out)
     # positional embeddings stay live
     params["pos_embed"].data[:] += 0.5
-    out2 = forward(frames, params, cfg).pose.data
+    out2 = forward([frames], params, cfg).pose.data
     assert not np.array_equal(base, out2)
 
 
@@ -564,8 +564,8 @@ def test_k1_aggregated_path_close_to_single_frame():
     cfg = desk_cfg()
     params = init_params(cfg, seed=48)
     frames = rand_frames(cfg, 49)
-    direct = forward(frames, params, cfg).pose.data
-    aggregated = forward(frames, params, cfg, force_aggregate=True).pose.data
+    direct = forward([frames], params, cfg).pose.data
+    aggregated = forward([frames], params, cfg, force_aggregate=True).pose.data
     rel = np.max(np.abs(direct - aggregated)) / max(np.max(np.abs(direct)), 1e-12)
     assert rel < 1e-5
 
@@ -574,27 +574,27 @@ def test_multiframe_window_runs_and_uses_history():
     cfg = desk_cfg(frame_window=3)
     params = init_params(cfg, seed=50)
     frames = rand_frames(cfg, 51, n=3)
-    out = forward(frames, params, cfg)
-    assert out.pose.shape == (cfg.joints, 3)
+    out = forward([frames], params, cfg)
+    assert out.pose.shape == (1, cfg.joints, 3)
     assert len(out.frame_gates) == 3
     # changing an earlier frame's Doppler must change the pose
     frames2 = [frames[0] * 2.0, frames[1], frames[2]]
-    out2 = forward(frames2, params, cfg)
+    out2 = forward([frames2], params, cfg)
     assert not np.array_equal(out.pose.data, out2.pose.data)
 
 
 def test_naive_concat_variant_runs():
     cfg = desk_cfg(ablation="naive_concat")
     params = init_params(cfg, seed=52)
-    out = forward(rand_frames(cfg, 53), params, cfg)
-    assert out.pose.shape == (cfg.joints, 3)
+    out = forward([rand_frames(cfg, 53)], params, cfg)
+    assert out.pose.shape == (1, cfg.joints, 3)
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_all_ablations_forward(ablation):
     cfg = desk_cfg(ablation=ablation)
     params = init_params(cfg, seed=54)
-    out = forward(rand_frames(cfg, 55), params, cfg)
+    out = forward([rand_frames(cfg, 55)], params, cfg)
     assert np.all(np.isfinite(out.pose.data))
 
 
@@ -613,10 +613,10 @@ def test_full_forward_grad_check():
     params = init_params(cfg, seed=4, randomize_all=True)
     rng = np.random.default_rng(57)
     frames = [rng.random((cfg.R, cfg.A, cfg.D))]
-    gt = forward(frames, params, cfg).pose.data + rng.uniform(-5, 5, (cfg.joints, 3))
+    gt = forward([frames], params, cfg).pose.data + rng.uniform(-5, 5, (cfg.joints, 3))
 
     def build(group):
-        return loss_pos(forward(frames, group, cfg).pose, gt)
+        return loss_pos(forward([frames], group, cfg).pose, gt)
 
     report = grad_check(build, params)
     grouped = group_errors_by_prefix(report)
@@ -646,8 +646,8 @@ def test_full_scale_profile_forward_smoke():
     cfg = ModelConfig()
     params = init_params(cfg, seed=60)
     rng = np.random.default_rng(61)
-    out = forward([rng.random((cfg.R, cfg.A, cfg.D))], params, cfg)
-    assert out.pose.shape == (cfg.joints, 3)
-    assert out.gate.shape == (4096, 1)
+    out = forward([[rng.random((cfg.R, cfg.A, cfg.D))]], params, cfg)
+    assert out.pose.shape == (1, cfg.joints, 3)
+    assert out.gate.shape == (1, 4096, 1)
     assert np.all(np.isfinite(out.pose.data))
 

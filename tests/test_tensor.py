@@ -253,3 +253,101 @@ def test_forward_ops_finite_on_finite_inputs():
                 T.layer_norm(x, T.Tensor(np.ones(5)), T.Tensor(np.zeros(5)))):
         assert np.all(np.isfinite(out.data))
 
+
+
+# ---------------------------------------------------------------------------
+# the batch axis: each sample bitwise as if alone
+
+def _per_sample_and_batched(build, batch_inputs, params):
+    """Run build(inputs, params) -> scalar loss once per sample and once on
+    the batch; -> (per-sample outputs, batched output, per-sample loop
+    gradients, batched gradients) with gradients keyed by parameter index."""
+    def fresh():
+        return [T.Tensor(p, requires_grad=True) for p in params]
+
+    loop_params = fresh()
+    outs, total = [], None
+    for sample in zip(*batch_inputs):
+        out, loss = build([T.Tensor(x[None], batched=True) for x in sample],
+                          loop_params)
+        outs.append(out.data[0])
+        total = loss if total is None else T.add(total, loss)
+    T.backward(total)
+    batch_params = fresh()
+    out, loss = build([T.Tensor(x, batched=True) for x in batch_inputs], batch_params)
+    T.backward(T.fold_sum(loss))
+    return (outs, out.data, [p.grad for p in loop_params],
+            [p.grad for p in batch_params])
+
+
+@pytest.mark.parametrize("with_band", [False, True])
+def test_batched_ops_match_per_sample_bitwise(with_band):
+    rng = np.random.default_rng(11)
+    band = _lattice_band(8, 8, 4, 4, 3) if with_band else None
+    n, m, d, batch = 4, 64, 4, 5
+    inputs = [rand(rng, batch, n, 3), rand(rng, batch, m, 3), rand(rng, batch, 1, m)]
+    params = [rand(rng, 3, d), rand(rng, d), rand(rng, d), rand(rng, d),
+              rand(rng, 3, d), rand(rng, n * d, 2)]
+
+    def build(x, p):
+        tokens, keys, bias = x
+        w, b, gain, shift, wk, head = p
+        h = T.layer_norm(T.affine(tokens, w, b), gain, shift)
+        kv = T.matmul(keys, wk)
+        ctx, _ = T.attention(h, kv, kv, 2, 0.7, bias=bias, band=band)
+        out = T.matmul(T.reshape(T.relu(ctx), (len(tokens.data), 1, n * d)), head)
+        loss = T.mean_over_axis(T.tsum(T.mul(out, out), axis=-1), axis=-1)
+        return out, loss
+
+    outs, out, loop_grads, batch_grads = _per_sample_and_batched(build, inputs, params)
+    for k, one in enumerate(outs):
+        np.testing.assert_array_equal(out[k], one)
+    for i, (want, got) in enumerate(zip(loop_grads, batch_grads, strict=True)):
+        np.testing.assert_array_equal(got, want, err_msg=f"param {i}")
+
+
+def test_batched_dropout_draws_each_samples_own_mask():
+    rng = np.random.default_rng(12)
+    x = rand(rng, 3, 4, 5)
+    batched = T.dropout(T.Tensor(x, batched=True), 0.3, [7, 8, 9], train=True).data
+    for k, key in enumerate([7, 8, 9]):
+        np.testing.assert_array_equal(
+            batched[k], T.dropout(T.Tensor(x[k]), 0.3, key, train=True).data)
+    with pytest.raises(ShapeError):
+        T.dropout(T.Tensor(x, batched=True), 0.3, [7, 8], train=True)
+
+
+def test_fold_sum_is_the_left_fold():
+    values = np.array([1.0] + [1e-16] * 9)
+    loop = 0.0 + values[0]
+    for v in values[1:]:
+        loop += v
+    assert loop != values.sum()      # numpy sums these pairwise
+    x = T.Tensor(values, requires_grad=True, batched=True)
+    total = T.fold_sum(x)
+    assert total.item() == loop and not total.batched
+    T.backward(total)
+    np.testing.assert_array_equal(x.grad, np.ones(10))
+
+
+def test_take_leaves_the_other_samples_without_a_contribution():
+    # sample 0's gradient on w is -0.0; had sample 1 (not taken) contributed
+    # its +0.0, the sum would read +0.0
+    w = T.Tensor([0.5], requires_grad=True)
+    a = T.Tensor([[-0.0], [1.0]], batched=True)
+    picked = T.take(T.mul(a, w), [0])
+    T.backward(T.fold_sum(T.reshape(picked, (1,))))
+    assert w.grad[0] == 0.0 and np.signbit(w.grad[0])
+    # scatter puts -0.0 in the rows it does not fill: adding it is exact
+    spread = T.scatter(T.Tensor([[2.0]], batched=True), [1], 3)
+    np.testing.assert_array_equal(np.signbit(spread.data[:, 0]), [True, False, True])
+
+
+def test_batched_op_rejects_a_shared_interior_tensor():
+    w = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    shared = T.scale(w, 2.0)          # unbatched, and not a leaf
+    x = T.Tensor(np.ones((3, 1, 2)), batched=True)
+    loss = T.fold_sum(T.reshape(T.tsum(T.matmul(x, shared), axis=(1, 2)), (3,)))
+    with pytest.raises(UsageError):
+        T.backward(loss)
+    assert w._parts is None

@@ -59,22 +59,25 @@ def test_minmax_normalize_hand():
     assert minmax_normalize(2.0, 2.0, 2.0) == 0.0
 
 
+def _scores(*values):
+    return T.Tensor(np.array(values), batched=True)
+
+
 def test_loss_gate_zero_when_matched():
-    score = T.Tensor(np.array(0.25))
-    assert loss_gate(score, 2.0, (1.0, 5.0)).item() == pytest.approx(0.0, abs=1e-15)
+    score = _scores(0.25)
+    assert loss_gate(score, [2.0], [(1.0, 5.0)]).item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_loss_gate_hand_value():
-    score = T.Tensor(np.array(0.5))
-    assert loss_gate(score, 0.0, (0.0, 1.0)).item() == pytest.approx(0.25)
+    score = _scores(0.5)
+    assert loss_gate(score, [0.0], [(0.0, 1.0)]).item() == pytest.approx(0.25)
 
 
 def test_loss_gate_batch_minmax_hand():
     proxies = [1.0, 3.0, 5.0]
     lo, hi = min(proxies), max(proxies)
     scores = [0.1, 0.6, 0.9]
-    total = sum(loss_gate(T.Tensor(np.array(s)), v, (lo, hi)).item()
-                for s, v in zip(scores, proxies))
+    total = loss_gate(_scores(*scores), proxies, [(lo, hi)] * 3).data.sum()
     want = sum((s - (v - lo) / (hi - lo)) ** 2 for s, v in zip(scores, proxies))
     assert abs(total - want) < 1e-12
 
@@ -82,11 +85,11 @@ def test_loss_gate_batch_minmax_hand():
 def test_frame_gate_score_tensor_matches_metrics():
     from pulse.metrics import frame_gate_score
     rng = np.random.default_rng(3)
-    gates = rng.random((16, 1))
-    smap = rng.random(16)
-    got = frame_gate_score_tensor(T.Tensor(gates), smap).item()
-    want = frame_gate_score(gates, smap)
-    assert abs(got - want) < 1e-12
+    gates = rng.random((2, 16, 1))
+    smaps = list(rng.random((2, 16)))
+    got = frame_gate_score_tensor(T.Tensor(gates, batched=True), smaps).data
+    for k in range(2):
+        assert abs(got[k] - frame_gate_score(gates[k], smaps[k])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +173,52 @@ def test_train_loss_decreases(tiny_dataset):
     assert losses[-1] < losses[0]
 
 
+def _per_sample_loss(batch, params, mcfg, tcfg, step):
+    """The loop batch_loss replaced, kept as its reference: one graph per
+    sample (a batch of one), the per-sample losses added in batch order."""
+    total = None
+    for k, sample in enumerate(batch):
+        result = forward([sample.window], params, mcfg, train=True,
+                         base_keys=[_mix_key(tcfg.seed, step, k)])
+        term = loss_pos(result.pose, sample.pose[None])
+        if tcfg.gate_loss_weight > 0 and sample.gate_target is not None \
+                and result.gate is not None:
+            score = frame_gate_score_tensor(result.gate, [sample.smap])
+            proxy, bounds = sample.gate_target
+            term = T.add(term, T.scale(loss_gate(score, [proxy], [bounds]),
+                                       tcfg.gate_loss_weight))
+        total = term if total is None else T.add(total, term)
+    return T.scale(total, 1.0 / len(batch))
+
+
+def _first_epoch(dataset, mcfg, tcfg, loss_fn):
+    """Train the first epoch as train_model does, with loss_fn building each
+    batch's loss. -> [(loss, gradients)] per step, final parameters."""
+    samples = build_samples(dataset, "train", mcfg)
+    params = init_params(mcfg, tcfg.seed)
+    mean_pose = np.mean([s.pose for s in samples], axis=0).reshape(-1)
+    params["head.out_bias"].data = mean_pose.copy()
+    order = np.random.default_rng(
+        np.random.SeedSequence([tcfg.seed, 909])).permutation(len(samples))
+    steps = []
+    for step, start in enumerate(range(0, len(order), tcfg.batch)):
+        batch = [samples[i] for i in order[start:start + tcfg.batch]]
+        loss = loss_fn(batch, params, mcfg, tcfg, step)
+        params.zero_grad()
+        T.backward(loss)
+        steps.append((loss.item(), params.grads()))
+        grads, _ = clip_global_norm(params.grads(), tcfg.clip)
+        adam_step(params, grads, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
+    return steps, params
+
+
 def test_single_step_matches_manual_adam(tiny_dataset):
     mcfg = tiny_model_cfg(dropout=0.1)
     tcfg = desk_train_cfg(epochs=1, batch=4, clip=1e9, weight_decay=0.01,
                           max_steps=1, seed=3)
     result = train_model(tiny_dataset, mcfg, tcfg)
 
-    # manual replication of the first optimizer step
+    # manual replication of the first optimizer step, one graph per sample
     samples = build_samples(tiny_dataset, "train", mcfg)
     params = init_params(mcfg, tcfg.seed)
     mean_pose = np.mean([s.pose for s in samples], axis=0).reshape(-1)
@@ -184,19 +226,45 @@ def test_single_step_matches_manual_adam(tiny_dataset):
     order = np.random.default_rng(
         np.random.SeedSequence([tcfg.seed, 909])).permutation(len(samples))
     batch = [samples[i] for i in order[:tcfg.batch]]
-    total = None
-    for k, sample in enumerate(batch):
-        out = forward(sample.window, params, mcfg, train=True,
-                      base_key=_mix_key(tcfg.seed, 0, k))
-        term = loss_pos(out.pose, sample.pose)
-        total = term if total is None else T.add(total, term)
-    loss = T.scale(total, 1.0 / len(batch))
+    loss = _per_sample_loss(batch, params, mcfg, tcfg, 0)
     params.zero_grad()
     T.backward(loss)
     grads, _ = clip_global_norm(params.grads(), tcfg.clip)
     adam_step(params, grads, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     for name, tensor in params.params.items():
         np.testing.assert_array_equal(tensor.data, result.params[name].data)
+
+
+@pytest.mark.parametrize("gate_loss_weight", [0.0, 30.0])
+@pytest.mark.parametrize("frame_window", [1, 2])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_batch_step_is_bitwise_the_per_sample_loop(tiny_dataset, ablation,
+                                                   frame_window, gate_loss_weight):
+    mcfg = tiny_model_cfg(dropout=0.1, ablation=ablation, frame_window=frame_window)
+    # 16 train samples: batches of 4, of 8 (a fold of 8 terms, where numpy's
+    # sum turns pairwise) and of 6, whose last batch is a partial 4
+    for batch in (4, 8, 6):
+        tcfg = desk_train_cfg(epochs=1, batch=batch, seed=3,
+                              gate_loss_weight=gate_loss_weight)
+        ref_steps, ref_params = _first_epoch(tiny_dataset, mcfg, tcfg,
+                                             _per_sample_loss)
+        steps, params = _first_epoch(tiny_dataset, mcfg, tcfg, training.batch_loss)
+        assert len(steps) == -(-16 // batch)
+        # bytes, not ==: a flipped sign of zero counts as a difference
+        for step, ((ref_loss, ref_grads), (loss, grads)) in enumerate(
+                zip(ref_steps, steps, strict=True)):
+            assert loss == ref_loss, (batch, step)
+            for name in ref_grads:
+                assert grads[name].tobytes() == ref_grads[name].tobytes(), \
+                    (name, batch, step)
+        # and train_model runs exactly those steps
+        result = train_model(tiny_dataset, mcfg,
+                             desk_train_cfg(epochs=1, batch=batch, seed=3,
+                                            gate_loss_weight=gate_loss_weight,
+                                            max_steps=len(steps)))
+        for name, tensor in ref_params.params.items():
+            assert params[name].data.tobytes() == tensor.data.tobytes(), name
+            assert result.params[name].data.tobytes() == tensor.data.tobytes(), name
 
 
 def test_early_stopping_keeps_best(tiny_dataset):
@@ -282,10 +350,11 @@ def test_evaluate_split_builds_no_graph_and_matches_forward(
         p.grad = untouched[name]
     results = []
 
-    def recording_forward(window, constants, *args, **kwargs):
+    def recording_forward(windows, constants, *args, **kwargs):
+        assert len(windows) == 1
         for name, p in params.params.items():
             assert constants[name].data is p.data
-        results.append(forward(window, constants, *args, **kwargs))
+        results.append(forward(windows, constants, *args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(training, "forward", recording_forward)
@@ -297,18 +366,24 @@ def test_evaluate_split_builds_no_graph_and_matches_forward(
             assert t is None or (not t.requires_grad and t._parents == ()
                                  and t._backprop is None)
 
-    # reference: one forward per frame on the grad-carrying parameters
+    # reference: one forward per frame on the grad-carrying parameters, and
+    # one forward of the whole sequence as a batch
     sequences = tiny_dataset.split_sequences("all")
     for (_, frames, _), seq_pred, seq_gate_pred, seq_gates in zip(
             sequences, preds, gate_preds, gates, strict=True):
-        for t, (_, window) in enumerate(frame_windows(frames, frame_window)):
-            ref = forward(window, params, mcfg, train=False)
+        windows = [window for _, window in frame_windows(frames, frame_window)]
+        whole = forward(windows, params, mcfg, train=False)
+        for t, window in enumerate(windows):
+            ref = forward([window], params, mcfg, train=False)
             assert ref.pose.requires_grad
-            np.testing.assert_array_equal(seq_pred[t], ref.pose.data)
-            np.testing.assert_array_equal(seq_gate_pred[t], ref.pose.data)
+            np.testing.assert_array_equal(seq_pred[t], ref.pose.data[0])
+            np.testing.assert_array_equal(seq_gate_pred[t], ref.pose.data[0])
+            np.testing.assert_array_equal(seq_pred[t], whole.pose.data[t])
             ref_gate = (np.zeros(mcfg.n_cells) if ref.gate is None
                         else ref.gate.data.reshape(-1))
             np.testing.assert_array_equal(seq_gates[t], ref_gate)
+            if whole.gate is not None:
+                np.testing.assert_array_equal(seq_gates[t], whole.gate.data[t, :, 0])
     for name, p in params.params.items():
         assert p.grad is untouched[name] and (p.grad == 7.0).all()
 
@@ -331,7 +406,12 @@ def _retaining_backward(loss):
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backprop is not None and node.grad is not None:
+            T._live = node.live
             node._backprop(node.grad)
+    T._live = None
+    for node in topo:
+        if node._parts is not None:
+            T._fold(node)
 
 
 def _graph(loss):
@@ -346,32 +426,24 @@ def _graph(loss):
 
 def test_backward_frees_the_graph_and_keeps_leaf_gradients(tiny_dataset):
     # one desk training batch as train_model builds it: dropout, a two-frame
-    # window and the gate loss all on
+    # window and the gate loss all on, and a sample without a gate target
     mcfg = tiny_model_cfg(dropout=0.1, frame_window=2)
-    batch = build_samples(tiny_dataset, "train", mcfg)[2:6]
-    assert all(s.gate_target is not None for s in batch)
-
-    def batch_loss(params):
-        total = None
-        for k, sample in enumerate(batch):
-            result = forward(sample.window, params, mcfg, train=True,
-                             base_key=_mix_key(3, 0, k))
-            score = frame_gate_score_tensor(result.gate, sample.smap)
-            term = T.add(loss_pos(result.pose, sample.pose),
-                         T.scale(loss_gate(score, *sample.gate_target), 30.0))
-            total = term if total is None else T.add(total, term)
-        return T.scale(total, 1.0 / len(batch))
+    tcfg = desk_train_cfg(seed=3, gate_loss_weight=30.0)
+    batch = build_samples(tiny_dataset, "train", mcfg)[4:9]
+    assert [s.gate_target is None for s in batch] == [False] * 3 + [True, False]
 
     reference = init_params(mcfg, seed=6, randomize_all=True)
-    _retaining_backward(batch_loss(reference))
+    _retaining_backward(training.batch_loss(batch, reference, mcfg, tcfg, 0))
     params = init_params(mcfg, seed=6, randomize_all=True)
-    loss = batch_loss(params)
+    loss = training.batch_loss(batch, params, mcfg, tcfg, 0)
     interior = [n for n in _graph(loss) if n._backprop is not None]
-    assert len(interior) > 300
+    assert len(interior) > 80
     T.backward(loss)
     for name, p in params.params.items():
         assert p.grad is not None, name
         np.testing.assert_array_equal(p.grad, reference[name].grad, err_msg=name)
     for node in interior:
-        assert node._parents == () and node.grad is None
+        assert node._parents == () and node.grad is None and node.live is None
         assert node._backprop is T._consumed
+    for p in params.params.values():
+        assert p._parts is None
