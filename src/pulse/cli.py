@@ -30,9 +30,10 @@ from .model import (ABLATIONS, ModelConfig, config_from_strings,
                     params_from_arrays, typed_values)
 from .optim import grad_check, group_errors_by_prefix
 from .radar import JOINT_NAMES, MOTIONS, RadarConfig, emit_dataset, make_scene
-from .storage import (SPLITS, load_checkpoint, load_dataset, read_text,
-                      save_checkpoint)
-from .training import (TrainConfig, evaluate_split, loss_pos, train_model)
+from .storage import (SPLITS, key_value_text, load_checkpoint, load_dataset,
+                      parse_key_values, read_text, save_checkpoint, write_csv)
+from .training import (TrainConfig, TrainLog, evaluate_split, loss_pos,
+                       train_model)
 
 
 def _config_defaults():
@@ -70,18 +71,10 @@ def _add_config_flags(parser):
 
 
 def read_config_file(path):
-    values = {}
-    for line in read_text(path, error=ConfigError).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}: malformed config line {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
+    values = parse_key_values(read_text(path, error=ConfigError), path, ConfigError)
+    for key in values:
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-        values[key] = value.strip()
     return values
 
 
@@ -116,16 +109,21 @@ def config_from_resolved(cls, resolved, **overrides):
 
 
 def write_resolved(resolved, out_dir):
-    lines = [f"{key}={resolved[key]}" for key in sorted(resolved)]
-    (Path(out_dir) / "resolved.cfg").write_text("\n".join(lines) + "\n")
+    """resolved.cfg, the resolved strings sorted by key: a valid --config."""
+    text = key_value_text({key: resolved[key] for key in sorted(resolved)})
+    (Path(out_dir) / "resolved.cfg").write_text(text + "\n")
 
 
-def _write_csv(path, header, rows):
-    """Strings and ints as written, other values as repr(float): exact."""
-    def text(v):
-        return str(v) if isinstance(v, (str, int)) else repr(float(v))
-    lines = [header] + [",".join(map(text, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+def _make_out_dir(path):
+    """Create the --out directory; a path that is, or lies under, something
+    other than a directory raises UsageError before any work is done."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {out}: cannot create the directory: "
+                         f"{exc.strerror}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +163,16 @@ def cmd_synth(args):
     return 0
 
 
-def _model_config_for_dataset(resolved, explicit, dataset, **overrides):
-    """ModelConfig on the dataset's grid; an explicit R, A or D must match it."""
+def _use_dataset_grid(resolved, explicit, dataset):
+    """Set the resolved R, A, D and joints to the dataset's, so resolved.cfg
+    records what the run used; an explicit value that differs raises
+    ConfigError."""
     manifest = dataset.manifest
-    grid = {key: manifest[key] for key in ("R", "A", "D") if key not in explicit}
-    mcfg = config_from_resolved(ModelConfig, resolved, **grid,
-                                joints=manifest["J"], **overrides)
-    for key in ("R", "A", "D"):
-        if getattr(mcfg, key) != int(manifest[key]):
-            raise ConfigError(
-                f"flag {key}={resolved[key]} conflicts with dataset {key}="
-                f"{manifest[key]}")
-    return mcfg
+    for key, name in (("R", "R"), ("A", "A"), ("D", "D"), ("joints", "J")):
+        if key in explicit and int(resolved[key]) != int(manifest[name]):
+            raise ConfigError(f"flag {key}={resolved[key]} conflicts with dataset "
+                              f"{name}={manifest[name]}")
+        resolved[key] = manifest[name]
 
 
 def _train_once(dataset, mcfg, tcfg):
@@ -187,15 +183,15 @@ def _train_once(dataset, mcfg, tcfg):
 def cmd_train(args):
     resolved, explicit = resolve_config(args)
     dataset = load_dataset(args.dataset)
-    mcfg = _model_config_for_dataset(resolved, explicit, dataset)
+    _use_dataset_grid(resolved, explicit, dataset)
+    mcfg = config_from_resolved(ModelConfig, resolved)
     tcfg = config_from_resolved(TrainConfig, resolved)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args.out)
     result, params = _train_once(dataset, mcfg, tcfg)
     ckpt_path = out / "model.ckpt"
     save_checkpoint(ckpt_path, config_to_text(mcfg), tcfg.seed,
                     [(name, params[name].data) for name in params.names()])
-    (out / "train_log.csv").write_text(result.log.to_csv_text())
+    write_csv(out / "train_log.csv", TrainLog.HEADER, result.log.as_rows())
     write_resolved(resolved, out)
     for rec in result.log.records:
         print(f"epoch {rec.epoch}: loss={rec.loss:.4f} "
@@ -248,14 +244,13 @@ def _load_evaluation(args):
 
 def cmd_eval(args):
     dataset, mcfg, params = _load_evaluation(args)
+    out = _make_out_dir(args.out)
     report, preds, gts = evaluate_split(params, mcfg, dataset, args.split,
                                         with_scale=args.pa_scale == "on")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "metrics.csv", "metric,value", report.as_rows())
+    write_csv(out / "metrics.csv", "metric,value", report.as_rows())
     names = dataset.manifest.get("joint_names", ",".join(JOINT_NAMES)).split(",")
-    _write_csv(out / "per_joint.csv", "joint,mpjpe,mpjve",
-               per_joint_report(preds, gts, names))
+    write_csv(out / "per_joint.csv", "joint,mpjpe,mpjve",
+              per_joint_report(preds, gts, names))
     for name, value in report.as_rows():
         print(f"{name}: {value:.6f}")
     return 0
@@ -265,9 +260,8 @@ def cmd_ablate(args):
     _check_split(args.split)
     resolved, explicit = resolve_config(args)
     dataset = load_dataset(args.dataset)
+    _use_dataset_grid(resolved, explicit, dataset)
     tcfg = config_from_resolved(TrainConfig, resolved)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     runs = []
     if args.variants:
         for variant in args.variants.split(","):
@@ -275,8 +269,8 @@ def cmd_ablate(args):
             if variant not in ABLATIONS:
                 raise UsageError(f"unknown variant {variant!r}; "
                                  f"expected subset of {ABLATIONS}")
-            runs.append((variant, _model_config_for_dataset(
-                resolved, explicit, dataset, ablation=variant)))
+            runs.append((variant, config_from_resolved(ModelConfig, resolved,
+                                                       ablation=variant)))
     if args.sweep:
         if args.sweep not in SWEEP_AXES:
             raise UsageError(f"unknown sweep {args.sweep!r}; "
@@ -290,18 +284,19 @@ def cmd_ablate(args):
                 local["patch_r"] = local["patch_a"] = value
             else:
                 local[key] = value
-            runs.append((label, _model_config_for_dataset(local, explicit, dataset)))
+            runs.append((label, config_from_resolved(ModelConfig, local)))
     if not runs:
         raise UsageError("nothing to do: pass --variants and/or --sweep")
     _check_split(args.split, dataset)
+    out = _make_out_dir(args.out)
     rows = []
     for label, mcfg in runs:
         _, params = _train_once(dataset, mcfg, tcfg)
         metrics = evaluate_split(params, mcfg, dataset, args.split)[0].as_rows()
         rows.append([label] + [v for _, v in metrics])
         print(f"{label}: " + " ".join(f"{n}={v:.3f}" for n, v in metrics))
-    _write_csv(out / "ablation.csv", ",".join(["variant"] + [n for n, _ in metrics]),
-               rows)
+    write_csv(out / "ablation.csv", ",".join(["variant"] + [n for n, _ in metrics]),
+              rows)
     write_resolved(resolved, out)
     return 0
 
@@ -321,6 +316,7 @@ def cmd_gradcheck(args):
             resolved[key] = value
     mcfg = config_from_resolved(ModelConfig, resolved)
     seed = config_from_strings(TrainConfig, {"seed": resolved["seed"]}).seed
+    out = _make_out_dir(args.out) if args.out else None
     params = init_params(mcfg, seed, randomize_all=True)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 404]))
     frames = [rng.random((mcfg.R, mcfg.A, mcfg.D))
@@ -335,10 +331,8 @@ def cmd_gradcheck(args):
 
     report = grad_check(build, params, step=args.step)
     grouped = group_errors_by_prefix(report)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        _write_csv(Path(args.out) / "gradcheck.csv", "param,max_rel_err",
-                   report.items())
+    if out:
+        write_csv(out / "gradcheck.csv", "param,max_rel_err", report.items())
     width = max(len(n) for n in grouped)
     print(f"{'group'.ljust(width)}  max_rel_err")
     for name in sorted(grouped):
@@ -362,14 +356,13 @@ def cmd_diag(args):
             raise DataError(f"{dataset.root / 'manifest.txt'}: split {args.split!r} "
                             f"sequence {seq_id} has {len(frames)} frame; the gate "
                             f"diagnostics need at least 2 per sequence")
+    out = _make_out_dir(args.out)
     _, preds, gts, gate_seqs, smaps = evaluate_split(
         params, mcfg, dataset, args.split, collect_gates=True)
     diag = gate_motion_diag(gate_seqs, preds, gts, smaps, bins=args.bins,
                             cell_selection=args.cell_selection)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "gate_diag.csv", "frame,g_bar,v_t,bin",
-               [(i, *record[2:]) for i, record in enumerate(diag.records)])
+    write_csv(out / "gate_diag.csv", "frame,g_bar,v_t,bin",
+              [(i, *record[2:]) for i, record in enumerate(diag.records)])
     if diag.pearson is None:
         print("pearson_r: undefined (zero variance)")
     else:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,6 +34,7 @@ from . import tensor as T
 from .errors import ConfigError, DataError, ShapeError, UsageError
 from .features import cell_spectra, spatial_magnitude
 from .optim import ParamGroup, uniform_init
+from .storage import key_value_text, parse_key_values
 
 ABLATIONS = ("full", "spatial_only", "doppler_only", "naive_concat",
              "ungated", "global_interaction", "no_gating")
@@ -131,15 +132,14 @@ def config_from_strings(cls, values):
 
 
 def config_to_text(cfg):
-    return "\n".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg))
+    """The checkpoint's config text: key=value lines of every field."""
+    return key_value_text(asdict(cfg))
 
 
 def config_from_text(text):
-    values = {}
-    for line in text.strip().splitlines():
-        key, _, raw = line.partition("=")
-        values[key.strip()] = raw.strip()
-    return config_from_strings(ModelConfig, values)
+    """ModelConfig of a config_to_text text."""
+    return config_from_strings(ModelConfig,
+                               parse_key_values(text, "model config", ConfigError))
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +307,6 @@ def neighborhood(i, cfg):
     return first + np.flatnonzero(band.visible[group, token])
 
 
-def neighborhood_mean_matrix(cfg):
-    """(N_s, N_v) matrix whose product with the Doppler tokens averages
-    each spatial token's neighborhood."""
-    band = neighborhood_band(cfg)
-    count = band.visible.sum(axis=2, keepdims=True)
-    return band.dense((band.visible / count)[None])[0]
-
-
 # ---------------------------------------------------------------------------
 # Tokenization and gating
 
@@ -430,8 +422,12 @@ def residual_update(spatial, contexts, params):
 
 def naive_concat_update(spatial, doppler, params, cfg):
     """Capacity-matched control: concatenate each spatial token with its
-    neighborhood-mean Doppler token, then project back to width d."""
-    pool = T.matmul(T.Tensor(neighborhood_mean_matrix(cfg)), doppler)
+    neighborhood-mean Doppler token, then project back to width d. The mean
+    is one attention head over the neighborhood_band with zero queries:
+    every logit is 0, so each visible cell gets weight 1/count."""
+    queries = T.Tensor(np.zeros(spatial.shape), batched=spatial.batched)
+    keys = T.Tensor(np.zeros(doppler.shape), batched=doppler.batched)
+    pool, _ = T.attention(queries, keys, doppler, 1, 1.0, band=neighborhood_band(cfg))
     return T.affine(T.concat_lastdim([spatial, pool]),
                     params["concat_fuse.weight"], params["concat_fuse.bias"])
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import storage
 from .errors import ConfigError, DomainError, UsageError
 
 C_LIGHT = 299_792_458.0
@@ -445,8 +446,6 @@ def emit_dataset(cfg, scenes, ratios, out_dir, seed, frames_per_seq, motions,
     Layout: manifest.txt (key=value), frames/SEQ_FRAME.rdt, poses.csv with
     header seq,frame,joint,x_mm,y_mm,z_mm. Byte-identical for a fixed seed.
     """
-    from . import storage
-
     train_ids, val_ids, test_ids = split_sequences(len(scenes), ratios)
     out = Path(out_dir)
     try:
@@ -464,7 +463,7 @@ def emit_dataset(cfg, scenes, ratios, out_dir, seed, frames_per_seq, motions,
             for j in range(pose.shape[0]):
                 pose_rows.append((seq_id, f_idx, j, pose[j, 0], pose[j, 1],
                                   pose[j, 2]))
-    storage.write_poses_csv(out / "poses.csv", pose_rows)
+    storage.write_csv(out / "poses.csv", storage.POSES_HEADER, pose_rows)
     manifest = {
         "seed": seed,
         "R": cfg.R,
@@ -488,6 +487,6 @@ def emit_dataset(cfg, scenes, ratios, out_dir, seed, frames_per_seq, motions,
         "split_val": ",".join(val_ids),
         "split_test": ",".join(test_ids),
     }
-    storage.write_manifest(out / "manifest.txt", manifest)
+    (out / "manifest.txt").write_text(storage.key_value_text(manifest) + "\n")
     return manifest
 

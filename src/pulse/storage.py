@@ -1,5 +1,5 @@
-"""File formats: .rdt frame tensors, dataset manifests and pose tables,
-and PULSECKP checkpoints.
+"""File formats: .rdt frame tensors, key=value text, CSV tables and
+PULSECKP checkpoints.
 
 .rdt        magic RDT1, u32 R, A, D (little-endian), then R*A*D float32
             little-endian values in (range, angle, doppler) row-major order.
@@ -58,7 +58,8 @@ def read_rdt(path):
 
 
 # ---------------------------------------------------------------------------
-# Manifest (key=value lines) and pose CSV
+# Text formats: key=value lines (manifest.txt, --config files, resolved.cfg,
+# the checkpoint's model config) and CSV tables (poses.csv and the reports)
 
 def read_text(path, error=DataError):
     """The UTF-8 text of file `path`. An unreadable file raises DataError; a
@@ -74,33 +75,40 @@ def read_text(path, error=DataError):
         raise error(f"{path}: byte {exc.start} is not UTF-8") from None
 
 
-def write_manifest(path, entries):
-    lines = [f"{key}={value}" for key, value in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_manifest(path):
+def parse_key_values(text, source, error):
+    """{key: value} of `key=value` lines. Lines are stripped; blank lines and
+    lines starting with # are skipped. Keys and values are stripped, a value
+    may hold further `=`, and a later key wins. A line without `=` raises
+    `error`, naming `source` and the line number."""
     entries = {}
-    for line in read_text(path).splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise DataError(f"{path}: malformed manifest line {line!r}")
-        key, _, value = line.partition("=")
-        entries[key] = value
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise error(f"{source}: line {lineno}: expected key=value, got {line!r}")
+        entries[key.strip()] = value.strip()
     return entries
 
 
-POSES_HEADER = "seq,frame,joint,x_mm,y_mm,z_mm"
+def key_value_text(entries):
+    """`key=value` lines of a mapping, in its order, without a trailing
+    newline (a file adds its own)."""
+    return "\n".join(f"{key}={value}" for key, value in entries.items())
 
 
-def write_poses_csv(path, rows):
-    """rows: iterable of (seq, frame, joint, x, y, z)."""
-    lines = [POSES_HEADER]
-    for seq, frame, joint, x, y, z in rows:
-        lines.append(f"{seq},{frame},{joint},{float(x)!r},{float(y)!r},{float(z)!r}")
+def write_csv(path, header, rows):
+    """A CSV file of the `header` line and `rows`. Strings and ints are
+    written as given, every other value as repr(float(v)), which reads back
+    exactly."""
+    def text(v):
+        return str(v) if isinstance(v, (str, int)) else repr(float(v))
+    lines = [header] + [",".join(map(text, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+POSES_HEADER = "seq,frame,joint,x_mm,y_mm,z_mm"
 
 
 def read_poses_csv(path, joints):
@@ -272,7 +280,7 @@ class Dataset:
 def load_dataset(root):
     root = Path(root)
     manifest_path = root / "manifest.txt"
-    manifest = read_manifest(manifest_path)
+    manifest = parse_key_values(read_text(manifest_path), manifest_path, DataError)
     for key in ("seed", "R", "A", "D", "J", "frame_rate"):
         if key not in manifest:
             raise DataError(f"{manifest_path}: missing key {key!r}")

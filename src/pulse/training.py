@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -68,21 +68,18 @@ class EpochRecord:
 class TrainLog:
     records: list = field(default_factory=list)
 
-    HEADER = "epoch,loss,val_mpjpe,val_mpjve,val_akv,grad_norm,seconds"
+    HEADER = ",".join(f.name for f in fields(EpochRecord))
 
     def add(self, rec):
         if self.records and rec.epoch <= self.records[-1].epoch:
             raise UsageError("epoch indices must be strictly increasing")
         self.records.append(rec)
 
-    def to_csv_text(self):
-        # Wall time stays in memory only; the emitted column is fixed to 0.0
-        # so identical reruns produce byte-identical logs.
-        lines = [self.HEADER]
-        for r in self.records:
-            lines.append(f"{r.epoch},{r.loss!r},{r.val_mpjpe!r},{r.val_mpjve!r},"
-                         f"{r.val_akv!r},{r.grad_norm!r},0.0")
-        return "\n".join(lines) + "\n"
+    def as_rows(self):
+        """The records as train_log.csv rows, in HEADER's column order.
+        Wall time stays in memory only; the emitted seconds are 0.0 so
+        identical reruns produce byte-identical logs."""
+        return [astuple(replace(r, seconds=0.0)) for r in self.records]
 
 
 # ---------------------------------------------------------------------------

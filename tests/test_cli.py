@@ -122,6 +122,15 @@ def test_train_deterministic_rerun(tmp_path, cli_dataset):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
+def test_resolved_cfg_reproduces_the_run(cli_run, cli_dataset, tmp_path):
+    out = tmp_path / "again"
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out),
+               "--config", str(cli_run / "resolved.cfg")])
+    assert rc == 0
+    for rel in ("model.ckpt", "train_log.csv", "resolved.cfg"):
+        assert (out / rel).read_bytes() == (cli_run / rel).read_bytes(), rel
+
+
 def test_checkpoint_round_trip_bytes(cli_run, tmp_path):
     text, seed, named = load_checkpoint(cli_run / "model.ckpt")
     copy = tmp_path / "copy.ckpt"
@@ -486,6 +495,39 @@ def _rdt_other_grid(ds, run, tmp):
     return _eval_args(ds, run / "model.ckpt", tmp), "000_0003.rdt"
 
 
+def _out_is_file(make_case, below=False):
+    """The command of `make_case` with --out naming an existing file, or
+    (below) a path under one."""
+    def case(ds, run, tmp):
+        (tmp / "o").write_text("")
+        argv, _ = make_case(ds, run, tmp)
+        out = str(tmp / "o" / "sub" if below else tmp / "o")
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = out
+        else:
+            argv += ["--out", out]
+        return argv, "--out"
+    return case
+
+
+def _line_without_equals(ds, run, tmp):
+    text = (ds / "manifest.txt").read_text()
+    (ds / "manifest.txt").write_text(text.replace("\n", "\nno equals sign\n", 1))
+    return _eval_args(ds, run / "model.ckpt", tmp), "manifest.txt: line 2: "
+
+
+def _config_line_without_equals(ds, run, tmp):
+    (tmp / "bad.cfg").write_text("# lr first\nlr=0.01\nbatch 4\n")
+    return (["train", "--dataset", str(ds), "--out", str(tmp / "o"),
+             "--config", str(tmp / "bad.cfg")], "bad.cfg: line 3: ")
+
+
+def _ckpt_line_without_equals(ds, run, tmp):
+    text, seed, named = load_checkpoint(run / "model.ckpt")
+    save_checkpoint(tmp / "m.ckpt", "R=16\nno equals sign\n" + text, seed, named)
+    return _eval_args(ds, tmp / "m.ckpt", tmp), "m.ckpt: model config: line 2: "
+
+
 def _diag_one_frame(ds, run, tmp):
     synth(tmp / "one", extra=["--frames", "1"])
     return (["diag", "--checkpoint", str(run / "model.ckpt"), "--dataset",
@@ -534,6 +576,13 @@ def _diag_one_frame(ds, run, tmp):
                         "split_val lists sequence '000', which split_train already lists"),
     _split_listed_twice("split_train=000", "split_train=000,000",
                         "split_train lists sequence '000', which split_train already lists"),
+    _out_is_file(_train_with("--seed", "5")),
+    _out_is_file(_command_with("eval", "--split", "val", name="")),
+    _out_is_file(_command_with("diag", "--split", "val", name=""), below=True),
+    _out_is_file(_command_with("ablate", "--split", "val", name="")),
+    _out_is_file(_gradcheck_with("--seed", "1"), below=True),
+    _train_with("--joints", "4"), _line_without_equals,
+    _config_line_without_equals, _ckpt_line_without_equals,
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
@@ -549,7 +598,10 @@ def _diag_one_frame(ds, run, tmp):
         "gradcheck_step_inf", "ckpt_nan_head_eval", "ckpt_nan_gate_diag",
         "ckpt_nan_pos_eval", "ckpt_nan_pos_diag", "ckpt_rank_flip",
         "ckpt_dims_flip", "ckpt_huge_config", "manifest_utf8", "poses_utf8",
-        "config_utf8", "split_in_two_splits", "split_repeated"])
+        "config_utf8", "split_in_two_splits", "split_repeated",
+        "train_out_is_file", "eval_out_is_file", "diag_out_below_file",
+        "ablate_out_is_file", "gradcheck_out_below_file", "joints_conflict",
+        "manifest_line", "config_line", "ckpt_config_line"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

@@ -8,8 +8,8 @@ from pulse.model import (ABLATIONS, ModelConfig,
                          aggregate_doppler_multiframe,
                          conditional_cross_attention, config_from_text,
                          config_to_text, forward, gate, init_params,
-                         neighborhood, neighborhood_band,
-                         neighborhood_mean_matrix, param_table,
+                         naive_concat_update, neighborhood, neighborhood_band,
+                         param_table,
                          params_from_arrays, patch_matrix, regress, residual_update, spatial_transformer,
                          tokenize_doppler, tokenize_spatial)
 from pulse.optim import grad_check, group_errors_by_prefix
@@ -199,8 +199,14 @@ def test_neighborhood_rows_match_lists(kw):
     cfg = desk_cfg(**kw)
     band = neighborhood_band(cfg)
     visible = band.dense(band.visible[None].astype(float))[0]
-    mean = neighborhood_mean_matrix(cfg)
-    assert visible.shape == mean.shape == (cfg.n_spatial, cfg.n_cells)
+    assert visible.shape == (cfg.n_spatial, cfg.n_cells)
+    # naive_concat's pooled token, passed through a fuse layer [0; I]
+    d = cfg.embed_dim
+    doppler = np.random.default_rng(5).uniform(1.0, 2.0, (cfg.n_cells, d))
+    fuse = {"concat_fuse.weight": T.Tensor(np.vstack([np.zeros((d, d)), np.eye(d)])),
+            "concat_fuse.bias": T.Tensor(np.zeros(d))}
+    pooled = naive_concat_update(T.Tensor(np.ones((cfg.n_spatial, d))),
+                                 T.Tensor(doppler), fuse, cfg).data
     offsets = range(-((cfg.neighborhood - 1) // 2), cfg.neighborhood // 2 + 1)
     for i in range(cfg.n_spatial):
         # the cells of the clipped patch window, listed patch by patch
@@ -214,9 +220,8 @@ def test_neighborhood_rows_match_lists(kw):
         cells = sorted(cells)
         np.testing.assert_array_equal(neighborhood(i, cfg), cells)
         np.testing.assert_array_equal(np.flatnonzero(visible[i]), cells)
-        expected = np.zeros(cfg.n_cells)
-        expected[cells] = 1.0 / len(cells)
-        np.testing.assert_array_equal(mean[i], expected)
+        np.testing.assert_allclose(pooled[i], doppler[cells].mean(axis=0),
+                                   rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

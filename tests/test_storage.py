@@ -3,11 +3,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pulse.errors import DataError, UsageError
+from pulse.errors import ConfigError, DataError, UsageError
 from pulse.radar import RadarConfig, emit_dataset, make_scene, split_sequences
-from pulse.storage import (load_checkpoint, load_dataset, read_manifest,
-                           read_poses_csv, read_rdt, save_checkpoint,
-                           write_manifest, write_poses_csv, write_rdt)
+from pulse.storage import (POSES_HEADER, key_value_text, load_checkpoint,
+                           load_dataset, parse_key_values, read_poses_csv,
+                           read_rdt, read_text, save_checkpoint, write_csv,
+                           write_rdt)
 
 
 def small_cfg():
@@ -49,13 +50,25 @@ def test_rdt_truncated(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# manifest / poses
+# key=value text / CSV
 
 def test_manifest_round_trip(tmp_path):
     entries = {"seed": "7", "R": "8", "note": "a=b stays intact"}
     path = tmp_path / "manifest.txt"
-    write_manifest(path, entries)
-    assert read_manifest(path) == {"seed": "7", "R": "8", "note": "a=b stays intact"}
+    path.write_text(key_value_text(entries) + "\n")
+    assert parse_key_values(read_text(path), path, DataError) == \
+        {"seed": "7", "R": "8", "note": "a=b stays intact"}
+
+
+def test_key_values_skip_comments_strip_and_keep_last():
+    text = "# a comment\n\n  seed = 7 \nR=8\n\t# indented comment\nseed=9"
+    assert parse_key_values(text, "cfg", DataError) == {"seed": "9", "R": "8"}
+    assert key_value_text({"a": 1, "b": "x=y"}) == "a=1\nb=x=y"
+
+
+def test_key_values_line_without_equals_names_source_and_line():
+    with pytest.raises(ConfigError, match=r"^run\.cfg: line 3: .*'lr 0\.1'"):
+        parse_key_values("seed=1\n\nlr 0.1\n", "run.cfg", ConfigError)
 
 
 def test_poses_round_trip(tmp_path):
@@ -63,7 +76,7 @@ def test_poses_round_trip(tmp_path):
     poses = rng.random((3, 2, 3)) * 100
     rows = [("000", t, j, *poses[t, j]) for t in range(3) for j in range(2)]
     path = tmp_path / "poses.csv"
-    write_poses_csv(path, rows)
+    write_csv(path, POSES_HEADER, rows)
     got = read_poses_csv(path, joints=2)
     np.testing.assert_array_equal(got["000"], poses)
 
@@ -71,7 +84,7 @@ def test_poses_round_trip(tmp_path):
 def test_poses_rejects_gap(tmp_path):
     path = tmp_path / "poses.csv"
     rows = [("000", 0, 0, 1.0, 2.0, 3.0), ("000", 2, 0, 1.0, 2.0, 3.0)]
-    write_poses_csv(path, rows)
+    write_csv(path, POSES_HEADER, rows)
     with pytest.raises(DataError):
         read_poses_csv(path, joints=1)
 
@@ -159,7 +172,7 @@ def test_emit_dataset_layout_and_round_trip(tmp_path):
     assert ds.frames["000"].shape == (4, cfg.R, cfg.A, cfg.D)
     assert ds.poses["001"].shape == (4, 8, 3)
     # every radar config value is recorded in the manifest
-    recorded = read_manifest(out / "manifest.txt")
+    recorded = ds.manifest
     for f in fields(RadarConfig):
         key = "frame_rate" if f.name == "frame_rate_hz" else f.name
         assert recorded[key] == str(getattr(cfg, f.name)), f.name

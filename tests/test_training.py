@@ -6,7 +6,7 @@ from pulse import training
 from pulse.errors import DataError, NumericError, ShapeError, UsageError
 from pulse.model import ABLATIONS, forward, init_params
 from pulse.optim import adam_step, clip_global_norm
-from pulse.storage import Dataset
+from pulse.storage import Dataset, write_csv
 from pulse.training import (EpochRecord, TrainConfig, TrainLog, _mix_key,
                             build_samples, evaluate_split,
                             frame_gate_score_tensor, frame_windows, loss_gate,
@@ -95,11 +95,12 @@ def test_frame_gate_score_tensor_matches_metrics():
 # ---------------------------------------------------------------------------
 # TrainLog
 
-def test_train_log_round_trip_and_zeroed_seconds():
+def test_train_log_round_trip_and_zeroed_seconds(tmp_path):
     log = TrainLog()
     log.add(EpochRecord(1, 2.5, 10.0, 1.5, 0.7, 3.3, seconds=12.7))
     log.add(EpochRecord(2, 2.0, 9.0, 1.4, 0.6, 3.1, seconds=11.2))
-    text = log.to_csv_text()
+    write_csv(tmp_path / "train_log.csv", TrainLog.HEADER, log.as_rows())
+    text = (tmp_path / "train_log.csv").read_text()
     assert text.splitlines()[0] == TrainLog.HEADER
     again = parse_train_log(text)
     assert [r.epoch for r in again] == [1, 2]
