@@ -109,7 +109,8 @@ def config_from_resolved(cls, resolved, **overrides):
 
 
 def write_resolved(resolved, out_dir):
-    """resolved.cfg, the resolved strings sorted by key: a valid --config."""
+    """resolved.cfg, the resolved strings sorted by key; a train or ablate
+    run's is a valid --config."""
     text = key_value_text({key: resolved[key] for key in sorted(resolved)})
     (Path(out_dir) / "resolved.cfg").write_text(text + "\n")
 
@@ -163,16 +164,54 @@ def cmd_synth(args):
     return 0
 
 
-def _use_dataset_grid(resolved, explicit, dataset):
-    """Set the resolved R, A, D and joints to the dataset's, so resolved.cfg
-    records what the run used; an explicit value that differs raises
-    ConfigError."""
+# The settings a dataset fixes: config key -> (its config class, the
+# manifest.txt field holding it).
+DATASET_FIELDS = {
+    "R": (ModelConfig, "R"), "A": (ModelConfig, "A"), "D": (ModelConfig, "D"),
+    "joints": (ModelConfig, "J"),
+    **{key: (RadarConfig, key) for key in (
+        "carrier_hz", "bandwidth_hz", "chirp_duration_s", "fast_samples_per_chirp",
+        "virtual_elements", "noise_std")},
+    "frame_rate_hz": (RadarConfig, "frame_rate"),
+}
+
+
+def _use_dataset_settings(resolved, explicit, dataset):
+    """Set the resolved grid, joint count and radar settings to the values
+    of the dataset's manifest.txt, so resolved.cfg records the data the run
+    used. An explicit value that differs numerically raises ConfigError
+    naming the flag and the manifest field; a manifest value its config
+    type cannot parse raises DataError. A radar field the manifest lacks
+    keeps the resolved value."""
     manifest = dataset.manifest
-    for key, name in (("R", "R"), ("A", "A"), ("D", "D"), ("joints", "J")):
-        if key in explicit and int(resolved[key]) != int(manifest[name]):
+    for key, (cls, name) in DATASET_FIELDS.items():
+        if name not in manifest:
+            continue
+        try:
+            stored = typed_values(cls, {key: manifest[name]})[key]
+        except ConfigError:
+            raise DataError(f"{dataset.root / 'manifest.txt'}: {name}="
+                            f"{manifest[name]!r} is not a valid {key} value") from None
+        if key in explicit and typed_values(cls, {key: resolved[key]})[key] != stored:
             raise ConfigError(f"flag {key}={resolved[key]} conflicts with dataset "
                               f"{name}={manifest[name]}")
         resolved[key] = manifest[name]
+
+
+def _sha256(path):
+    import hashlib  # loads OpenSSL, about 4 ms: only eval and diag pay it
+
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _write_evaluation_record(args, out, flags):
+    """eval's and diag's resolved.cfg: the command's `flags`, and the
+    digests of the checkpoint and of the dataset's manifest.txt (digests,
+    not paths, so runs on copies of the inputs write the same file)."""
+    record = {flag: getattr(args, flag) for flag in flags}
+    record["checkpoint_sha256"] = _sha256(args.checkpoint)
+    record["manifest_sha256"] = _sha256(Path(args.dataset) / "manifest.txt")
+    write_resolved(record, out)
 
 
 def _train_once(dataset, mcfg, tcfg):
@@ -183,7 +222,7 @@ def _train_once(dataset, mcfg, tcfg):
 def cmd_train(args):
     resolved, explicit = resolve_config(args)
     dataset = load_dataset(args.dataset)
-    _use_dataset_grid(resolved, explicit, dataset)
+    _use_dataset_settings(resolved, explicit, dataset)
     mcfg = config_from_resolved(ModelConfig, resolved)
     tcfg = config_from_resolved(TrainConfig, resolved)
     out = _make_out_dir(args.out)
@@ -251,6 +290,7 @@ def cmd_eval(args):
     names = dataset.manifest.get("joint_names", ",".join(JOINT_NAMES)).split(",")
     write_csv(out / "per_joint.csv", "joint,mpjpe,mpjve",
               per_joint_report(preds, gts, names))
+    _write_evaluation_record(args, out, ("split", "pa_scale"))
     for name, value in report.as_rows():
         print(f"{name}: {value:.6f}")
     return 0
@@ -260,7 +300,7 @@ def cmd_ablate(args):
     _check_split(args.split)
     resolved, explicit = resolve_config(args)
     dataset = load_dataset(args.dataset)
-    _use_dataset_grid(resolved, explicit, dataset)
+    _use_dataset_settings(resolved, explicit, dataset)
     tcfg = config_from_resolved(TrainConfig, resolved)
     runs = []
     if args.variants:
@@ -363,6 +403,7 @@ def cmd_diag(args):
                             cell_selection=args.cell_selection)
     write_csv(out / "gate_diag.csv", "frame,g_bar,v_t,bin",
               [(i, *record[2:]) for i, record in enumerate(diag.records)])
+    _write_evaluation_record(args, out, ("split", "bins", "cell_selection"))
     if diag.pearson is None:
         print("pearson_r: undefined (zero variance)")
     else:

@@ -239,12 +239,16 @@ def scale(x, c):
     return _result(out, (x,), backprop)
 
 
-def matmul(a, b):
-    """(m,k)@(k,n); either side may carry a leading batch axis."""
-    a, b = _lift(a), _lift(b)
+def _check_matmul(a, b):
     if not 2 <= a.data.ndim <= 2 + a.batched or not 2 <= b.data.ndim <= 2 + b.batched \
             or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul needs (m,k)@(k,n), got {a.shape} @ {b.shape}")
+
+
+def matmul(a, b):
+    """(m,k)@(k,n); either side may carry a leading batch axis."""
+    a, b = _lift(a), _lift(b)
+    _check_matmul(a, b)
     out = a.data @ b.data
 
     def backprop(g):
@@ -632,11 +636,32 @@ def fold_sum(x):
 
 
 # ---------------------------------------------------------------------------
-# Composite layers (autodiff comes for free from the primitives).
+# Fused layers. Each is one node whose backward performs the float operations
+# of the composite of primitives it replaces, in the composite's order, and
+# hands its inputs their shares in the order the composite's walk did; the
+# graph walk reaches its inputs in the composite's order too. So outputs and
+# gradients are bitwise the composite's.
 
 def affine(x, w, b):
-    """x @ w + b with b broadcast over rows."""
-    return add(matmul(x, w), b)
+    """x @ w + b with the (n,) bias b broadcast over rows; x may carry a
+    leading batch axis. The backward is add(matmul(x, w), b)'s: b's share,
+    then x's, then w's."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    _check_matmul(x, w)
+    if b.shape != w.shape[-1:]:
+        raise ShapeError(f"affine bias must be {w.shape[-1:]}, got {b.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def backprop(g):
+        batched = x.batched or w.batched or b.batched
+        _push(b, g, batched)
+        if x.requires_grad:
+            _push(x, g @ w.data.swapaxes(-1, -2), batched, fresh=True)
+        if w.requires_grad:
+            _push(w, x.data.swapaxes(-1, -2) @ g, batched, fresh=True)
+
+    return _result(out, (x, w, b), backprop)
 
 
 LAYER_NORM_VAR_EPS = 1e-15
@@ -647,12 +672,39 @@ def layer_norm(x, gain, bias):
 
     The variance floor is tiny so a normalized row really has unit variance
     to near machine precision; constant rows map to zeros instead of NaN.
+    The backward is that of the composite
+    add(mul(div(c, sqrt(add(mean(mul(c, c)), eps))), gain), bias) with
+    c = sub(x, mean(x)): bias's share, gain's, then x's through c and
+    through its mean.
     """
-    mu = mean_over_axis(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean_over_axis(mul(centered, centered), axis=-1, keepdims=True)
-    sd = sqrt(add(var, LAYER_NORM_VAR_EPS))
-    return add(mul(div(centered, sd), gain), bias)
+    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
+    n = x.shape[-1]
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    sd = np.sqrt((centered * centered).mean(axis=-1, keepdims=True)
+                 + LAYER_NORM_VAR_EPS)
+    normed = centered / sd
+    out = normed * gain.data
+    out += bias.data
+
+    def backprop(g):
+        _push(bias, g, x.batched or gain.batched or bias.batched)
+        if gain.requires_grad:
+            _push(gain, g * normed, x.batched or gain.batched, fresh=True)
+        if not x.requires_grad:
+            return
+        g_normed = g * gain.data
+        g_sd = (-g_normed * centered / (sd * sd)).sum(axis=-1, keepdims=True)
+        g_var = g_sd * 0.5 / sd
+        # mul(c, c) hands c its share twice, after div's
+        g_square = (g_var / n) * centered
+        g_centered = g_normed / sd
+        g_centered += g_square
+        g_centered += g_square
+        g_mean = (-g_centered).sum(axis=-1, keepdims=True)
+        _accumulate(x, g_centered, fresh=True)
+        _accumulate(x, np.broadcast_to(g_mean / n, x.shape))
+
+    return _result(out, (x, gain, bias), backprop)
 
 
 def _consumed(g):

@@ -249,7 +249,7 @@ def train_model(dataset, mcfg, tcfg):
     # Anchor the regression output at the mean training pose so the head
     # only has to learn residuals.
     mean_pose = np.mean([s.pose for s in train_samples], axis=0).reshape(-1)
-    params["head.out_bias"].data = mean_pose.copy()
+    params["head.out_bias"].data[...] = mean_pose
 
     order_rng = np.random.default_rng(
         np.random.SeedSequence([int(tcfg.seed) & (2**63 - 1), 909]))
@@ -275,7 +275,7 @@ def train_model(dataset, mcfg, tcfg):
                     f"non-finite loss {loss_val} at epoch {epoch} step {global_step}")
             params.zero_grad()
             T.backward(loss)
-            grads, norm = clip_global_norm(params.grads(), tcfg.clip)
+            grads, norm = clip_global_norm(params, tcfg.clip)
             adam_step(params, grads, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
             epoch_losses.append(loss_val)
             epoch_norms.append(norm)

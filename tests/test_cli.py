@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import re
 import shutil
@@ -129,6 +130,50 @@ def test_resolved_cfg_reproduces_the_run(cli_run, cli_dataset, tmp_path):
     assert rc == 0
     for rel in ("model.ckpt", "train_log.csv", "resolved.cfg"):
         assert (out / rel).read_bytes() == (cli_run / rel).read_bytes(), rel
+
+
+def test_resolved_cfg_records_the_datasets_radar_settings(cli_run, cli_dataset, tmp_path):
+    manifest = dict(line.split("=", 1) for line in
+                    (cli_dataset / "manifest.txt").read_text().splitlines())
+    resolved = dict(line.split("=", 1) for line in
+                    (cli_run / "resolved.cfg").read_text().splitlines())
+    for key, name in (("carrier_hz", "carrier_hz"), ("bandwidth_hz", "bandwidth_hz"),
+                      ("chirp_duration_s", "chirp_duration_s"),
+                      ("fast_samples_per_chirp", "fast_samples_per_chirp"),
+                      ("virtual_elements", "virtual_elements"),
+                      ("noise_std", "noise_std"), ("frame_rate_hz", "frame_rate")):
+        assert resolved[key] == manifest[name], key
+    assert (resolved["bandwidth_hz"], resolved["virtual_elements"]) == ("500000000.0", "4")
+    # a flag that matches the manifest numerically is no conflict, and the
+    # run records the manifest's spelling
+    out = tmp_path / "flags"
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--seed", "5",
+               *SMALL_MODEL, *FAST_TRAIN, *DESK])
+    assert rc == 0
+    assert (out / "resolved.cfg").read_bytes() == (cli_run / "resolved.cfg").read_bytes()
+
+
+def test_eval_and_diag_record_what_they_ran(cli_run, cli_dataset, tmp_path):
+    # copies of the inputs elsewhere: the record holds digests, not paths
+    copies = []
+    for name in ("a", "b"):
+        ds, ckpt = tmp_path / name / "ds", tmp_path / name / "model.ckpt"
+        shutil.copytree(cli_dataset, ds)
+        shutil.copy(cli_run / "model.ckpt", ckpt)
+        for command, flags in (("eval", ["--split", "val", "--pa-scale", "off"]),
+                               ("diag", ["--split", "all", "--bins", "3"])):
+            rc = main([command, "--checkpoint", str(ckpt), "--dataset", str(ds),
+                       "--out", str(tmp_path / name / command), *flags])
+            assert rc == 0
+        copies.append(tmp_path / name)
+    digests = (
+        f"checkpoint_sha256={hashlib.sha256((cli_run / 'model.ckpt').read_bytes()).hexdigest()}\n"
+        f"manifest_sha256={hashlib.sha256((cli_dataset / 'manifest.txt').read_bytes()).hexdigest()}\n")
+    for copy in copies:
+        assert (copy / "eval" / "resolved.cfg").read_text() == \
+            digests + "pa_scale=off\nsplit=val\n"
+        assert (copy / "diag" / "resolved.cfg").read_text() == \
+            "bins=3\ncell_selection=occupied\n" + digests + "split=all\n"
 
 
 def test_checkpoint_round_trip_bytes(cli_run, tmp_path):
@@ -528,6 +573,13 @@ def _ckpt_line_without_equals(ds, run, tmp):
     return _eval_args(ds, tmp / "m.ckpt", tmp), "m.ckpt: model config: line 2: "
 
 
+def _manifest_radar_value(ds, run, tmp):
+    text = (ds / "manifest.txt").read_text()
+    (ds / "manifest.txt").write_text(text.replace("carrier_hz=", "carrier_hz=6O", 1))
+    return (["train", "--dataset", str(ds), "--out", str(tmp / "o"), *SMALL_MODEL,
+             *FAST_TRAIN], "manifest.txt: carrier_hz='6O")
+
+
 def _diag_one_frame(ds, run, tmp):
     synth(tmp / "one", extra=["--frames", "1"])
     return (["diag", "--checkpoint", str(run / "model.ckpt"), "--dataset",
@@ -583,6 +635,10 @@ def _diag_one_frame(ds, run, tmp):
     _out_is_file(_gradcheck_with("--seed", "1"), below=True),
     _train_with("--joints", "4"), _line_without_equals,
     _config_line_without_equals, _ckpt_line_without_equals,
+    _train_with("--bandwidth_hz", "1e9"), _train_with("--virtual_elements", "8"),
+    _command_with("ablate", "--split", "val", "--frame_rate_hz", "5",
+                  name="flag frame_rate_hz=5 conflicts with dataset frame_rate=10.0"),
+    _manifest_radar_value,
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
@@ -601,7 +657,9 @@ def _diag_one_frame(ds, run, tmp):
         "config_utf8", "split_in_two_splits", "split_repeated",
         "train_out_is_file", "eval_out_is_file", "diag_out_below_file",
         "ablate_out_is_file", "gradcheck_out_below_file", "joints_conflict",
-        "manifest_line", "config_line", "ckpt_config_line"])
+        "manifest_line", "config_line", "ckpt_config_line", "bandwidth_conflict",
+        "virtual_elements_conflict", "ablate_frame_rate_conflict",
+        "manifest_radar_value"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

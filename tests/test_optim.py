@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pulse import tensor as T
-from pulse.errors import DomainError
+from pulse.errors import DomainError, UsageError
 from pulse.model import _lattice_band
 from pulse.optim import (ParamGroup, adam_step, clip_global_norm, grad_check,
                          group_errors_by_prefix, uniform_init)
@@ -12,6 +12,13 @@ def make_group(values):
     group = ParamGroup()
     for name, v in values.items():
         group.add(name, v)
+    return group
+
+
+def with_grads(group, grads):
+    """The group with each named gradient set as backward would leave it."""
+    for name, g in grads.items():
+        group[name].grad = np.array(g, dtype=np.float64)
     return group
 
 
@@ -147,31 +154,32 @@ def test_two_layer_mlp_grad_check():
 
 def test_adam_zero_grads_no_decay_leaves_params():
     group = make_group({"w": np.array([1.0, -2.0])})
-    adam_step(group, {"w": np.zeros(2)}, lr=0.1, weight_decay=0.0)
+    adam_step(group, np.zeros(2), lr=0.1, weight_decay=0.0)
     np.testing.assert_array_equal(group["w"].data, [1.0, -2.0])
 
 
 def test_clip_below_threshold_unchanged():
-    grads = {"a": np.array([0.3, 0.4])}  # norm 0.5
-    clipped, norm = clip_global_norm(grads, 1.0)
+    group = with_grads(make_group({"a": np.zeros(2)}), {"a": [0.3, 0.4]})  # norm 0.5
+    clipped, norm = clip_global_norm(group, 1.0)
     assert norm == pytest.approx(0.5)
-    np.testing.assert_array_equal(clipped["a"], grads["a"])
+    np.testing.assert_array_equal(clipped, group["a"].grad)
 
 
 def test_clip_rescales_to_max_norm():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}  # norm 5
-    clipped, norm = clip_global_norm(grads, 1.0)
+    group = with_grads(make_group({"a": np.zeros(2), "b": np.zeros(1)}),
+                       {"a": [3.0, 0.0], "b": [4.0]})  # norm 5
+    clipped, norm = clip_global_norm(group, 1.0)
     assert norm == pytest.approx(5.0)
-    total = np.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
+    total = np.sqrt(float((clipped * clipped).sum()))
     assert total == pytest.approx(1.0)
-    np.testing.assert_allclose(clipped["a"], [0.6, 0.0])
+    np.testing.assert_allclose(clipped[:2], [0.6, 0.0])
 
 
 def test_adam_single_scalar_matches_hand_recurrence():
     lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.1
     theta0, g = 2.0, 0.5
     group = make_group({"w": np.array([theta0])})
-    adam_step(group, {"w": np.array([g])}, lr=lr, beta1=b1, beta2=b2,
+    adam_step(group, np.array([g]), lr=lr, beta1=b1, beta2=b2,
               eps_adam=eps, weight_decay=wd)
     # hand recurrence: decoupled decay first, then bias-corrected Adam
     theta = theta0 - lr * wd * theta0
@@ -188,7 +196,7 @@ def test_adam_two_steps_match_hand_recurrence():
     m = v = 0.0
     theta = 1.0
     for t, g in enumerate(grads, start=1):
-        adam_step(group, {"w": np.array([g])}, lr=lr, beta1=b1, beta2=b2,
+        adam_step(group, np.array([g]), lr=lr, beta1=b1, beta2=b2,
                   eps_adam=eps, weight_decay=0.0)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
@@ -199,7 +207,7 @@ def test_adam_two_steps_match_hand_recurrence():
 def test_adam_rejects_bad_betas():
     group = make_group({"w": np.array([1.0])})
     with pytest.raises(DomainError):
-        adam_step(group, {"w": np.array([0.0])}, lr=0.1, beta1=1.0)
+        adam_step(group, np.array([0.0]), lr=0.1, beta1=1.0)
 
 
 def test_group_errors_by_prefix():
@@ -213,8 +221,84 @@ def test_moment_buffers_match_shapes_and_start_zero():
     # decay leaves the zeroed buffers zero
     group = make_group({"w": np.ones((3, 2)), "b": np.ones(2)})
     assert group.moments == {}
-    adam_step(group, {"w": np.zeros((3, 2)), "b": np.zeros(2)}, lr=0.1)
+    adam_step(group, np.zeros(8), lr=0.1)
     assert list(group.moments) == group.names()
     for name, (m, v) in group.moments.items():
         assert m.shape == v.shape == group[name].data.shape
         assert np.all(m == 0.0) and np.all(v == 0.0)
+
+
+def _reference_step(values, moments, grads, t, max_norm, lr, weight_decay,
+                    beta1=0.9, beta2=0.999, eps_adam=1e-8):
+    """clip_global_norm and adam_step as a loop over the parameters, the
+    form the arena replaced, kept as its reference. -> the global norm."""
+    sq = 0.0
+    for g in grads.values():
+        sq += float((g * g).sum())
+    norm = np.sqrt(sq)
+    if norm > max_norm:
+        grads = {name: g * (max_norm / norm) for name, g in grads.items()}
+    bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for name, p in values.items():
+        g = grads[name]
+        if weight_decay:
+            p -= lr * weight_decay * p
+        m, v = moments.setdefault(name, (np.zeros_like(p), np.zeros_like(p)))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps_adam)
+    return norm
+
+
+def test_arena_adam_is_bitwise_the_per_parameter_loop():
+    rng = np.random.default_rng(31)
+    shapes = {"w1": (6, 5), "b1": (5,), "gain": (1,), "w2": (3, 4, 5), "bias": (7,)}
+    start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    group = make_group({name: v.copy() for name, v in start.items()})
+    values, moments = {name: v.copy() for name, v in start.items()}, {}
+    clipped = 0
+    for t in range(1, 9):
+        # every third step's gradient lies within max_norm, the others
+        # clip; on odd steps "gain" gets no gradient, which reads as zeros
+        scale = 0.01 if t % 3 == 0 else 1.0
+        grads = {name: scale * rng.standard_normal(shape)
+                 for name, shape in shapes.items()}
+        if t % 2:
+            grads["gain"] = np.zeros(1)
+        group.zero_grad()
+        with_grads(group, {n: g for n, g in grads.items() if n != "gain" or t % 2 == 0})
+        flat, norm = clip_global_norm(group, 2.0)
+        adam_step(group, flat, lr=0.01, weight_decay=0.1)
+        assert norm == _reference_step(values, moments, grads, t, 2.0, 0.01, 0.1)
+        clipped += norm > 2.0
+        for name in shapes:
+            assert group[name].data.tobytes() == values[name].tobytes(), (name, t)
+            for got, ref in zip(group.moments[name], moments[name], strict=True):
+                assert got.tobytes() == ref.tobytes(), (name, t)
+    assert clipped == 6
+
+
+def test_arena_parameters_are_views_and_rebinding_raises():
+    group = make_group({"w": np.ones((2, 3)), "b": np.zeros(3)})
+    group.load_values({"w": np.full((2, 3), 2.0), "b": np.ones(3)})
+    assert group._arena is None and group.moments == {}
+    with_grads(group, {"w": np.ones((2, 3))})
+    adam_step(group, clip_global_norm(group, 1.0)[0], lr=0.1)
+    values = group.arena()[0]
+    assert all(np.shares_memory(p.data, values) for p in group.params.values())
+    # in-place writes land in the arena
+    group["b"].data[...] = 5.0
+    group.load_values({"w": np.zeros((2, 3)), "b": np.ones(3)})
+    np.testing.assert_array_equal(values, [0.0] * 6 + [1.0] * 3)
+    # a rebound .data would train a stale arena
+    group["w"].data = np.zeros((2, 3))
+    with pytest.raises(UsageError, match="'w'"):
+        adam_step(group, np.zeros(9), lr=0.1)
+    with pytest.raises(UsageError, match="'w'"):
+        clip_global_norm(group, 1.0)
+    with pytest.raises(UsageError, match="'late'"):
+        group.add("late", np.zeros(1))
+    with pytest.raises(UsageError, match="flat gradient of 2 entries"):
+        adam_step(make_group({"w": np.zeros(2)}), np.zeros(3), lr=0.1)

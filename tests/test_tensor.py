@@ -351,3 +351,49 @@ def test_batched_op_rejects_a_shared_interior_tensor():
     with pytest.raises(UsageError):
         T.backward(loss)
     assert w._parts is None
+
+
+# ---------------------------------------------------------------------------
+# fused layers: bitwise their composites of primitives
+
+def _affine_composite(x, w, b):
+    """T.affine as it was built from primitives, kept as its reference."""
+    return T.add(T.matmul(x, w), b)
+
+
+def _layer_norm_composite(x, gain, bias):
+    """T.layer_norm as it was built from primitives, kept as its reference."""
+    mu = T.mean_over_axis(x, axis=-1, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.mean_over_axis(T.mul(centered, centered), axis=-1, keepdims=True)
+    sd = T.sqrt(T.add(var, T.LAYER_NORM_VAR_EPS))
+    return T.add(T.mul(T.div(centered, sd), gain), bias)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_fused_layers_are_bitwise_their_composites(batched):
+    rng = np.random.default_rng(13)
+    shape = (3, 5, 4) if batched else (5, 4)
+    values = [rand(rng, *shape), rand(rng, 4, 6), rand(rng, 6), 1.0 + rand(rng, 6),
+              rand(rng, 6), rand(rng, 6, 6)]
+
+    def total(t):
+        return T.fold_sum(T.tsum(t, axis=(1, 2))) if batched else T.tsum(t)
+
+    def run(affine, layer_norm):
+        x, w, b, gain, shift, w2 = [T.Tensor(v, requires_grad=True, batched=batched and i == 0)
+                                    for i, v in enumerate(values)]
+        h = affine(x, w, b)
+        # h feeds a layer norm, the residual add and a third consumer; the
+        # gain, the shift and the bias b are each used twice
+        r = T.add(h, layer_norm(h, gain, shift))
+        third = T.mul(h, h)
+        out = affine(T.relu(layer_norm(r, gain, shift)), w2, b)
+        loss = T.add(total(T.mul(out, out)), total(third))
+        T.backward(loss)
+        return [out.data, loss.data] + [t.grad for t in (x, w, b, gain, shift, w2)]
+
+    fused = run(T.affine, T.layer_norm)
+    for i, (got, want) in enumerate(zip(fused, run(_affine_composite, _layer_norm_composite),
+                                        strict=True)):
+        assert got.tobytes() == want.tobytes(), i
