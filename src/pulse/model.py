@@ -61,7 +61,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("R", "A", "D", "patch_r", "patch_a", "embed_dim", "heads",
-                     "joints"):
+                     "joints", "neighborhood", "frame_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.layers < 0:
@@ -80,8 +80,8 @@ class ModelConfig:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
-        if self.neighborhood < 1 or self.frame_window < 1 or self.agg_eps <= 0:
-            raise ConfigError("neighborhood, frame_window must be >= 1 and agg_eps > 0")
+        if self.agg_eps <= 0:
+            raise ConfigError(f"agg_eps must be > 0, got {self.agg_eps}")
 
     @property
     def patches_r(self):

@@ -37,11 +37,9 @@ class Tensor:
     requires_grad whether gradients should flow to (or through) this node
     batched       whether axis 0 of data is a batch of independent samples
     grad          populated by backward(); same shape as data
-    live          during backward, the boolean mask of the batch rows grad
-                  holds a contribution for; None while it holds all of them
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "batched", "live", "_parents",
+    __slots__ = ("data", "grad", "requires_grad", "batched", "_parents",
                  "_backprop", "_parts", "_waiting")
 
     def __init__(self, values, requires_grad=False, _parents=(), _backprop=None,
@@ -50,7 +48,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.batched = bool(batched)
         self.grad = None
-        self.live = None
         self._parents = _parents
         self._backprop = _backprop
         self._parts = None      # deferred per-sample gradients, see _defer
@@ -98,35 +95,15 @@ def _unbroadcast(grad, shape, lead=0):
     return grad.reshape(grad.shape[:lead] + tuple(shape))
 
 
-# Set by backward while it runs a node's closure: the boolean mask of the
-# batch rows the node's gradient holds, or None for all of them. Only
-# take() leaves rows out.
-_live = None
-
-
-def _accumulate(tensor, grad, fresh=False, live=None):
+def _accumulate(tensor, grad, fresh=False):
     """Add `grad` into tensor.grad. fresh=True asserts the caller hands over
-    ownership of a newly allocated array, skipping the defensive copy.
-
-    The contribution covers the batch rows of `live` within those of the
-    running closure; rows outside it are left as they are, as if the
-    contribution never reached those samples."""
+    ownership of a newly allocated array, skipping the defensive copy."""
     if not tensor.requires_grad:
         return
-    if _live is not None:
-        live = _live if live is None else live & _live
     if tensor.grad is None:
         tensor.grad = grad if fresh else np.array(grad, dtype=tensor.data.dtype)
-        tensor.live = live
-    elif live is None and tensor.live is None:
-        tensor.grad += grad
     else:
-        every = np.ones(len(grad), dtype=bool)
-        old = every if tensor.live is None else tensor.live
-        new = every if live is None else live
-        tensor.grad[old & new] += grad[old & new]
-        tensor.grad[new & ~old] = grad[new & ~old]
-        tensor.live = None if (old | new).all() else old | new
+        tensor.grad += grad
 
 
 def _defer(tensor, grads):
@@ -138,7 +115,7 @@ def _defer(tensor, grads):
                          "leaves may be shared by the samples of a batch")
     if tensor._parts is None:
         tensor._parts = []
-    tensor._parts.append((grads, _live))
+    tensor._parts.append(grads)
     tensor._waiting -= 1
     if tensor._waiting == 0:
         _fold(tensor)
@@ -149,13 +126,12 @@ def _fold(tensor):
     sample 0's contributions in walk order, then sample 1's, and so on,
     which is the order a loop of per-sample graphs would add them in."""
     parts, tensor._parts = tensor._parts, None
-    for b in range(len(parts[0][0])):
-        for grads, live in parts:
-            if live is None or live[b]:
-                if tensor.grad is None:
-                    tensor.grad = grads[b].copy()
-                else:
-                    tensor.grad += grads[b]
+    for b in range(len(parts[0])):
+        for grads in parts:
+            if tensor.grad is None:
+                tensor.grad = grads[b].copy()
+            else:
+                tensor.grad += grads[b]
 
 
 def _push(tensor, grad, batched, fresh=False):
@@ -586,39 +562,6 @@ def dropout(x, p, key, train):
     return _result(out, (x,), backprop)
 
 
-def take(x, rows):
-    """Samples `rows` (distinct indices) of a batched tensor, as a batch of
-    their own. Their gradient reaches x in those rows only; the other rows
-    get no contribution, as if this op were absent from their samples."""
-    x = _lift(x)
-    rows = np.asarray(rows, dtype=np.intp)
-    out = x.data[rows]
-
-    def backprop(g):
-        full = np.zeros(x.shape)
-        full[rows] = g
-        live = np.zeros(len(full), dtype=bool)
-        live[rows] = True
-        _accumulate(x, full, fresh=True, live=live)
-
-    return _result(out, (x,), backprop)
-
-
-def scatter(x, rows, size):
-    """Adjoint of take: a batch of `size` samples holding x's samples at
-    `rows` and -0.0 elsewhere. -0.0 is the additive identity of every
-    float, so adding the result leaves the other samples' values exact."""
-    x = _lift(x)
-    rows = np.asarray(rows, dtype=np.intp)
-    out = np.full((size,) + x.shape[1:], -0.0)
-    out[rows] = x.data
-
-    def backprop(g):
-        _accumulate(x, g[rows], fresh=True)
-
-    return _result(out, (x,), backprop)
-
-
 def fold_sum(x):
     """Sum over the batch axis as the left fold ((x0 + x1) + x2) + ..., the
     order of a per-sample loop; numpy's sum is pairwise from 8 terms on."""
@@ -724,7 +667,6 @@ def backward(loss):
     deferred to a leaf are folded in once its last consumer has run. A
     second backward through a consumed node raises UsageError.
     """
-    global _live
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     # Iterative DFS topological sort over the requires_grad subgraph.
@@ -753,17 +695,14 @@ def backward(loss):
             if node._backprop is None:
                 continue
             if node.grad is not None:
-                _live = node.live
                 node._backprop(node.grad)
             node._parents, node._backprop, node.grad = (), _consumed, None
     except BaseException:
         for node in topo:
-            node.live, node._parts, node._waiting = None, None, 0
+            node._parts, node._waiting = None, 0
         raise
-    finally:
-        _live = None
     # a consumer whose gradient stayed None never handed its share in
     for node in topo:
-        node.live, node._waiting = None, 0
+        node._waiting = 0
         if node._parts is not None:
             _fold(node)

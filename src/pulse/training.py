@@ -112,15 +112,17 @@ def loss_gate(gate_scores, proxy_values, bounds):
     return T.mul(diff, diff)
 
 
-def frame_gate_score_tensor(gates, spatial_maps):
-    """Differentiable mean gate over the occupied_cells of each frame: a
-    (B, N_v, 1) batch of gates and B spatial maps -> (B,) scores."""
-    weights = []
-    for smap in spatial_maps:
-        selected = occupied_cells(smap)
-        weights.append(selected.astype(np.float64) / selected.sum())
-    score = T.matmul(T.Tensor(np.stack(weights)[:, None, :], batched=True), gates)
-    return T.reshape(score, (len(weights),))
+def occupied_cell_weights(spatial_map):
+    """Flat weights averaging a frame's gates over its occupied_cells."""
+    selected = occupied_cells(spatial_map)
+    return selected.astype(np.float64) / selected.sum()
+
+
+def frame_gate_score_tensor(gates, cell_weights):
+    """Differentiable mean gate over the occupied cells of each frame: a
+    (B, N_v, 1) batch of gates and B occupied_cell_weights -> (B,) scores."""
+    weights = T.Tensor(np.stack(cell_weights)[:, None, :], batched=True)
+    return T.reshape(T.matmul(weights, gates), (len(cell_weights),))
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +134,9 @@ class Sample:
     frame: int
     window: list                      # frame_window normalized (R, A, D) arrays
     pose: np.ndarray                  # (J, 3) mm
-    smap: np.ndarray                  # spatial magnitude of the last frame
+    cell_weights: np.ndarray          # occupied_cell_weights of the last frame
     gate_target: Optional[tuple]      # (proxy value, (lo, hi)) or None
+    gate_weight: float                # 1.0 with a gate target, else 0.0
 
 
 def frame_windows(frames, frame_window):
@@ -157,9 +160,10 @@ def build_samples(dataset, split, mcfg):
         bounds = (float(proxy.min()), float(proxy.max())) if len(proxy) else (0.0, 0.0)
         for t, (frame, window) in enumerate(frame_windows(frames, mcfg.frame_window)):
             gate_target = (float(proxy[t]), bounds) if t < len(proxy) else None
-            samples.append(Sample(seq=seq_id, frame=t, window=window,
-                                  pose=poses[t], smap=spatial_magnitude(frame),
-                                  gate_target=gate_target))
+            samples.append(Sample(
+                seq=seq_id, frame=t, window=window, pose=poses[t],
+                cell_weights=occupied_cell_weights(spatial_magnitude(frame)),
+                gate_target=gate_target, gate_weight=float(gate_target is not None)))
     return samples
 
 
@@ -217,22 +221,21 @@ def _mix_key(seed, step, sample_idx):
 
 def batch_loss(batch, params, mcfg, tcfg, step):
     """Mean training loss of a batch of samples, from one forward of the
-    whole batch: loss_pos per sample, plus the weighted gate loss for the
-    samples that have a gate target. The per-sample losses are summed in
+    whole batch: loss_pos per sample plus its gate loss times
+    gate_loss_weight * gate_weight. The per-sample losses are summed in
     batch order, so the loss and its gradients are bitwise those of one
-    graph per sample added up in a loop."""
+    graph per sample added up in a loop that takes the gate loss only where
+    a sample has a gate target: a 0.0-weighted term adds +0.0 to a positive
+    position loss and only zeros to the gradients."""
     result = forward([s.window for s in batch], params, mcfg, train=True,
                      base_keys=[_mix_key(tcfg.seed, step, k) for k in range(len(batch))])
     terms = loss_pos(result.pose, np.stack([s.pose for s in batch]))
-    rows = [k for k, s in enumerate(batch) if s.gate_target is not None]
-    if tcfg.gate_loss_weight > 0 and rows and result.gate is not None:
-        # picked by index: a 0/1 weight would add exact zeros to the others
-        score = frame_gate_score_tensor(T.take(result.gate, rows),
-                                        [batch[k].smap for k in rows])
-        proxies, bounds = zip(*(batch[k].gate_target for k in rows))
-        gate_terms = loss_gate(score, proxies, bounds)
-        terms = T.add(terms, T.scatter(T.scale(gate_terms, tcfg.gate_loss_weight),
-                                       rows, len(batch)))
+    if tcfg.gate_loss_weight > 0 and result.gate is not None:
+        score = frame_gate_score_tensor(result.gate, [s.cell_weights for s in batch])
+        # a finite stand-in where a sample has no target: its weight is 0.0
+        proxies, bounds = zip(*(s.gate_target or (0.0, (0.0, 0.0)) for s in batch))
+        weights = [tcfg.gate_loss_weight * s.gate_weight for s in batch]
+        terms = T.add(terms, T.mul(loss_gate(score, proxies, bounds), weights))
     return T.scale(T.fold_sum(terms), 1.0 / len(batch))
 
 

@@ -347,10 +347,10 @@ def test_eval_pa_scale_flag(cli_run, cli_dataset, tmp_path):
 # ---------------------------------------------------------------------------
 # malformed input: exit 2 or 3 naming the key or file, never a traceback
 
-def _train_with(*flags):
+def _train_with(*flags, name=None):
     def case(ds, run, tmp):
         return (["train", "--dataset", str(ds), "--out", str(tmp / "o"),
-                 *SMALL_MODEL, *FAST_TRAIN, *flags], flags[0].lstrip("-"))
+                 *SMALL_MODEL, *FAST_TRAIN, *flags], name or flags[0].lstrip("-"))
     return case
 
 
@@ -639,6 +639,9 @@ def _diag_one_frame(ds, run, tmp):
     _command_with("ablate", "--split", "val", "--frame_rate_hz", "5",
                   name="flag frame_rate_hz=5 conflicts with dataset frame_rate=10.0"),
     _manifest_radar_value,
+    _train_with("--frame_window", "0", name="frame_window must be >= 1, got 0"),
+    _train_with("--neighborhood", "0", name="neighborhood must be >= 1, got 0"),
+    _train_with("--agg_eps", "0", name="agg_eps must be > 0, got 0.0"),
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
@@ -659,7 +662,8 @@ def _diag_one_frame(ds, run, tmp):
         "ablate_out_is_file", "gradcheck_out_below_file", "joints_conflict",
         "manifest_line", "config_line", "ckpt_config_line", "bandwidth_conflict",
         "virtual_elements_conflict", "ablate_frame_rate_conflict",
-        "manifest_radar_value"])
+        "manifest_radar_value", "frame_window_zero", "neighborhood_zero",
+        "agg_eps_zero"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

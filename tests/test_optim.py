@@ -280,6 +280,38 @@ def test_arena_adam_is_bitwise_the_per_parameter_loop():
     assert clipped == 6
 
 
+def test_arena_adam_ignores_the_sign_of_a_zero_gradient():
+    # a sample that contributes only zeros to a gradient may flip a zero's
+    # sign; clipping and Adam must then leave every bit as it was
+    rng = np.random.default_rng(41)
+    shapes = {"w": (4, 3), "b": (3,), "unused": (2,)}
+    start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    groups = [make_group({n: v.copy() for n, v in start.items()}) for _ in range(2)]
+    for _ in range(3):
+        # nonzero moments, except "unused", whose gradient has been all zeros
+        grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        grads["unused"] = np.zeros(2)
+        for group in groups:
+            with_grads(group, grads)
+            adam_step(group, clip_global_norm(group, 1.0)[0], lr=0.01, weight_decay=0.1)
+    grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    zeros = {"w": (slice(None), 1), "b": 2, "unused": slice(None)}
+    for group, zero in zip(groups, (-0.0, 0.0)):
+        signed = {name: g.copy() for name, g in grads.items()}
+        for name, where in zeros.items():
+            signed[name][where] = zero
+        with_grads(group, signed)
+        flat, norm = clip_global_norm(group, 1.0)
+        assert norm > 1.0
+        adam_step(group, flat, lr=0.01, weight_decay=0.1)
+    negative, positive = groups
+    assert np.signbit(negative.arena()[1]).sum() > np.signbit(positive.arena()[1]).sum()
+    for name in shapes:
+        assert negative[name].data.tobytes() == positive[name].data.tobytes(), name
+        for a, b in zip(negative.moments[name], positive.moments[name], strict=True):
+            assert a.tobytes() == b.tobytes(), name
+
+
 def test_arena_parameters_are_views_and_rebinding_raises():
     group = make_group({"w": np.ones((2, 3)), "b": np.zeros(3)})
     group.load_values({"w": np.full((2, 3), 2.0), "b": np.ones(3)})

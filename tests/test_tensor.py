@@ -330,19 +330,6 @@ def test_fold_sum_is_the_left_fold():
     np.testing.assert_array_equal(x.grad, np.ones(10))
 
 
-def test_take_leaves_the_other_samples_without_a_contribution():
-    # sample 0's gradient on w is -0.0; had sample 1 (not taken) contributed
-    # its +0.0, the sum would read +0.0
-    w = T.Tensor([0.5], requires_grad=True)
-    a = T.Tensor([[-0.0], [1.0]], batched=True)
-    picked = T.take(T.mul(a, w), [0])
-    T.backward(T.fold_sum(T.reshape(picked, (1,))))
-    assert w.grad[0] == 0.0 and np.signbit(w.grad[0])
-    # scatter puts -0.0 in the rows it does not fill: adding it is exact
-    spread = T.scatter(T.Tensor([[2.0]], batched=True), [1], 3)
-    np.testing.assert_array_equal(np.signbit(spread.data[:, 0]), [True, False, True])
-
-
 def test_batched_op_rejects_a_shared_interior_tensor():
     w = T.Tensor(np.ones((2, 2)), requires_grad=True)
     shared = T.scale(w, 2.0)          # unbatched, and not a leaf

@@ -10,7 +10,8 @@ from pulse.storage import Dataset, write_csv
 from pulse.training import (EpochRecord, TrainConfig, TrainLog, _mix_key,
                             build_samples, evaluate_split,
                             frame_gate_score_tensor, frame_windows, loss_gate,
-                            loss_pos, minmax_normalize, train_model)
+                            loss_pos, minmax_normalize, occupied_cell_weights,
+                            train_model)
 from tests.conftest import parse_train_log, tiny_model_cfg
 
 
@@ -87,7 +88,8 @@ def test_frame_gate_score_tensor_matches_metrics():
     rng = np.random.default_rng(3)
     gates = rng.random((2, 16, 1))
     smaps = list(rng.random((2, 16)))
-    got = frame_gate_score_tensor(T.Tensor(gates, batched=True), smaps).data
+    got = frame_gate_score_tensor(T.Tensor(gates, batched=True),
+                                  [occupied_cell_weights(m) for m in smaps]).data
     for k in range(2):
         assert abs(got[k] - frame_gate_score(gates[k], smaps[k])) < 1e-12
 
@@ -134,6 +136,7 @@ def test_build_samples_gate_targets(tiny_dataset):
     samples = build_samples(tiny_dataset, "train", mcfg)
     last = [s for s in samples if s.frame == 7]
     assert all(s.gate_target is None for s in last)
+    assert [s.gate_weight for s in samples] == [float(s.frame != 7) for s in samples]
     mid = [s for s in samples if s.frame == 3][0]
     proxy, (lo, hi) = mid.gate_target
     assert lo <= proxy <= hi
@@ -187,7 +190,7 @@ def _per_sample_loss(batch, params, mcfg, tcfg, step):
         term = loss_pos(result.pose, sample.pose[None])
         if tcfg.gate_loss_weight > 0 and sample.gate_target is not None \
                 and result.gate is not None:
-            score = frame_gate_score_tensor(result.gate, [sample.smap])
+            score = frame_gate_score_tensor(result.gate, [sample.cell_weights])
             proxy, bounds = sample.gate_target
             term = T.add(term, T.scale(loss_gate(score, [proxy], [bounds]),
                                        tcfg.gate_loss_weight))
@@ -269,6 +272,27 @@ def test_batch_step_is_bitwise_the_per_sample_loop(tiny_dataset, ablation,
         for name, tensor in ref_params.params.items():
             assert params[name].data.tobytes() == tensor.data.tobytes(), name
             assert result.params[name].data.tobytes() == tensor.data.tobytes(), name
+
+
+def test_batch_loss_weighs_out_the_samples_without_a_gate_target(tiny_dataset):
+    # a sequence's last frame has no gate target: in a batch where all
+    # samples but one are such frames, and in one where all are, their
+    # 0.0-weighted gate terms must change no bit of the loss or a gradient
+    mcfg = tiny_model_cfg(dropout=0.1, frame_window=2)
+    tcfg = desk_train_cfg(seed=3, gate_loss_weight=30.0)
+    samples = build_samples(tiny_dataset, "train", mcfg)
+    last = [s for s in samples if s.gate_target is None]
+    for batch in ([last[0], samples[3], last[1]], last):
+        runs = []
+        for loss_fn in (_per_sample_loss, training.batch_loss):
+            params = init_params(mcfg, seed=6, randomize_all=True)
+            loss = loss_fn(batch, params, mcfg, tcfg, 0)
+            T.backward(loss)
+            runs.append((loss.item(), params.grads()))
+        (ref_loss, ref_grads), (loss, grads) = runs
+        assert loss == ref_loss, len(batch)
+        for name in ref_grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), (name, len(batch))
 
 
 def test_early_stopping_keeps_best(tiny_dataset):
@@ -410,9 +434,7 @@ def _retaining_backward(loss):
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backprop is not None and node.grad is not None:
-            T._live = node.live
             node._backprop(node.grad)
-    T._live = None
     for node in topo:
         if node._parts is not None:
             T._fold(node)
@@ -442,13 +464,13 @@ def test_backward_frees_the_graph_and_keeps_leaf_gradients(tiny_dataset):
     loss = training.batch_loss(batch, params, mcfg, tcfg, 0)
     interior = [n for n in _graph(loss) if n._backprop is not None]
     ops = {n._backprop.__qualname__.split(".")[0] for n in interior}
-    assert {"attention", "affine", "layer_norm", "dropout", "take"} <= ops
+    assert {"attention", "affine", "layer_norm", "dropout"} <= ops
     T.backward(loss)
     for name, p in params.params.items():
         assert p.grad is not None, name
         np.testing.assert_array_equal(p.grad, reference[name].grad, err_msg=name)
     for node in interior:
-        assert node._parents == () and node.grad is None and node.live is None
+        assert node._parents == () and node.grad is None
         assert node._backprop is T._consumed
     for p in params.params.values():
         assert p._parts is None
