@@ -391,11 +391,16 @@ def cmd_diag(args):
     if args.bins < 2:
         raise UsageError(f"--bins must be at least 2, got {args.bins}")
     dataset, mcfg, params = _load_evaluation(args)
+    scored = 0                      # frames with a successor
     for seq_id, frames, _ in dataset.split_sequences(args.split):
         if len(frames) < 2:
             raise DataError(f"{dataset.root / 'manifest.txt'}: split {args.split!r} "
                             f"sequence {seq_id} has {len(frames)} frame; the gate "
                             f"diagnostics need at least 2 per sequence")
+        scored += len(frames) - 1
+    if args.bins > scored:
+        raise UsageError(f"--bins {args.bins} exceeds the {scored} scored frames "
+                         f"of split {args.split!r}")
     out = _make_out_dir(args.out)
     _, preds, gts, gate_seqs, smaps = evaluate_split(
         params, mcfg, dataset, args.split, collect_gates=True)

@@ -14,23 +14,13 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 
-def _check_rad(h):
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 3:
-        raise ShapeError(f"expected an (R, A, D) tensor, got shape {h.shape}")
-    if not np.isfinite(h).all() or (h < 0).any():
-        raise DomainError("RAD tensor entries must be finite and nonnegative")
-    return h
-
-
 def spatial_magnitude(h):
     """(R, A) map: mean of the magnitudes along the Doppler axis."""
-    return _check_rad(h).mean(axis=2)
+    return h.mean(axis=2)
 
 
 def cell_spectra(h):
     """All Doppler spectra as an (R*A, D) matrix, cells in row-major order."""
-    h = _check_rad(h)
     r, a, d = h.shape
     return h.reshape(r * a, d)
 
@@ -60,9 +50,14 @@ def normalize_frame(h):
 
     Uses only the frame's own statistics, so scaling a frame by any positive
     constant yields the same output and the op is idempotent on nonzero
-    frames.
+    frames. The one check a frame gets before the model sees it: an (R, A, D)
+    shape and finite, nonnegative entries; the functions above trust it.
     """
-    h = _check_rad(h)
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 3:
+        raise ShapeError(f"expected an (R, A, D) tensor, got shape {h.shape}")
+    if not np.isfinite(h).all() or (h < 0).any():
+        raise DomainError("RAD tensor entries must be finite and nonnegative")
     peak = h.max()
     if peak == 0.0:
         return h

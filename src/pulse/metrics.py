@@ -26,16 +26,7 @@ def _check_pair(pred, gt):
 
 
 # ---------------------------------------------------------------------------
-# Position metrics
-
-def mpjpe(pred, gt):
-    """Mean Euclidean joint error in mm over all frames and joints.
-
-    Accepts (J, 3) poses or (T, J, 3) sequences.
-    """
-    pred, gt = _check_pair(pred, gt)
-    return float(np.linalg.norm(pred - gt, axis=-1).mean())
-
+# Per-frame alignment and finite differences
 
 def similarity_align(pred, gt, with_scale=True):
     """Best-fit similarity transform (rotation via SVD of the cross-covariance
@@ -62,34 +53,12 @@ def similarity_align(pred, gt, with_scale=True):
     return scale * p0 @ rot.T + mu_g
 
 
-def pa_mpjpe(pred, gt, with_scale=True):
-    """MPJPE after per-frame similarity alignment; never exceeds mpjpe."""
-    pred, gt = _check_pair(pred, gt)
-    if pred.ndim == 2:
-        pred, gt = pred[None], gt[None]
-    return float(pose_errors(pred, gt, with_scale).aligned.mean())
-
-
-# ---------------------------------------------------------------------------
-# Velocity metrics
-
 def velocities(seq):
     """(T-1, J, 3) finite differences between consecutive frames (dt = 1)."""
     seq = np.asarray(seq, dtype=np.float64)
     if seq.ndim != 3 or seq.shape[0] < 2:
         raise ShapeError(f"need a (T>=2, J, 3) sequence, got shape {seq.shape}")
     return np.diff(seq, axis=0)
-
-
-def mpjve(pred, gt):
-    """Mean norm of the velocity error, mm/frame."""
-    pred, gt = _check_pair(pred, gt)
-    return float(np.linalg.norm(velocities(pred) - velocities(gt), axis=-1).mean())
-
-
-def akv(pred):
-    """Mean norm of the predicted velocities, mm/frame."""
-    return float(np.linalg.norm(velocities(pred), axis=-1).mean())
 
 
 # ---------------------------------------------------------------------------

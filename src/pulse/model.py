@@ -492,12 +492,11 @@ def regress(embedding, params, cfg):
 class ForwardResult:
     pose: T.Tensor                       # (B, J, 3) mm
     gate: Optional[T.Tensor]             # gate used at the prompting stage, (B, N_v, 1)
-    frame_gates: list                    # per input frame, (B, N_v, 1)
 
 
 def forward(windows, params, cfg, train=False, base_keys=None,
             force_aggregate=False):
-    """Batch of windows of frames -> poses (plus gate diagnostics), one per
+    """Batch of windows of frames -> poses (plus the prompting gate), one per
     window; a single window is a batch of one. Every tensor of the result
     has the leading batch axis, and each sample's values are bitwise those
     of its window run alone.
@@ -520,7 +519,6 @@ def forward(windows, params, cfg, train=False, base_keys=None,
                                params, cfg)
 
     gate_used = None
-    frame_gates = []
     if cfg.ablation == "spatial_only":
         updated = spatial
     else:
@@ -542,4 +540,4 @@ def forward(windows, params, cfg, train=False, base_keys=None,
 
     z = spatial_transformer(updated, params, cfg, train=train, keys=keys)
     pose = regress(z, params, cfg)
-    return ForwardResult(pose=pose, gate=gate_used, frame_gates=frame_gates)
+    return ForwardResult(pose=pose, gate=gate_used)

@@ -289,6 +289,11 @@ def load_dataset(root):
             raise DataError(f"{manifest_path}: {key}={manifest[key]!r} is not an integer")
     grid = tuple(int(manifest[key]) for key in ("R", "A", "D"))
     joints = int(manifest["J"])
+    if "joint_names" in manifest:
+        count = len(manifest["joint_names"].split(","))
+        if count != joints:
+            raise DataError(f"{manifest_path}: joint_names lists {count} names "
+                            f"for J={joints}")
     poses = read_poses_csv(root / "poses.csv", joints)
     splits = {}
     listed = {}                     # sequence -> the split that lists it

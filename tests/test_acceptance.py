@@ -16,8 +16,7 @@ import pytest
 from pulse import tensor as T
 from pulse.cli import main
 from pulse.features import reconstruct_rad, spatial_magnitude
-from pulse.metrics import (akv, gate_motion_diag, kalman_smooth, mpjpe, mpjve,
-                           pa_mpjpe)
+from pulse.metrics import gate_motion_diag, kalman_smooth, sequence_report
 from pulse.model import (ModelConfig, conditional_cross_attention, forward,
                          gate, init_params, params_from_arrays, tokenize_doppler,
                          tokenize_spatial)
@@ -265,12 +264,13 @@ def test_metric_oracles():
                 mag += math.sqrt(sum(x * x for x in pv))
         n_pos = t_len * joints
         n_vel = (t_len - 1) * joints
-        worst = max(worst, abs(mpjpe(pred, gt) - pos / n_pos))
-        worst = max(worst, abs(mpjve(pred, gt) - vel / n_vel))
-        worst = max(worst, abs(akv(pred) - mag / n_vel))
+        report = sequence_report([pred], [gt])
+        worst = max(worst, abs(report.mpjpe - pos / n_pos))
+        worst = max(worst, abs(report.mpjve - vel / n_vel))
+        worst = max(worst, abs(report.akv - mag / n_vel))
         pa_ref = np.mean([_umeyama_reference(pred[t], gt[t])
                           for t in range(t_len)])
-        worst = max(worst, abs(pa_mpjpe(pred, gt) - pa_ref))
+        worst = max(worst, abs(report.pa_mpjpe - pa_ref))
         assert worst < 1e-9
     # rigid-transform absorption
     rng2 = np.random.default_rng(17)
@@ -282,7 +282,7 @@ def test_metric_oracles():
                   [-axis[1], axis[0], 0]])
     rot = np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
     moved = base @ rot.T + np.array([40.0, -90.0, 15.0])
-    residual = pa_mpjpe(moved, base)
+    residual = sequence_report([moved[None]], [base[None]]).pa_mpjpe
     assert residual < 1e-6
     _passline("metric-oracles",
               f"100 instances, worst |diff| {worst:.2e}; rigid residual "
@@ -331,13 +331,18 @@ def test_gate_motion_direction(trained_models):
 # ---------------------------------------------------------------------------
 # Criterion 9: Kalman direction
 
+def _akv(seq):
+    """AKV of one (T, J, 3) sequence (it reads the prediction alone)."""
+    return sequence_report([seq], [seq], align=False).akv
+
+
 def test_kalman_direction():
     wins = 0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
         base = 100.0 * rng.standard_normal((1, 4, 3))
         seq = np.tile(base, (24, 1, 1)) + 6.0 * rng.standard_normal((24, 4, 3))
-        if akv(kalman_smooth(seq)) < akv(seq):
+        if _akv(kalman_smooth(seq)) < _akv(seq):
             wins += 1
     assert wins >= 95
     _passline("kalman-direction", f"AKV reduced in {wins}/100 seeded trials")

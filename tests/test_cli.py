@@ -587,6 +587,15 @@ def _diag_one_frame(ds, run, tmp):
             "split 'all' sequence 000 has 1 frame")
 
 
+def _joint_names_count(ds, run, tmp):
+    text = (ds / "manifest.txt").read_text()
+    assert "\njoint_names=head," in text
+    (ds / "manifest.txt").write_text(
+        re.sub(r"\njoint_names=[^\n]*\n", "\njoint_names=a,b,c\n", text))
+    return (_eval_args(ds, run / "model.ckpt", tmp),
+            "manifest.txt: joint_names lists 3 names for J=8")
+
+
 @pytest.mark.parametrize("case", [
     _train_with("--embed_dim", "abc"), _synth_with("--noise_std", "abc"),
     _synth_with("--seed", "abc"), _train_with("--dropout", "x"),
@@ -642,6 +651,9 @@ def _diag_one_frame(ds, run, tmp):
     _train_with("--frame_window", "0", name="frame_window must be >= 1, got 0"),
     _train_with("--neighborhood", "0", name="neighborhood must be >= 1, got 0"),
     _train_with("--agg_eps", "0", name="agg_eps must be > 0, got 0.0"),
+    _command_with("diag", "--split", "val", "--bins", "6",
+                  name="--bins 6 exceeds the 5 scored frames of split 'val'"),
+    _joint_names_count,
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
@@ -663,7 +675,7 @@ def _diag_one_frame(ds, run, tmp):
         "manifest_line", "config_line", "ckpt_config_line", "bandwidth_conflict",
         "virtual_elements_conflict", "ablate_frame_rate_conflict",
         "manifest_radar_value", "frame_window_zero", "neighborhood_zero",
-        "agg_eps_zero"])
+        "agg_eps_zero", "diag_bins_over_frames", "joint_names_count"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)
@@ -673,6 +685,9 @@ def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, cap
     assert rc in (2, 3), err
     assert name in err
     assert "Traceback" not in err
+    # a failing eval or diag writes no report
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+    assert not (tmp_path / "o" / "gate_diag.csv").exists()
 
 
 # ---------------------------------------------------------------------------

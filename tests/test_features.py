@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pulse.errors import DomainError
+from pulse.errors import DomainError, ShapeError
 from pulse.features import (cell_spectra, normalize_frame, reconstruct_rad,
                             spatial_magnitude)
 
@@ -37,13 +37,6 @@ def test_spatial_magnitude_commutes_with_scaling():
     h = rand_rad(0)
     np.testing.assert_allclose(spatial_magnitude(3.5 * h),
                                3.5 * spatial_magnitude(h), atol=1e-12)
-
-
-def test_negative_entries_rejected():
-    h = np.ones((2, 2, 2))
-    h[0, 0, 0] = -1.0
-    with pytest.raises(DomainError):
-        spatial_magnitude(h)
 
 
 def test_cell_spectra_row_major_and_count():
@@ -111,3 +104,19 @@ def test_normalize_idempotent_on_nonzero():
     once = normalize_frame(h)
     np.testing.assert_array_equal(normalize_frame(once), once)
 
+
+def test_negative_entries_rejected():
+    h = np.ones((2, 2, 2))
+    h[0, 0, 0] = -1.0
+    with pytest.raises(DomainError):
+        normalize_frame(h)
+
+
+def test_normalize_rejects_non_finite_and_non_3d():
+    for bad in (np.nan, np.inf):
+        h = np.ones((2, 2, 2))
+        h[1, 0, 1] = bad
+        with pytest.raises(DomainError):
+            normalize_frame(h)
+    with pytest.raises(ShapeError):
+        normalize_frame(np.ones((2, 2)))

@@ -5,16 +5,21 @@ import pytest
 from scipy.optimize import minimize
 
 from pulse.errors import ConfigError, DomainError, ShapeError
-from pulse.metrics import (KalmanConfig, MetricReport, akv,
-                           frame_gate_score, gate_motion_diag, kalman_smooth,
-                           motion_proxy, mpjpe, mpjve, pa_mpjpe, pearson_r,
-                           per_joint_report, sequence_report, similarity_align,
+from pulse.metrics import (KalmanConfig, MetricReport, frame_gate_score,
+                           gate_motion_diag, kalman_smooth, motion_proxy,
+                           pearson_r, per_joint_report, sequence_report,
                            velocities)
 
 
 def rand_seq(seed, t=5, j=4, scale=100.0):
     rng = np.random.default_rng(seed)
     return scale * rng.standard_normal((t, j, 3))
+
+
+def report(pred, gt=None, with_scale=True):
+    """sequence_report of one (T, J, 3) sequence; gt defaults to pred, for
+    AKV, which reads the prediction alone."""
+    return sequence_report([pred], [pred if gt is None else gt], with_scale=with_scale)
 
 
 def rotation_matrix(axis, angle):
@@ -27,17 +32,17 @@ def rotation_matrix(axis, angle):
 
 
 # ---------------------------------------------------------------------------
-# mpjpe
+# MPJPE
 
 def test_mpjpe_zero_for_equal():
     seq = rand_seq(0)
-    assert mpjpe(seq, seq) == 0.0
+    assert report(seq, seq).mpjpe == 0.0
 
 
 def test_mpjpe_pythagorean_offset():
     gt = rand_seq(1)
     pred = gt + np.array([3.0, 4.0, 0.0])
-    assert mpjpe(pred, gt) == pytest.approx(5.0, abs=1e-12)
+    assert report(pred, gt).mpjpe == pytest.approx(5.0, abs=1e-12)
 
 
 def test_mpjpe_brute_force_oracle():
@@ -52,34 +57,34 @@ def test_mpjpe_brute_force_oracle():
                 for ax in range(3):
                     d += (pred[t, j, ax] - gt[t, j, ax]) ** 2
                 total += math.sqrt(d)
-        assert abs(mpjpe(pred, gt) - total / 6.0) < 1e-12
+        assert abs(report(pred, gt).mpjpe - total / 6.0) < 1e-12
 
 
 def test_mpjpe_symmetric():
     a, b = rand_seq(3), rand_seq(4)
-    assert mpjpe(a, b) == pytest.approx(mpjpe(b, a), abs=1e-12)
+    assert report(a, b).mpjpe == pytest.approx(report(b, a).mpjpe, abs=1e-12)
 
 
 def test_mpjpe_shape_mismatch():
     with pytest.raises(ShapeError):
-        mpjpe(np.zeros((2, 3, 3)), np.zeros((2, 4, 3)))
+        report(np.zeros((2, 3, 3)), np.zeros((2, 4, 3)))
 
 
 # ---------------------------------------------------------------------------
-# pa_mpjpe
+# PA-MPJPE
 
 def test_pa_absorbs_rigid_motion():
-    gt = rand_seq(5, t=1)[0]
+    gt = rand_seq(5, t=1)
     rot = rotation_matrix([1.0, 2.0, 0.5], 1.1)
     pred = gt @ rot.T + np.array([100.0, -50.0, 30.0])
-    assert pa_mpjpe(pred, gt) < 1e-9
+    assert report(pred, gt).pa_mpjpe < 1e-9
 
 
 def test_pa_absorbs_scale():
-    gt = rand_seq(6, t=1)[0]
-    assert pa_mpjpe(2.0 * gt, gt) < 1e-9
+    gt = rand_seq(6, t=1)
+    assert report(2.0 * gt, gt).pa_mpjpe < 1e-9
     # without scale the error stays
-    assert pa_mpjpe(2.0 * gt, gt, with_scale=False) > 1.0
+    assert report(2.0 * gt, gt, with_scale=False).pa_mpjpe > 1.0
 
 
 def test_pa_never_exceeds_mpjpe():
@@ -87,7 +92,8 @@ def test_pa_never_exceeds_mpjpe():
     for _ in range(50):
         pred = 50.0 * rng.standard_normal((2, 5, 3))
         gt = 50.0 * rng.standard_normal((2, 5, 3))
-        assert pa_mpjpe(pred, gt) <= mpjpe(pred, gt) + 1e-9
+        rep = report(pred, gt)
+        assert rep.pa_mpjpe <= rep.mpjpe + 1e-9
 
 
 def test_pa_matches_descent_oracle():
@@ -113,13 +119,13 @@ def test_pa_matches_descent_oracle():
                          options={"maxiter": 4000, "xtol": 1e-12, "ftol": 1e-14})
                 for x0 in starts), key=lambda r: r.fun)
     oracle_metric = np.linalg.norm(aligned_for(best.x) - gt, axis=-1).mean()
-    assert abs(pa_mpjpe(pred, gt) - oracle_metric) < 1e-3
+    assert abs(report(pred[None], gt[None]).pa_mpjpe - oracle_metric) < 1e-3
 
 
 def test_pa_degenerate_falls_back_to_translation():
     gt = rand_seq(10, t=1)[0]
     pred = np.tile(np.array([5.0, 5.0, 5.0]), (gt.shape[0], 1))
-    out = pa_mpjpe(pred, gt)  # no crash; translation-only alignment
+    out = report(pred[None], gt[None]).pa_mpjpe  # no crash; translation-only alignment
     centered = gt - gt.mean(axis=0)
     assert out == pytest.approx(np.linalg.norm(centered, axis=-1).mean(), abs=1e-9)
 
@@ -138,20 +144,21 @@ def test_velocities_shape_and_values():
 
 
 def test_akv_zero_for_static():
-    assert akv(np.tile(rand_seq(11, t=1), (4, 1, 1))) == 0.0
+    assert report(np.tile(rand_seq(11, t=1), (4, 1, 1))).akv == 0.0
 
 
 def test_mpjve_zero_for_constant_offset():
     gt = rand_seq(12)
-    assert mpjve(gt + np.array([7.0, -2.0, 1.0]), gt) == pytest.approx(0.0, abs=1e-12)
+    assert report(gt + np.array([7.0, -2.0, 1.0]), gt).mpjve == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mpjve_unit_drift():
     gt = np.zeros((4, 1, 3))
     pred = np.zeros((4, 1, 3))
     pred[:, 0, 0] = np.arange(4.0)  # 1 mm/frame along x
-    assert mpjve(pred, gt) == pytest.approx(1.0, abs=1e-12)
-    assert akv(pred) == pytest.approx(1.0, abs=1e-12)
+    rep = report(pred, gt)
+    assert rep.mpjve == pytest.approx(1.0, abs=1e-12)
+    assert rep.akv == pytest.approx(1.0, abs=1e-12)
 
 
 def test_velocity_metrics_brute_force_oracle():
@@ -166,8 +173,9 @@ def test_velocity_metrics_brute_force_oracle():
                 ve += math.sqrt(float((dv * dv).sum()))
                 pv = pred[t + 1, j] - pred[t, j]
                 vm += math.sqrt(float((pv * pv).sum()))
-        assert abs(mpjve(pred, gt) - ve / 9.0) < 1e-12
-        assert abs(akv(pred) - vm / 9.0) < 1e-12
+        rep = report(pred, gt)
+        assert abs(rep.mpjve - ve / 9.0) < 1e-12
+        assert abs(rep.akv - vm / 9.0) < 1e-12
 
 
 def test_velocity_needs_two_frames():
@@ -182,8 +190,9 @@ def test_per_joint_rows_mean_equals_scalar():
     pred, gt = rand_seq(14), rand_seq(15)
     names = [f"j{i}" for i in range(pred.shape[1])]
     rows = per_joint_report([pred], [gt], names)
-    assert abs(np.mean([r[1] for r in rows]) - mpjpe(pred, gt)) < 1e-12
-    assert abs(np.mean([r[2] for r in rows]) - mpjve(pred, gt)) < 1e-12
+    rep = report(pred, gt)
+    assert abs(np.mean([r[1] for r in rows]) - rep.mpjpe) < 1e-12
+    assert abs(np.mean([r[2] for r in rows]) - rep.mpjve) < 1e-12
 
 
 def test_per_joint_pools_sequences_like_sequence_report():
@@ -308,7 +317,7 @@ def test_kalman_reduces_akv_on_jittered_static():
         rng = np.random.default_rng(seed)
         base = 100.0 * rng.standard_normal((1, 3, 3))
         seq = np.tile(base, (20, 1, 1)) + 5.0 * rng.standard_normal((20, 3, 3))
-        if akv(kalman_smooth(seq)) < akv(seq):
+        if report(kalman_smooth(seq)).akv < report(seq).akv:
             wins += 1
     assert wins >= 95
 
@@ -329,7 +338,7 @@ def test_kalman_smoothing_tradeoff_direction():
     noisy = gt + 3.0 * rng.standard_normal(gt.shape)
     smoothed = kalman_smooth(noisy, KalmanConfig(process_noise=0.05,
                                                  measurement_noise=40.0))
-    assert akv(smoothed) < akv(noisy)
+    assert report(smoothed).akv < report(noisy).akv
 
 
 def test_kalman_rejects_bad_noise():
@@ -346,10 +355,11 @@ def test_report_rows():
 def test_velocity_metrics_offset_invariance():
     pred, gt = rand_seq(28), rand_seq(29)
     shift = np.array([12.0, -7.0, 3.0])
-    assert mpjve(pred + shift, gt) == pytest.approx(mpjve(pred, gt), abs=1e-12)
-    assert akv(pred + shift) == pytest.approx(akv(pred), abs=1e-12)
+    shifted, rep = report(pred + shift, gt), report(pred, gt)
+    assert shifted.mpjve == pytest.approx(rep.mpjve, abs=1e-12)
+    assert shifted.akv == pytest.approx(rep.akv, abs=1e-12)
 
 
 def test_mpjve_symmetric():
     pred, gt = rand_seq(30), rand_seq(31)
-    assert mpjve(pred, gt) == pytest.approx(mpjve(gt, pred), abs=1e-12)
+    assert report(pred, gt).mpjve == pytest.approx(report(gt, pred).mpjve, abs=1e-12)

@@ -581,7 +581,7 @@ def test_multiframe_window_runs_and_uses_history():
     frames = rand_frames(cfg, 51, n=3)
     out = forward([frames], params, cfg)
     assert out.pose.shape == (1, cfg.joints, 3)
-    assert len(out.frame_gates) == 3
+    assert out.gate.shape == (1, cfg.n_cells, 1)
     # changing an earlier frame's Doppler must change the pose
     frames2 = [frames[0] * 2.0, frames[1], frames[2]]
     out2 = forward([frames2], params, cfg)

@@ -74,18 +74,18 @@ def dense_mask(R, A, patch_r, patch_a, w):
     return band.dense(band.visible[None].astype(float))[0] == 1.0
 
 
-def test_softmax_equal_logits():
+def test_attention_equal_logits_weigh_keys_equally():
     # zero queries: every key gets the same logit
     p = attend(np.zeros((1, 2)), np.arange(8.0).reshape(4, 2))
     np.testing.assert_allclose(p[0, 0], [[0.25, 0.25, 0.25, 0.25]], atol=1e-15)
 
 
-def test_softmax_hand_case():
+def test_attention_hand_case():
     p = attend(np.ones((1, 1)), np.array([[0.0], [math.log(3.0)]]))
     np.testing.assert_allclose(p[0, 0], [[0.25, 0.75]], atol=1e-12)
 
 
-def test_softmax_bias_shift_invariance():
+def test_attention_bias_shift_invariance():
     rng = np.random.default_rng(3)
     q, k = rand(rng, 5, 4), rand(rng, 6, 4)
     bias = rand(rng, 1, 6)
@@ -94,7 +94,7 @@ def test_softmax_bias_shift_invariance():
     assert np.max(np.abs(base - shifted)) < 1e-12
 
 
-def test_softmax_mask_zeroes_and_renormalizes():
+def test_attention_band_zeroes_and_renormalizes():
     rng = np.random.default_rng(4)
     band = _lattice_band(16, 8, 2, 4, 3)
     mask = dense_mask(16, 8, 2, 4, 3)
@@ -104,7 +104,7 @@ def test_softmax_mask_zeroes_and_renormalizes():
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
 
-def test_softmax_fully_masked_row_rejected():
+def test_band_fully_hidden_row_rejected():
     visible = np.ones((2, 2, 4), dtype=bool)
     visible[1, 0, :3] = False
     band = T.Band(visible, 0, 2)
@@ -114,7 +114,7 @@ def test_softmax_fully_masked_row_rejected():
         T.Band(visible, 0, 2)
 
 
-def test_softmax_live_entries_shape_mismatch_rejected():
+def test_attention_band_shape_mismatch_rejected():
     band = _lattice_band(16, 8, 2, 4, 3)
     with pytest.raises(ShapeError):
         attend(np.zeros((16, 4)), np.zeros((64, 4)), band=band)
@@ -128,7 +128,7 @@ def test_softmax_live_entries_shape_mismatch_rejected():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(1, 4),
        st.integers(1, 3), st.integers(1, 3), st.integers(1, 5))
-def test_softmax_rows_sum_to_one(seed, patches_r, patches_a, patch_r, patch_a, w):
+def test_attention_band_rows_sum_to_one(seed, patches_r, patches_a, patch_r, patch_a, w):
     rng = np.random.default_rng(seed)
     R, A = patches_r * patch_r, patches_a * patch_a
     band = _lattice_band(R, A, patch_r, patch_a, w)

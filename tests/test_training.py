@@ -390,7 +390,7 @@ def test_evaluate_split_builds_no_graph_and_matches_forward(
     _, gate_preds, _, gates, _ = evaluate_split(params, mcfg, tiny_dataset, "all",
                                                 collect_gates=True)
     for result in results:
-        for t in (result.pose, result.gate, *result.frame_gates):
+        for t in (result.pose, result.gate):
             assert t is None or (not t.requires_grad and t._parents == ()
                                  and t._backprop is None)
 

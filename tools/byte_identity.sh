@@ -40,6 +40,8 @@ run_tree() {
         pulse train --dataset "$dir/ds" --config "$dir/run/resolved.cfg" --out "$dir/run_cfg"
         pulse eval --checkpoint "$dir/run/model.ckpt" --dataset "$dir/ds" --split val --out "$dir/eval"
         pulse diag --checkpoint "$dir/run/model.ckpt" --dataset "$dir/ds" --split all --out "$dir/diag"
+        pulse eval --checkpoint "$dir/run/model.ckpt" --dataset "$dir/ds" --split val --pa-scale off --out "$dir/eval_pa_off"
+        pulse diag --checkpoint "$dir/run/model.ckpt" --dataset "$dir/ds" --split all --cell-selection global --out "$dir/diag_global"
         pulse train --dataset "$dir/ds" --out "$dir/run_fw2" --seed 5 --frame_window 2 --gate_loss_weight 30 $model
         pulse eval --checkpoint "$dir/run_fw2/model.ckpt" --dataset "$dir/ds" --split val --out "$dir/eval_fw2"
         pulse diag --checkpoint "$dir/run_fw2/model.ckpt" --dataset "$dir/ds" --split all --out "$dir/diag_fw2"
