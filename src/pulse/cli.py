@@ -29,7 +29,7 @@ from .model import (ABLATIONS, ModelConfig, config_from_strings,
                     config_from_text, config_to_text, forward, init_params,
                     params_from_arrays, typed_values)
 from .optim import grad_check, group_errors_by_prefix
-from .radar import JOINT_NAMES, MOTIONS, RadarConfig, emit_dataset, make_scene
+from .radar import MOTIONS, RadarConfig, emit_dataset, make_scene
 from .storage import (SPLITS, key_value_text, load_checkpoint, load_dataset,
                       parse_key_values, read_text, save_checkpoint, write_csv)
 from .training import (TrainConfig, TrainLog, evaluate_split, loss_pos,
@@ -287,9 +287,8 @@ def cmd_eval(args):
     report, preds, gts = evaluate_split(params, mcfg, dataset, args.split,
                                         with_scale=args.pa_scale == "on")
     write_csv(out / "metrics.csv", "metric,value", report.as_rows())
-    names = dataset.manifest.get("joint_names", ",".join(JOINT_NAMES)).split(",")
     write_csv(out / "per_joint.csv", "joint,mpjpe,mpjve",
-              per_joint_report(preds, gts, names))
+              per_joint_report(preds, gts, dataset.joint_names))
     _write_evaluation_record(args, out, ("split", "pa_scale"))
     for name, value in report.as_rows():
         print(f"{name}: {value:.6f}")

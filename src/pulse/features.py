@@ -52,14 +52,18 @@ def normalize_frame(h):
     constant yields the same output and the op is idempotent on nonzero
     frames. The one check a frame gets before the model sees it: an (R, A, D)
     shape and finite, nonnegative entries; the functions above trust it.
+    The one place float64 enters: a dataset holds frames in float32, as
+    stored. The check and the max read the frame as given, and the division
+    casts it to float64, an exact conversion, so a float32 frame and its
+    float64 conversion normalize to the same bits.
     """
-    h = np.asarray(h, dtype=np.float64)
+    h = np.asarray(h)
     if h.ndim != 3:
         raise ShapeError(f"expected an (R, A, D) tensor, got shape {h.shape}")
     if not np.isfinite(h).all() or (h < 0).any():
         raise DomainError("RAD tensor entries must be finite and nonnegative")
     peak = h.max()
-    if peak == 0.0:
-        return h
-    return h / peak
+    if peak == 0:
+        return h.astype(np.float64)
+    return np.divide(h, peak, dtype=np.float64)
 

@@ -38,6 +38,8 @@ def write_rdt(path, values):
 
 
 def read_rdt(path):
+    """The (R, A, D) float32 values of .rdt file `path`, as stored: a
+    read-only view of the file's bytes, checked finite and nonnegative."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -54,7 +56,7 @@ def read_rdt(path):
     # NaN fails both comparisons, +inf the second, negatives the first.
     if not ((flat >= 0) & (flat < np.inf)).all():
         raise DataError(f"{path}: values must be finite and nonnegative")
-    return flat.reshape(r, a, d).astype(np.float64)
+    return flat.reshape(r, a, d)
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +212,19 @@ class _Reader:
 
 
 def save_checkpoint(path, config_text, seed, named_params):
-    """named_params: ordered iterable of (name, float64 array)."""
-    parts = [CKP_MAGIC, struct.pack("<I", CKP_VERSION), _pack_str(config_text),
-             struct.pack("<Q", int(seed) & (2**64 - 1))]
-    named_params = list(named_params)
-    parts.append(struct.pack("<I", len(named_params)))
-    for name, values in named_params:
-        values = np.asarray(values, dtype=np.float64)
-        parts.append(_pack_str(name))
-        parts.append(struct.pack("<I", values.ndim))
-        parts.append(struct.pack(f"<{values.ndim}I", *values.shape))
-        parts.append(values.astype("<f8").tobytes(order="C"))
-    Path(path).write_bytes(b"".join(parts))
+    """named_params: ordered iterable of (name, float64 array). The header
+    and then each parameter's buffer are written straight to the file; no
+    copy of the checkpoint is held in memory, and a C-order float64 array
+    is written without a copy of its own."""
+    named_params = [(name, np.asarray(values, dtype="<f8", order="C"))
+                    for name, values in named_params]
+    with open(path, "wb") as fh:
+        fh.write(CKP_MAGIC + struct.pack("<I", CKP_VERSION) + _pack_str(config_text)
+                 + struct.pack("<QI", int(seed) & (2**64 - 1), len(named_params)))
+        for name, values in named_params:
+            fh.write(_pack_str(name)
+                     + struct.pack(f"<I{values.ndim}I", values.ndim, *values.shape))
+            fh.write(values)
 
 
 def load_checkpoint(path):
@@ -260,13 +263,16 @@ SPLITS = ("train", "val", "test")
 
 
 class Dataset:
-    """In-memory view of an emitted dataset directory."""
+    """In-memory view of an emitted dataset directory. Frames are held as
+    the .rdt files store them, in float32; features.normalize_frame turns
+    each into float64 when the model reads it."""
 
-    def __init__(self, root, manifest, splits, frames, poses):
+    def __init__(self, root, manifest, splits, frames, poses, joint_names):
         self.root = Path(root)
         self.manifest = manifest
         self.splits = splits          # {"train": [seq ids], ...}
-        self.frames = frames          # {seq: (T, R, A, D) float64}
+        self.joint_names = joint_names  # one name per joint, J in all
+        self.frames = frames          # {seq: (T, R, A, D) float32, as stored}
         self.poses = poses            # {seq: (T, J, 3) mm}
 
     def split_sequences(self, split):
@@ -278,6 +284,11 @@ class Dataset:
 
 
 def load_dataset(root):
+    """The Dataset of directory `root`: its manifest checked, poses.csv and
+    every frame read, each sequence's frames stacked into one float32 array.
+    A manifest without joint_names gets radar.JOINT_NAMES when J is their
+    count and joint_0 .. joint_{J-1} otherwise."""
+    from .radar import JOINT_NAMES  # radar imports storage
     root = Path(root)
     manifest_path = root / "manifest.txt"
     manifest = parse_key_values(read_text(manifest_path), manifest_path, DataError)
@@ -290,10 +301,14 @@ def load_dataset(root):
     grid = tuple(int(manifest[key]) for key in ("R", "A", "D"))
     joints = int(manifest["J"])
     if "joint_names" in manifest:
-        count = len(manifest["joint_names"].split(","))
-        if count != joints:
-            raise DataError(f"{manifest_path}: joint_names lists {count} names "
-                            f"for J={joints}")
+        joint_names = manifest["joint_names"].split(",")
+        if len(joint_names) != joints:
+            raise DataError(f"{manifest_path}: joint_names lists {len(joint_names)} "
+                            f"names for J={joints}")
+    elif joints == len(JOINT_NAMES):
+        joint_names = list(JOINT_NAMES)
+    else:
+        joint_names = [f"joint_{j}" for j in range(joints)]
     poses = read_poses_csv(root / "poses.csv", joints)
     splits = {}
     listed = {}                     # sequence -> the split that lists it
@@ -310,13 +325,13 @@ def load_dataset(root):
             listed[seq] = name
     frames = {}
     for seq in poses:
-        stack = []
-        for f in range(poses[seq].shape[0]):
+        stack = np.empty((len(poses[seq]),) + grid, dtype=np.float32)
+        for f in range(len(stack)):
             path = root / "frames" / f"{seq}_{f:04d}.rdt"
             values = read_rdt(path)
             if values.shape != grid:
                 raise DataError(f"{path}: grid {values.shape} != manifest "
                                 f"(R, A, D) {grid}")
-            stack.append(values)
-        frames[seq] = np.stack(stack)
-    return Dataset(root, manifest, splits, frames, poses)
+            stack[f] = values
+        frames[seq] = stack
+    return Dataset(root, manifest, splits, frames, poses, joint_names)

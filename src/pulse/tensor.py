@@ -353,9 +353,8 @@ class Band:
     contiguous window of key blocks g - before .. g - before + window - 1;
     blocks past either end of the keys are zero padding. `visible` is the
     boolean (G, N / G, window * block) array of the keys each query keeps
-    in its group's window; `mask` is the additive 0 / -inf array derived
-    from it and `hidden` its complement. A query row with no visible key is
-    rejected.
+    in its group's window and `hidden` its complement. A query row with no
+    visible key is rejected.
     """
 
     def __init__(self, visible, before, block):
@@ -367,8 +366,7 @@ class Band:
             raise DomainError("Band: a query row has no visible key")
         self.visible = visible
         self.hidden = ~visible
-        self.mask = np.where(visible, 0.0, -np.inf)
-        for arr in (self.mask, self.visible, self.hidden):
+        for arr in (self.visible, self.hidden):
             arr.setflags(write=False)
         self.groups, self.rows_per_group, width = visible.shape
         self.block = int(block)
@@ -472,21 +470,19 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
     qg = split_heads(q.data) * c
     kw, vw = windows(k.data, heads), windows(v.data, heads)
     p = qg @ kw.swapaxes(-1, -2)
-    shift = None if band is None else band.mask
     if bias is not None:
         bias = _lift(bias)
         if bias.shape != lead + (1, m):
             raise ShapeError(f"attention bias must be (1, {m}), got {bias.shape}")
         parents.append(bias)
-        per_key = windows(bias.data.reshape(lead + (m, 1)), 1)[..., 0][..., None, :]
-        shift = per_key if shift is None else shift + per_key
-    if shift is not None:
-        p += shift
-    p -= p.max(axis=-1, keepdims=True)
+        p += windows(bias.data.reshape(lead + (m, 1)), 1)[..., 0][..., None, :]
     if band is None:
+        p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
     else:
-        # exp of -inf takes numpy's slow path: skip the hidden entries
+        # the row max, exp and zeroing read only the visible entries, so the
+        # hidden ones need no -inf
+        p -= p.max(axis=-1, keepdims=True, where=band.visible, initial=-np.inf)
         np.exp(p, out=p, where=band.visible)
         np.copyto(p, 0.0, where=band.hidden)
     p /= p.sum(axis=-1, keepdims=True)

@@ -140,12 +140,17 @@ class Sample:
 
 
 def frame_windows(frames, frame_window):
-    """Normalize each frame of a sequence and pair it with its window of the
+    """Yield each frame of a sequence, normalized, with its window of the
     last `frame_window` normalized frames. Windows stay inside the sequence
-    and left-pad by repeating the first frame. -> [(frame, window)]."""
-    normed = [normalize_frame(f) for f in frames]
-    padded = normed[:1] * (frame_window - 1) + normed
-    return [(normed[t], padded[t:t + frame_window]) for t in range(len(normed))]
+    and left-pad by repeating the first frame. A frame is drawn from
+    `frames` and normalized only when its window is due, so a caller that
+    drops each window holds one window, not the sequence. -> (frame, window)
+    pairs, each window a fresh list."""
+    window = []
+    for frame in frames:
+        frame = normalize_frame(frame)
+        window = (window or [frame] * frame_window)[1:] + [frame]
+        yield frame, window
 
 
 def build_samples(dataset, split, mcfg):

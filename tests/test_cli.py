@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from pulse import tensor as T
 from pulse.cli import main
 from pulse.model import config_from_text, init_params
-from pulse.storage import load_checkpoint, save_checkpoint, write_rdt
+from pulse.radar import JOINT_NAMES
+from pulse.storage import load_checkpoint, load_dataset, save_checkpoint, write_rdt
 from tests.conftest import parse_train_log
 
 DESK = ["--bandwidth_hz", "0.5e9", "--R", "16", "--A", "16", "--D", "8",
@@ -220,6 +221,27 @@ def test_eval_all_per_joint_pools_like_metrics(cli_run, cli_dataset, tmp_path):
           (out / "per_joint.csv").read_text().splitlines()[1:]]
     assert abs(np.mean([float(r[1]) for r in pj]) - float(rows["mpjpe"])) < 1e-9
     assert abs(np.mean([float(r[2]) for r in pj]) - float(rows["mpjve"])) < 1e-9
+
+
+def test_eval_names_the_joints_of_a_manifest_without_joint_names(cli_dataset, tmp_path):
+    # joint_names is optional: J=8 takes the built-in names, another J one
+    # joint_<j> per joint, before any output is written
+    ds = tmp_path / "ds"
+    shutil.copytree(cli_dataset, ds)
+    text = re.sub(r"\njoint_names=[^\n]*\n", "\n", (ds / "manifest.txt").read_text())
+    (ds / "manifest.txt").write_text(text)
+    assert load_dataset(ds).joint_names == list(JOINT_NAMES)
+    (ds / "manifest.txt").write_text(text.replace("\nJ=8\n", "\nJ=4\n"))
+    lines = (ds / "poses.csv").read_text().splitlines()
+    (ds / "poses.csv").write_text("\n".join(
+        lines[:1] + [line for line in lines[1:] if int(line.split(",")[2]) < 4]) + "\n")
+    run, out = tmp_path / "run", tmp_path / "eval"
+    assert main(["train", "--dataset", str(ds), "--out", str(run), "--seed", "5",
+                 *SMALL_MODEL, *FAST_TRAIN]) == 0
+    assert main(["eval", "--checkpoint", str(run / "model.ckpt"), "--dataset",
+                 str(ds), "--split", "val", "--out", str(out)]) == 0
+    rows = (out / "per_joint.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [f"joint_{j}" for j in range(4)]
 
 
 def test_eval_reruns_byte_identical(cli_run, cli_dataset, tmp_path):

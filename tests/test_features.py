@@ -105,6 +105,13 @@ def test_normalize_idempotent_on_nonzero():
     np.testing.assert_array_equal(normalize_frame(once), once)
 
 
+def test_normalize_float32_frame_is_bitwise_its_float64_conversion():
+    h = (rand_rad(7) * 1e3).astype(np.float32)
+    out = normalize_frame(h)
+    assert out.dtype == np.float64
+    assert out.tobytes() == normalize_frame(h.astype(np.float64)).tobytes()
+
+
 def test_negative_entries_rejected():
     h = np.ones((2, 2, 2))
     h[0, 0, 0] = -1.0

@@ -1,11 +1,14 @@
+import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pulse.errors import ConfigError, DataError, UsageError
+from pulse.model import ModelConfig, config_to_text, init_params
 from pulse.radar import RadarConfig, emit_dataset, make_scene, split_sequences
-from pulse.storage import (POSES_HEADER, key_value_text, load_checkpoint,
+from pulse.storage import (CKP_MAGIC, CKP_VERSION, POSES_HEADER, _pack_str,
+                           key_value_text, load_checkpoint,
                            load_dataset, parse_key_values, read_poses_csv,
                            read_rdt, read_text, save_checkpoint, write_csv,
                            write_rdt)
@@ -26,6 +29,8 @@ def test_rdt_round_trip_bit_exact(tmp_path):
     path = tmp_path / "frame.rdt"
     write_rdt(path, tensor)
     again = read_rdt(path)
+    # float32, as stored, with the exact stored values
+    assert again.dtype == np.float32
     np.testing.assert_array_equal(again, tensor)
     # writing the loaded tensor reproduces the file byte for byte
     path2 = tmp_path / "copy.rdt"
@@ -110,6 +115,43 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _joined_checkpoint_bytes(config_text, seed, named_params):
+    """The reference writer: every part of the file joined in memory."""
+    parts = [CKP_MAGIC, struct.pack("<I", CKP_VERSION), _pack_str(config_text),
+             struct.pack("<Q", int(seed) & (2**64 - 1))]
+    named_params = list(named_params)
+    parts.append(struct.pack("<I", len(named_params)))
+    for name, values in named_params:
+        values = np.asarray(values, dtype=np.float64)
+        parts.append(_pack_str(name))
+        parts.append(struct.pack("<I", values.ndim))
+        parts.append(struct.pack(f"<{values.ndim}I", *values.shape))
+        parts.append(values.astype("<f8").tobytes(order="C"))
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("profile", ["full", "empty"])
+def test_checkpoint_writer_streams_the_joined_bytes(profile, tmp_path):
+    if profile == "full":
+        cfg = ModelConfig(R=64, A=64, D=16, patch_r=4, patch_a=4, embed_dim=32,
+                          layers=4, heads=4, dropout=0.1, joints=8)
+        params = init_params(cfg, seed=2)
+        text = config_to_text(cfg)
+        named = [(n, params[n].data) for n in params.names()]
+        # a transposed view and a float32 array take the writer's conversions
+        named += [("view", named[0][1].T), ("single", np.arange(5, dtype=np.float32))]
+    else:
+        text, named = "", []
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, text, 2**64 + 7, named)
+    assert path.read_bytes() == _joined_checkpoint_bytes(text, 2**64 + 7, named)
+    loaded_text, seed, loaded = load_checkpoint(path)
+    assert (loaded_text, seed) == (text, 7)
+    assert [n for n, _ in loaded] == [n for n, _ in named]
+    for (_, want), (_, got) in zip(named, loaded):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, "x=1", seed=0, named_params=[])
@@ -170,6 +212,9 @@ def test_emit_dataset_layout_and_round_trip(tmp_path):
     ds = load_dataset(out)
     assert ds.splits["train"] == ["000"] and ds.splits["val"] == ["001"]
     assert ds.frames["000"].shape == (4, cfg.R, cfg.A, cfg.D)
+    assert ds.frames["000"].dtype == np.float32
+    np.testing.assert_array_equal(ds.frames["001"][3],
+                                  read_rdt(out / "frames" / "001_0003.rdt"))
     assert ds.poses["001"].shape == (4, 8, 3)
     # every radar config value is recorded in the manifest
     recorded = ds.manifest

@@ -4,6 +4,7 @@ import pytest
 from pulse import tensor as T
 from pulse import training
 from pulse.errors import DataError, NumericError, ShapeError, UsageError
+from pulse.features import normalize_frame
 from pulse.model import ABLATIONS, forward, init_params
 from pulse.optim import adam_step, clip_global_norm
 from pulse.storage import Dataset, write_csv
@@ -129,6 +130,36 @@ def test_build_samples_counts_and_padding(tiny_dataset):
     assert len(first.window) == 3
     np.testing.assert_array_equal(first.window[0], first.window[2])  # left pad
     assert samples[2].window[1] is not samples[2].window[2]
+
+
+@pytest.mark.parametrize("frame_window", [1, 2, 3])
+def test_frame_windows_match_the_list_reference(frame_window):
+    frames = np.random.default_rng(4).random((5, 4, 4, 2)).astype(np.float32)
+    normed = [normalize_frame(f) for f in frames]
+    padded = normed[:1] * (frame_window - 1) + normed
+    pairs = list(frame_windows(frames, frame_window))
+    assert len(pairs) == len(frames)
+    for t, (frame, window) in enumerate(pairs):
+        np.testing.assert_array_equal(frame, normed[t])
+        assert len(window) == frame_window
+        for got, want in zip(window, padded[t:t + frame_window], strict=True):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+
+
+def test_frame_windows_draws_a_frame_only_when_its_window_is_due():
+    drawn = []
+
+    def frames():
+        for t in range(3):
+            drawn.append(t)
+            yield np.full((2, 2, 2), t + 1.0, dtype=np.float32)
+
+    pairs = frame_windows(frames(), 2)
+    _, first = next(pairs)
+    assert drawn == [0] and len(first) == 2
+    _, second = next(pairs)
+    assert drawn == [0, 1] and second[0] is first[1]
 
 
 def test_build_samples_gate_targets(tiny_dataset):
@@ -325,7 +356,8 @@ def test_nan_loss_aborts_with_context(tiny_dataset):
     mcfg = tiny_model_cfg()
     poisoned = Dataset(tiny_dataset.root, tiny_dataset.manifest,
                        tiny_dataset.splits, tiny_dataset.frames,
-                       {k: v * np.inf for k, v in tiny_dataset.poses.items()})
+                       {k: v * np.inf for k, v in tiny_dataset.poses.items()},
+                       tiny_dataset.joint_names)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError) as exc:
             train_model(poisoned, mcfg, desk_train_cfg(epochs=1))
@@ -336,7 +368,7 @@ def test_empty_split_rejected(tiny_dataset):
     mcfg = tiny_model_cfg()
     empty = Dataset(tiny_dataset.root, tiny_dataset.manifest,
                     {"train": [], "val": tiny_dataset.splits["val"], "test": []},
-                    tiny_dataset.frames, tiny_dataset.poses)
+                    tiny_dataset.frames, tiny_dataset.poses, tiny_dataset.joint_names)
     with pytest.raises(DataError):
         train_model(empty, mcfg, desk_train_cfg())
 

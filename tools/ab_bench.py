@@ -5,9 +5,13 @@
         --pairs 10 --seconds 30 --out BENCH_pr<N>.json
 
 Runs perfbench/run.py (untraced) on a `git archive` of <ref> (the parent)
-and on the working tree (the change). Pair i runs both sides with seed i;
-odd pairs run the parent first, even pairs the change. One run at a time,
-so the two sides never compete for the host.
+and on a copy of the working tree (the change): its tracked files as they
+are on disk, uncommitted edits included, and its untracked files that git
+does not ignore. Both trees are fresh directories under one temporary
+parent, so neither side runs from a directory the other does not have.
+Pair i runs both sides with seed i; odd pairs run the parent first, even
+pairs the change. One run at a time, so the two sides never compete for
+the host.
 
 The record written to --out has the keys what, command, parent, change,
 host, summary and runs. summary holds, per workload and end-to-end metric
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -35,7 +40,8 @@ import numpy as np
 COMMAND = ("python3 perfbench/run.py --workload <workload> --seed <seed> "
            "--seconds <seconds> --trace 0")
 WHAT = ("perfbench/run.py runs of the parent commit and of this change on one "
-        "host, pairs alternating which side runs first ('first' marks the side "
+        "host, each side from a fresh copy under one temporary directory, "
+        "pairs alternating which side runs first ('first' marks the side "
         "that ran first; pair i runs seed i on both sides); each run's "
         "'result' is the last stdout line of run.py, 'host_line' the line it "
         "prints before its metrics; quartiles are numpy.percentile 25/50/75 of "
@@ -115,10 +121,16 @@ def main():
     metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
     out = Path(args.out).resolve()
 
-    with tempfile.TemporaryDirectory(prefix="ab-bench-") as parent_tree:
+    with tempfile.TemporaryDirectory(prefix="ab-bench-") as work:
+        trees = {"parent": Path(work) / "parent", "change": Path(work) / "change"}
         with tarfile.open(fileobj=io.BytesIO(git("archive", parent_id))) as tar:
-            tar.extractall(parent_tree, filter="data")
-        trees = {"parent": parent_tree, "change": str(root)}
+            tar.extractall(trees["parent"], filter="data")
+        listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+        for rel in filter(None, listed.decode().split("\0")):
+            # a tracked file deleted from the working tree is left out
+            if (root / rel).is_file():
+                (trees["change"] / rel).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(root / rel, trees["change"] / rel)
         runs, host = [], None
         for workload in args.workloads:
             for seed in range(1, args.pairs + 1):
