@@ -91,6 +91,9 @@ def resolve_config(args):
         if getattr(args, key) is not None:
             explicit[key] = getattr(args, key)
     if args.gate_strength_alias is not None:
+        if args.gate_strength is not None:
+            raise UsageError("--beta and --gate_strength both set gate_strength; "
+                             "pass one of them")
         explicit["gate_strength"] = args.gate_strength_alias
     for cls in (ModelConfig, TrainConfig, RadarConfig):
         typed_values(cls, {f.name: explicit[f.name] for f in fields(cls)
@@ -296,6 +299,8 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
+    if args.sweep_values and not args.sweep:
+        raise UsageError("--sweep-values needs --sweep to name the axis it sweeps")
     _check_split(args.split)
     resolved, explicit = resolve_config(args)
     dataset = load_dataset(args.dataset)

@@ -9,6 +9,10 @@ and writes the result back through a token-wise sigmoid-blended residual.
 A pre-norm transformer over the updated spatial tokens feeds an MLP head
 that regresses joint coordinates in millimeters.
 
+Every stage takes a batch: activations carry a leading batch axis, and a
+single window is a batch of one. Parameters are unbatched leaves that every
+sample of a batch reads.
+
 Multi-frame mode aggregates per-frame Doppler tokens by their gates
 (confidence-weighted mean with a small eps in the denominator) before
 prompting; the spatial pathway always uses the last frame only.
@@ -310,31 +314,27 @@ def neighborhood(i, cfg):
 # ---------------------------------------------------------------------------
 # Tokenization and gating
 
-def patch_matrix(s_map, cfg):
-    """(N_s, patch_r*patch_a) matrix of flattened non-overlapping patches,
-    patches in row-major order over the patch lattice; a (B, R, A) batch of
-    maps gives one matrix per map."""
-    s = np.asarray(s_map, dtype=np.float64)
-    if s.shape[-2:] != (cfg.R, cfg.A) or s.ndim not in (2, 3):
-        raise ShapeError(f"spatial map shape {s.shape} != ({cfg.R}, {cfg.A})")
-    lead = s.shape[:-2]
-    blocks = s.reshape(lead + (cfg.patches_r, cfg.patch_r, cfg.patches_a, cfg.patch_a))
-    return np.swapaxes(blocks, -3, -2).reshape(lead + (cfg.n_spatial, -1))
+def patch_matrix(s_maps, cfg):
+    """(B, N_s, patch_r*patch_a) flattened non-overlapping patches of a
+    (B, R, A) batch of maps, patches in row-major order over the patch
+    lattice."""
+    s = np.asarray(s_maps, dtype=np.float64)
+    if s.ndim != 3 or s.shape[1:] != (cfg.R, cfg.A):
+        raise ShapeError(f"spatial maps shape {s.shape} != (B, {cfg.R}, {cfg.A})")
+    blocks = s.reshape(len(s), cfg.patches_r, cfg.patch_r, cfg.patches_a, cfg.patch_a)
+    return np.swapaxes(blocks, 2, 3).reshape(len(s), cfg.n_spatial, -1)
 
 
-def tokenize_spatial(s_map, params, cfg):
-    """Patch-encode the spatial map (or each map of a (B, R, A) batch) and
-    add the learned positional embeddings. doppler_only zeroes the encoder
+def tokenize_spatial(s_maps, params, cfg):
+    """Patch-encode each map of a (B, R, A) batch and add the learned
+    positional embeddings: (B, N_s, d). doppler_only zeroes the encoder
     output (embeddings stay)."""
     pos = params["pos_embed"]
-    s_map = np.asarray(s_map)
-    batched = s_map.ndim == 3
+    patches = patch_matrix(s_maps, cfg)
     if cfg.ablation == "doppler_only":
         # + 0.0 gives every sample its own copy of the embeddings
-        zero = T.Tensor(np.zeros((len(s_map), 1, 1)), batched=True) if batched else 0.0
-        return T.add(pos, zero)
-    patches = T.Tensor(patch_matrix(s_map, cfg), batched=batched)
-    content = T.affine(patches, params["spatial_encoder.weight"],
+        return T.add(pos, T.Tensor(np.zeros((len(patches), 1, 1)), batched=True))
+    content = T.affine(T.Tensor(patches, batched=True), params["spatial_encoder.weight"],
                        params["spatial_encoder.bias"])
     return T.add(content, pos)
 
@@ -344,14 +344,10 @@ def _stack(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def tokenize_doppler(volume, params):
+def tokenize_doppler(volumes, params):
     """Embed every cell's Doppler spectrum independently with a shared
-    two-layer ReLU MLP: (N_v, D) -> (N_v, d). A list of B volumes is a
-    batch and gives (B, N_v, d)."""
-    if isinstance(volume, list):
-        spectra = T.Tensor(_stack([cell_spectra(v) for v in volume]), batched=True)
-    else:
-        spectra = T.Tensor(cell_spectra(volume))
+    two-layer ReLU MLP: a list of B (R, A, D) volumes -> (B, N_v, d)."""
+    spectra = T.Tensor(_stack([cell_spectra(v) for v in volumes]), batched=True)
     h = T.relu(T.affine(spectra, params["doppler_encoder.l1.weight"],
                         params["doppler_encoder.l1.bias"]))
     return T.affine(h, params["doppler_encoder.l2.weight"],
@@ -359,7 +355,7 @@ def tokenize_doppler(volume, params):
 
 
 def gate(doppler_tokens, params):
-    """Per-token motion-relevance score in (0, 1), shape (N_v, 1)."""
+    """Per-token motion-relevance score in (0, 1), shape (B, N_v, 1)."""
     return T.sigmoid(T.affine(doppler_tokens, params["token_gate.weight"],
                               params["token_gate.bias"]))
 
@@ -367,32 +363,29 @@ def gate(doppler_tokens, params):
 # ---------------------------------------------------------------------------
 # Prompting
 
-def conditional_cross_attention(spatial, doppler, gates, params, cfg,
-                                return_weights=False):
-    """Gate-biased multi-head attention from spatial tokens onto their
-    Doppler neighborhoods; rows normalize over the neighborhood per head.
-    Keys are read through the neighborhood_band, so no (N_s, N_v) logits
-    are built; return_weights scatters the per-head weights of an unbatched
-    call into dense (N_s, N_v) arrays.
+def conditional_cross_attention(spatial, doppler, gates, params, cfg):
+    """Gate-biased multi-head attention from (B, N_s, d) spatial tokens onto
+    their (B, N_v, d) Doppler neighborhoods; rows normalize over the
+    neighborhood per head. Keys are read through the neighborhood_band, so
+    no (N_s, N_v) logits are built. -> (merged contexts, window weights),
+    the weights as T.attention returns them.
 
-    gates enter the logits as an additive bias (gate_strength * gate), shared
-    across heads; the ungated/no_gating ablations and gate_strength == 0 drop
-    the bias term entirely so both routes run the identical computation.
+    The (B, N_v, 1) gates enter the logits as an additive bias column
+    (gate_strength * gate), shared across heads; the ungated/no_gating
+    ablations and gate_strength == 0 drop the bias term entirely so both
+    routes run the identical computation.
     """
     gated = (gates is not None and cfg.gate_strength != 0.0
              and cfg.ablation not in ("ungated", "no_gating"))
-    bias = T.scale(T.transpose(gates), cfg.gate_strength) if gated else None
-    band = neighborhood_band(cfg)
+    bias = T.scale(gates, cfg.gate_strength) if gated else None
     contexts, weights = T.attention(T.matmul(spatial, params["cross_attn.q.weight"]),
                                     T.matmul(doppler, params["cross_attn.k.weight"]),
                                     T.matmul(doppler, params["cross_attn.v.weight"]),
                                     cfg.heads, 1.0 / np.sqrt(cfg.head_dim),
-                                    bias=bias, band=band)
+                                    bias=bias, band=neighborhood_band(cfg))
     merged = T.affine(contexts, params["cross_attn.out.weight"],
                       params["cross_attn.out.bias"])
-    if not return_weights:
-        return merged
-    return merged, list(weights[:, 0] if band is None else band.dense(weights))
+    return merged, weights
 
 
 def aggregate_doppler_multiframe(frame_tokens, frame_gates, cfg):
@@ -425,8 +418,8 @@ def naive_concat_update(spatial, doppler, params, cfg):
     neighborhood-mean Doppler token, then project back to width d. The mean
     is one attention head over the neighborhood_band with zero queries:
     every logit is 0, so each visible cell gets weight 1/count."""
-    queries = T.Tensor(np.zeros(spatial.shape), batched=spatial.batched)
-    keys = T.Tensor(np.zeros(doppler.shape), batched=doppler.batched)
+    queries = T.Tensor(np.zeros(spatial.shape), batched=True)
+    keys = T.Tensor(np.zeros(doppler.shape), batched=True)
     pool, _ = T.attention(queries, keys, doppler, 1, 1.0, band=neighborhood_band(cfg))
     return T.affine(T.concat_lastdim([spatial, pool]),
                     params["concat_fuse.weight"], params["concat_fuse.bias"])
@@ -450,9 +443,9 @@ class _KeyStream:
 
 
 def spatial_transformer(tokens, params, cfg, train=False, keys=None):
-    """Pre-norm transformer blocks (self-attention + ReLU MLP, residuals,
-    dropout on both branch outputs when training). Training takes batched
-    tokens and their _KeyStream."""
+    """Pre-norm transformer blocks over (B, N_s, d) tokens (self-attention +
+    ReLU MLP, residuals, dropout on both branch outputs when training, which
+    takes the batch's _KeyStream)."""
     keys = keys or _KeyStream([])
     x = tokens
     for i in range(cfg.layers):
@@ -474,15 +467,15 @@ def spatial_transformer(tokens, params, cfg, train=False, keys=None):
 
 
 def regress(embedding, params, cfg):
-    """Flatten the token embedding and regress joints (J, 3) in mm, (B, J, 3)
-    for a batch; the MLP output is multiplied by a fixed scale so weights
-    stay O(1)."""
-    lead = embedding.shape[:-2]
-    flat = T.reshape(embedding, lead + (1, cfg.n_spatial * cfg.embed_dim))
+    """Flatten each sample's token embedding and regress its joints in mm:
+    (B, N_s, d) -> (B, J, 3). The MLP output is multiplied by a fixed scale
+    so weights stay O(1)."""
+    batch = len(embedding.data)
+    flat = T.reshape(embedding, (batch, 1, cfg.n_spatial * cfg.embed_dim))
     h = T.relu(T.affine(flat, params["head.l1.weight"], params["head.l1.bias"]))
     out = T.add(T.scale(T.matmul(h, params["head.l2.weight"]), cfg.head_scale),
                 params["head.out_bias"])
-    return T.reshape(out, lead + (cfg.joints, 3))
+    return T.reshape(out, (batch, cfg.joints, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +527,10 @@ def forward(windows, params, cfg, train=False, base_keys=None,
         if cfg.ablation == "naive_concat":
             updated = naive_concat_update(spatial, doppler, params, cfg)
         else:
+            # index, not unpack: the window weights are freed here instead of
+            # living through the transformer
             ctx = conditional_cross_attention(spatial, doppler, gate_used,
-                                              params, cfg)
+                                              params, cfg)[0]
             updated = residual_update(spatial, ctx, params)
 
     z = spatial_transformer(updated, params, cfg, train=train, keys=keys)

@@ -10,16 +10,18 @@ gradients additively, so a tensor feeding two consumers receives the sum of
 both path gradients; it frees each interior node as it finishes it.
 
 A batched tensor has a leading batch axis of independent samples; ops on it
-act on each sample as they would on that sample alone. An unbatched tensor
-a batched op reads (a parameter every sample shares) receives each sample's
+act on each sample as they would on that sample alone. Activations are
+batched (a single sample is a batch of one): `attention` and train-mode
+`dropout` accept nothing else. An unbatched tensor a batched op reads (a
+parameter every sample shares, always a leaf) receives each sample's
 gradient summed on its own, and backward folds those sample by sample once
 the walk ends: all of sample 0's contributions in walk order, then sample
 1's, and so on. So a batch of B gives bitwise the gradients of B per-sample
 graphs summed in a loop.
 
 All ops are deterministic given identical inputs; dropout takes an explicit
-integer key and draws its mask from a counter-based Philox stream so runs
-are bit-reproducible.
+integer key per sample and draws each mask from a counter-based Philox
+stream so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -237,19 +239,6 @@ def matmul(a, b):
     return _result(out, (a, b), backprop)
 
 
-def transpose(x):
-    """Swap the last two axes of a matrix, or of each matrix of a batch."""
-    x = _lift(x)
-    if x.data.ndim != 2 + x.batched:
-        raise ShapeError(f"transpose expects a 2-D tensor, got shape {x.shape}")
-    out = x.data.swapaxes(-1, -2).copy()
-
-    def backprop(g):
-        _accumulate(x, g.swapaxes(-1, -2).copy(), fresh=True)
-
-    return _result(out, (x,), backprop)
-
-
 def reshape(x, shape):
     x = _lift(x)
     shape = tuple(shape)
@@ -374,22 +363,20 @@ class Band:
         self.before = int(before)
 
     def windows(self, x, heads):
-        """(..., M, heads * e) key rows -> (..., heads, G, window * block, e):
-        each head's rows of every group's window, zero rows in the padding.
-        Leading axes (a batch) pass through."""
+        """(B, M, heads * e) key rows -> (B, heads, G, window * block, e):
+        each head's rows of every group's window, zero rows in the padding."""
         g, b = self.groups, self.block
-        lead = x.shape[:-2]
-        t, n = tuple(range(len(lead))), len(lead)
-        padded = np.zeros(lead + (heads, g + self.window - 1, b, x.shape[-1] // heads))
-        padded[..., self.before:self.before + g, :, :] = \
-            x.reshape(lead + (g, b, heads, -1)).transpose(t + (n + 2, n, n + 1, n + 3))
-        shifted = sliding_window_view(padded, self.window, axis=n + 1)
-        return shifted.transpose(t + (n, n + 1, n + 4, n + 2, n + 3)).reshape(
-            lead + (heads, g, -1, padded.shape[-1]))
+        batch = len(x)
+        padded = np.zeros((batch, heads, g + self.window - 1, b, x.shape[-1] // heads))
+        padded[:, :, self.before:self.before + g] = \
+            x.reshape(batch, g, b, heads, -1).transpose(0, 3, 1, 2, 4)
+        shifted = sliding_window_view(padded, self.window, axis=2)
+        return shifted.transpose(0, 1, 2, 5, 3, 4).reshape(
+            batch, heads, g, -1, padded.shape[-1])
 
     def overlap_add(self, xw):
-        """Adjoint of windows: (heads, G, window * block, e) -> (M, heads * e),
-        summing each key row over the windows that share it."""
+        """Adjoint of windows for one sample: (heads, G, window * block, e) ->
+        (M, heads * e), summing each key row over the windows that share it."""
         heads, g, _, e = xw.shape
         padded = np.zeros((heads, g + self.window - 1, self.block, e))
         shifted = xw.reshape(heads, g, self.window, self.block, e)
@@ -398,48 +385,39 @@ class Band:
         return padded[:, self.before:self.before + g].transpose(1, 2, 0, 3) \
             .reshape(g * self.block, heads * e)
 
-    def dense(self, weights):
-        """(heads, G, N / G, window * block) window weights -> (heads, N, M),
-        zero outside each group's window."""
-        heads, g, rows = weights.shape[:3]
-        out = np.zeros((heads, g, rows, g + self.window - 1, self.block))
-        shifted = weights.reshape(heads, g, rows, self.window, self.block)
-        for i in range(g):
-            out[:, i, :, i:i + self.window] = shifted[:, i]
-        return out[:, :, :, self.before:self.before + g].reshape(
-            heads, g * rows, g * self.block)
-
 
 def attention(q, k, v, heads, logit_scale, bias=None, band=None):
-    """Multi-head attention: per head h, softmax(logit_scale * q_h k_h^T +
-    bias) v_h, with the heads as one batch axis.
+    """Multi-head attention over a batch: per sample and head h,
+    softmax(logit_scale * q_h k_h^T + bias) v_h, with the heads as one more
+    batch axis.
 
-    q       : (N, d) queries; k, v : (M, d) keys and values. Head h owns the
-              columns h * d/heads .. (h + 1) * d/heads - 1.
-    bias    : optional (1, M) tensor added to every head's logits, per key.
+    q       : batched (B, N, d) queries; k, v : batched (B, M, d) keys and
+              values. Head h owns the columns h * d/heads .. (h + 1) * d/heads - 1.
+    bias    : optional (B, M, 1) tensor, one column per sample (the shape of
+              a gate), added to every head's logits, per key.
     band    : optional Band; each query group then scores only the keys of
               its window, and keys it hides get weight exactly 0.
               None lets every query see every key (one group, one block).
-    Returns the (N, d) tensor of the head contexts side by side, and the
-    weights as a (heads, G, N / G, K) array: G = 1 and K = M without a band,
-    else the band's groups and window width. Batched q, k, v and bias carry
-    one more leading axis, and so do both results; the backward then runs
-    one sample at a time.
+    Returns the (B, N, d) tensor of the head contexts side by side, and the
+    weights as a (B, heads, G, N / G, K) array: G = 1 and K = M without a
+    band, else the band's groups and window width.
 
     The logits of all heads live in one array and the softmax runs on it in
-    place; the backward is one closure using dz = P * (dP - rowsum(dP * P)).
-    With a band, the key, value and bias gradients of the overlapping
-    windows are added back onto the shared key rows.
+    place; the backward is one closure that runs a sample at a time, using
+    dz = P * (dP - rowsum(dP * P)). With a band, the key, value and bias
+    gradients of the overlapping windows are added back onto the shared key
+    rows.
     """
     q, k, v = _lift(q), _lift(k), _lift(v)
-    *lead, n, d = q.shape
-    lead = tuple(lead)
-    m = k.shape[-2]
-    if len(lead) != q.batched or k.shape != lead + (m, d) \
-            or v.shape != lead + (m, d) or d % heads:
-        raise ShapeError(f"attention needs (N, d) queries and (M, d) keys and "
-                         f"values with heads | d, got {q.shape}, {k.shape}, "
-                         f"{v.shape} and {heads} heads")
+    # k.shape[::2] and q.shape[::2] are each (B, d)
+    if not (q.batched and k.batched and v.batched) or q.data.ndim != 3 \
+            or k.data.ndim != 3 or k.shape[::2] != q.shape[::2] \
+            or v.shape != k.shape or q.shape[2] % heads:
+        raise ShapeError(f"attention needs batched (B, N, d) queries and (B, M, d) "
+                         f"keys and values with heads | d, got {q.shape}, "
+                         f"{k.shape}, {v.shape} and {heads} heads")
+    batch, n, d = q.shape
+    m = k.shape[1]
     if band is not None and (band.groups * band.rows_per_group != n
                              or band.groups * band.block != m):
         raise ShapeError(f"band of {band.groups} groups of {band.rows_per_group} "
@@ -448,23 +426,22 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
     c = float(logit_scale)
     dh = d // heads
     groups = 1 if band is None else band.groups
-    # (..., G, N / G, heads, dh) <-> (..., heads, G, N / G, dh)
-    t, i = tuple(range(len(lead))), len(lead)
-    heads_first, heads_third = t + (i + 2, i, i + 1, i + 3), t + (i + 1, i + 2, i, i + 3)
 
     def windows(x, h):
+        """(B, M, h * e) -> (B, h, G, K, e)"""
         if band is None:
-            return x.reshape(lead + (1, m, h, -1)).transpose(heads_first)
+            return x.reshape(batch, 1, m, h, -1).transpose(0, 3, 1, 2, 4)
         return band.windows(x, h)
 
     def overlap_add(xw):
+        """One sample's (heads, G, K, e) -> (M, heads * e)"""
         if band is None:
             return xw[:, 0].transpose(1, 0, 2).reshape(m, -1)
         return band.overlap_add(xw)
 
     def split_heads(x):
-        """(..., N, d) -> (..., heads, G, N / G, dh)"""
-        return x.reshape(lead + (groups, n // groups, heads, dh)).transpose(heads_first)
+        """(B, N, d) -> (B, heads, G, N / G, dh)"""
+        return x.reshape(batch, groups, n // groups, heads, dh).transpose(0, 3, 1, 2, 4)
 
     parents = [q, k, v]
     qg = split_heads(q.data) * c
@@ -472,10 +449,11 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
     p = qg @ kw.swapaxes(-1, -2)
     if bias is not None:
         bias = _lift(bias)
-        if bias.shape != lead + (1, m):
-            raise ShapeError(f"attention bias must be (1, {m}), got {bias.shape}")
+        if bias.shape != (batch, m, 1):
+            raise ShapeError(f"attention bias must be (B, M, 1) = {(batch, m, 1)}, "
+                             f"got {bias.shape}")
         parents.append(bias)
-        p += windows(bias.data.reshape(lead + (m, 1)), 1)[..., 0][..., None, :]
+        p += windows(bias.data, 1)[..., 0][..., None, :]
     if band is None:
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
@@ -487,7 +465,7 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
         np.copyto(p, 0.0, where=band.hidden)
     p /= p.sum(axis=-1, keepdims=True)
     ctx = p @ vw
-    out = ctx.transpose(heads_third).reshape(lead + (n, d))
+    out = ctx.transpose(0, 2, 3, 1, 4).reshape(batch, n, d)
 
     bias_grad = bias is not None and bias.requires_grad
 
@@ -503,23 +481,18 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
         dq = ((dz @ kw) * c).transpose(1, 2, 0, 3).reshape(n, d) \
             if q.requires_grad else None
         dk = overlap_add(dz.swapaxes(-1, -2) @ qg) if k.requires_grad else None
-        db = overlap_add(dz.sum(axis=(0, 2))[None, :, :, None]).reshape(1, m) \
-            if bias_grad else None
+        db = overlap_add(dz.sum(axis=(0, 2))[None, :, :, None]) if bias_grad else None
         return dv, dq, dk, db
 
     def backprop(g):
-        gh = split_heads(g)
-        if not lead:
-            grads = sample_grads(gh, p, qg, kw, vw, ctx)
-        else:
-            # a sample at a time: whole-batch temporaries (1.5 MB each at the
-            # desk profile) made the allocator hand pages back and fault them
-            # in again on every step
-            per_sample = zip(*(sample_grads(*one) for one in zip(gh, p, qg, kw, vw, ctx)))
-            grads = [None if parts[0] is None else np.stack(parts) for parts in per_sample]
-        for tensor, grad in zip((v, q, k, bias), grads):
-            if grad is not None:
-                _accumulate(tensor, grad, fresh=True)
+        # a sample at a time: whole-batch temporaries (1.5 MB each at the
+        # desk profile) made the allocator hand pages back and fault them
+        # in again on every step
+        per_sample = zip(*(sample_grads(*one)
+                           for one in zip(split_heads(g), p, qg, kw, vw, ctx)))
+        for tensor, parts in zip((v, q, k, bias), per_sample):
+            if parts[0] is not None:
+                _accumulate(tensor, np.stack(parts), fresh=True)
 
     return _result(out, tuple(parents), backprop), p
 
@@ -527,28 +500,26 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
 def dropout(x, p, key, train):
     """Inverted dropout; identity when train is off.
 
-    The mask comes from a Philox stream keyed by `key`, so a fixed key
-    reproduces the same mask bit-for-bit regardless of call order. A batched
-    x takes one key per sample, and each sample draws its own mask.
+    x is batched and takes one key per sample; each sample draws its mask
+    from a Philox stream keyed by its key, so a fixed key reproduces the
+    same mask bit-for-bit regardless of call order or batch.
     """
     x = _lift(x)
     if not 0.0 <= p < 1.0:
         raise DomainError(f"dropout probability must be in [0,1), got {p}")
     if not train or p == 0.0:
         return x
+    if not x.batched:
+        raise ShapeError(f"dropout needs a batched tensor, got unbatched {x.shape}")
+    if len(key) != len(x.data):
+        raise ShapeError(f"{len(key)} dropout keys for a batch of {len(x.data)}")
 
-    def draw(k, shape):
+    def draw(k):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(int(k) & (2**64 - 1))))
-        return rng.random(shape)
+        return rng.random(x.shape[1:])
 
-    if x.batched:
-        if len(key) != len(x.data):
-            raise ShapeError(f"{len(key)} dropout keys for a batch of {len(x.data)}")
-        draws = np.stack([draw(k, x.shape[1:]) for k in key])
-    else:
-        draws = draw(key, x.shape)
-    keep = draws >= p
+    keep = np.stack([draw(k) for k in key]) >= p
     factor = keep / (1.0 - p)
     out = x.data * factor
 

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from pulse import tensor as T
 from pulse.model import ModelConfig
 from pulse.radar import RadarConfig, emit_dataset, make_scene
 from pulse.storage import load_dataset
@@ -17,6 +19,11 @@ def tiny_model_cfg(**kw):
                 heads=2, dropout=0.1, neighborhood=3, joints=8)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def one(x, requires_grad=False):
+    """The array x as a batch of one sample, a leaf tensor."""
+    return T.Tensor(np.asarray(x)[None], requires_grad=requires_grad, batched=True)
 
 
 def parse_train_log(text):

@@ -93,6 +93,19 @@ def test_config_file_flag_override(tmp_path):
     assert "seed=6" in (out / "manifest.txt").read_text().replace("seed=6", "seed=6")
 
 
+def test_beta_overrides_a_config_entry_but_not_gate_strength(tmp_path, capsys):
+    cfg = tmp_path / "beta.cfg"
+    cfg.write_text("gate_strength=0.5\n")
+    argv = ["synth", "--config", str(cfg), "--beta", "2", "--sequences", "2",
+            "--frames", "4", *DESK]
+    assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+    assert "gate_strength=2\n" in (tmp_path / "ok" / "resolved.cfg").read_text()
+    capsys.readouterr()
+    assert main(argv + ["--gate_strength", "1", "--out", str(tmp_path / "both")]) == 2
+    assert "--beta and --gate_strength" in capsys.readouterr().err
+    assert not (tmp_path / "both").exists()
+
+
 def test_pulse_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("PULSE_SEED", "77")
     out = tmp_path / "env"
@@ -676,6 +689,10 @@ def _joint_names_count(ds, run, tmp):
     _command_with("diag", "--split", "val", "--bins", "6",
                   name="--bins 6 exceeds the 5 scored frames of split 'val'"),
     _joint_names_count,
+    _command_with("ablate", "--split", "val", "--sweep-values", "0,1,2",
+                  name="--sweep-values needs --sweep"),
+    _train_with("--beta", "2", "--gate_strength", "0.5",
+                name="--beta and --gate_strength both set gate_strength"),
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
@@ -697,7 +714,8 @@ def _joint_names_count(ds, run, tmp):
         "manifest_line", "config_line", "ckpt_config_line", "bandwidth_conflict",
         "virtual_elements_conflict", "ablate_frame_rate_conflict",
         "manifest_radar_value", "frame_window_zero", "neighborhood_zero",
-        "agg_eps_zero", "diag_bins_over_frames", "joint_names_count"])
+        "agg_eps_zero", "diag_bins_over_frames", "joint_names_count",
+        "ablate_sweep_values_without_sweep", "beta_and_gate_strength"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

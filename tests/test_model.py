@@ -14,6 +14,7 @@ from pulse.model import (ABLATIONS, ModelConfig,
                          tokenize_doppler, tokenize_spatial)
 from pulse.optim import grad_check, group_errors_by_prefix
 from pulse.training import loss_pos
+from tests.conftest import one
 
 
 def desk_cfg(**kw):
@@ -26,6 +27,28 @@ def desk_cfg(**kw):
 def rand_frames(cfg, seed, n=None):
     rng = np.random.default_rng(seed)
     return [rng.random((cfg.R, cfg.A, cfg.D)) for _ in range(n or cfg.frame_window)]
+
+
+def tokens_of(frame, params, cfg):
+    """Spatial and Doppler tokens of one frame, each a batch of one."""
+    return (tokenize_spatial(spatial_magnitude(frame)[None], params, cfg),
+            tokenize_doppler([frame], params))
+
+
+def dense_weights(weights, cfg):
+    """One sample's window weights of conditional_cross_attention, (heads,
+    G, N_s / G, K), as dense (heads, N_s, N_v) rows: each token's visible
+    window entries scattered onto its neighborhood cells, zeros elsewhere.
+    Asserts that every hidden window entry is exactly 0."""
+    band = neighborhood_band(cfg)
+    if band is None:
+        return weights[:, 0]
+    assert np.all(weights[:, band.hidden] == 0.0)
+    dense = np.zeros((len(weights), cfg.n_spatial, cfg.n_cells))
+    for i in range(cfg.n_spatial):
+        group, token = divmod(i, cfg.patches_a)
+        dense[:, i, neighborhood(i, cfg)] = weights[:, group, token][:, band.visible[group, token]]
+    return dense
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +120,9 @@ def test_params_from_arrays_shares_arrays_and_checks_the_table():
 def test_spatial_token_count_and_zero_map_gives_pos():
     cfg = desk_cfg()
     params = init_params(cfg, seed=0)
-    out = tokenize_spatial(np.zeros((cfg.R, cfg.A)), params, cfg)
-    assert out.shape == (cfg.n_spatial, cfg.embed_dim)
-    np.testing.assert_array_equal(out.data, params["pos_embed"].data)
+    out = tokenize_spatial(np.zeros((1, cfg.R, cfg.A)), params, cfg)
+    assert out.shape == (1, cfg.n_spatial, cfg.embed_dim)
+    np.testing.assert_array_equal(out.data[0], params["pos_embed"].data)
 
 
 def test_spatial_patch_permutation_permutes_content():
@@ -107,14 +130,14 @@ def test_spatial_patch_permutation_permutes_content():
     params = init_params(cfg, seed=1)
     rng = np.random.default_rng(2)
     s = rng.random((cfg.R, cfg.A))
-    pm = patch_matrix(s, cfg)
-    base = tokenize_spatial(s, params, cfg).data - params["pos_embed"].data
+    pm = patch_matrix(s[None], cfg)[0]
+    base = tokenize_spatial(s[None], params, cfg).data[0] - params["pos_embed"].data
     # swap two patches by editing the map through the patch matrix layout
     pm2 = pm.copy()
     pm2[[3, 7]] = pm2[[7, 3]]
     blocks = pm2.reshape(cfg.patches_r, cfg.patches_a, cfg.patch_r, cfg.patch_a)
     s2 = blocks.transpose(0, 2, 1, 3).reshape(cfg.R, cfg.A)
-    swapped = tokenize_spatial(s2, params, cfg).data - params["pos_embed"].data
+    swapped = tokenize_spatial(s2[None], params, cfg).data[0] - params["pos_embed"].data
     np.testing.assert_allclose(swapped[3], base[7], atol=1e-12)
     np.testing.assert_allclose(swapped[7], base[3], atol=1e-12)
 
@@ -124,7 +147,7 @@ def test_doppler_token_count_and_shared_mlp():
     params = init_params(cfg, seed=3)
     vol = np.zeros((cfg.R, cfg.A, cfg.D))
     vol[0, 0] = vol[2, 5] = np.linspace(0, 1, cfg.D)
-    toks = tokenize_doppler(vol, params).data
+    toks = tokenize_doppler([vol], params).data[0]
     assert toks.shape == (cfg.n_cells, cfg.embed_dim)
     np.testing.assert_array_equal(toks[0 * cfg.A + 0], toks[2 * cfg.A + 5])
 
@@ -134,10 +157,10 @@ def test_doppler_cell_independence():
     params = init_params(cfg, seed=4)
     rng = np.random.default_rng(5)
     vol = rng.random((cfg.R, cfg.A, cfg.D))
-    base = tokenize_doppler(vol, params).data
+    base = tokenize_doppler([vol], params).data[0]
     vol2 = vol.copy()
     vol2[3, 4] += 0.5
-    toks2 = tokenize_doppler(vol2, params).data
+    toks2 = tokenize_doppler([vol2], params).data[0]
     changed = np.any(toks2 != base, axis=1)
     assert changed[3 * cfg.A + 4]
     assert changed.sum() == 1
@@ -151,17 +174,17 @@ def test_gate_zero_params_half():
     params = init_params(cfg, seed=6)
     params["token_gate.weight"].data[:] = 0.0
     params["token_gate.bias"].data[:] = 0.0
-    toks = tokenize_doppler(rand_frames(cfg, 7)[0], params)
+    toks = tokenize_doppler(rand_frames(cfg, 7), params)
     g = gate(toks, params).data
-    np.testing.assert_array_equal(g, np.full((cfg.n_cells, 1), 0.5))
+    np.testing.assert_array_equal(g, np.full((1, cfg.n_cells, 1), 0.5))
 
 
 def test_gate_monotone_in_logit():
     cfg = desk_cfg()
     params = init_params(cfg, seed=8)
-    toks = tokenize_doppler(rand_frames(cfg, 9)[0], params)
-    g = gate(toks, params).data
-    logits = toks.data @ params["token_gate.weight"].data + params["token_gate.bias"].data
+    toks = tokenize_doppler(rand_frames(cfg, 9), params)
+    g = gate(toks, params).data[0]
+    logits = toks.data[0] @ params["token_gate.weight"].data + params["token_gate.bias"].data
     order = np.argsort(logits[:, 0])
     assert np.all(np.diff(g[order, 0]) >= 0)
     assert np.all((g > 0) & (g < 1))
@@ -197,16 +220,13 @@ def test_window_covering_grid_matches_global():
                          ids=["w3", "w1", "w2", "w4_rect"])
 def test_neighborhood_rows_match_lists(kw):
     cfg = desk_cfg(**kw)
-    band = neighborhood_band(cfg)
-    visible = band.dense(band.visible[None].astype(float))[0]
-    assert visible.shape == (cfg.n_spatial, cfg.n_cells)
     # naive_concat's pooled token, passed through a fuse layer [0; I]
     d = cfg.embed_dim
     doppler = np.random.default_rng(5).uniform(1.0, 2.0, (cfg.n_cells, d))
     fuse = {"concat_fuse.weight": T.Tensor(np.vstack([np.zeros((d, d)), np.eye(d)])),
             "concat_fuse.bias": T.Tensor(np.zeros(d))}
-    pooled = naive_concat_update(T.Tensor(np.ones((cfg.n_spatial, d))),
-                                 T.Tensor(doppler), fuse, cfg).data
+    pooled = naive_concat_update(one(np.ones((cfg.n_spatial, d))),
+                                 one(doppler), fuse, cfg).data[0]
     offsets = range(-((cfg.neighborhood - 1) // 2), cfg.neighborhood // 2 + 1)
     for i in range(cfg.n_spatial):
         # the cells of the clipped patch window, listed patch by patch
@@ -219,7 +239,6 @@ def test_neighborhood_rows_match_lists(kw):
                         cells.append(r * cfg.A + a)
         cells = sorted(cells)
         np.testing.assert_array_equal(neighborhood(i, cfg), cells)
-        np.testing.assert_array_equal(np.flatnonzero(visible[i]), cells)
         np.testing.assert_allclose(pooled[i], doppler[cells].mean(axis=0),
                                    rtol=1e-12, atol=0)
 
@@ -231,15 +250,13 @@ def test_attention_rows_sum_to_one_over_neighborhood():
     cfg = desk_cfg()
     params = init_params(cfg, seed=10)
     frames = rand_frames(cfg, 11)
-    spatial = tokenize_spatial(spatial_magnitude(frames[0]), params, cfg)
-    doppler = tokenize_doppler(frames[0], params)
+    spatial, doppler = tokens_of(frames[0], params, cfg)
     g = gate(doppler, params)
-    _, weights = conditional_cross_attention(spatial, doppler, g, params, cfg,
-                                             return_weights=True)
+    _, weights = conditional_cross_attention(spatial, doppler, g, params, cfg)
     mask = np.zeros((cfg.n_spatial, cfg.n_cells), dtype=bool)
     for i in range(cfg.n_spatial):
         mask[i, neighborhood(i, cfg)] = True
-    for alpha in weights:
+    for alpha in dense_weights(weights[0], cfg):
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(alpha[~mask] == 0.0)
 
@@ -248,31 +265,26 @@ def test_singleton_neighborhood_copies_value_row():
     cfg = desk_cfg(patch_r=1, patch_a=1, neighborhood=1, heads=1)
     params = init_params(cfg, seed=12)
     frames = rand_frames(cfg, 13)
-    spatial = tokenize_spatial(spatial_magnitude(frames[0]), params, cfg)
-    doppler = tokenize_doppler(frames[0], params)
+    spatial, doppler = tokens_of(frames[0], params, cfg)
     g = gate(doppler, params)
-    ctx, weights = conditional_cross_attention(spatial, doppler, g, params, cfg,
-                                               return_weights=True)
-    alpha = weights[0]
+    ctx, weights = conditional_cross_attention(spatial, doppler, g, params, cfg)
+    alpha = dense_weights(weights[0], cfg)[0]
     assert np.allclose(alpha.max(axis=1), 1.0)
-    values = doppler.data @ params["cross_attn.v.weight"].data
+    values = doppler.data[0] @ params["cross_attn.v.weight"].data
     merged = values @ params["cross_attn.out.weight"].data + params["cross_attn.out.bias"].data
-    np.testing.assert_allclose(ctx.data, merged, atol=1e-12)
+    np.testing.assert_allclose(ctx.data[0], merged, atol=1e-12)
 
 
 def test_constant_gate_matches_ungated_weights():
     cfg = desk_cfg()
     params = init_params(cfg, seed=14)
     frames = rand_frames(cfg, 15)
-    spatial = tokenize_spatial(spatial_magnitude(frames[0]), params, cfg)
-    doppler = tokenize_doppler(frames[0], params)
-    const_gate = T.Tensor(np.full((cfg.n_cells, 1), 0.37))
-    _, gated = conditional_cross_attention(spatial, doppler, const_gate, params,
-                                           cfg, return_weights=True)
+    spatial, doppler = tokens_of(frames[0], params, cfg)
+    const_gate = one(np.full((cfg.n_cells, 1), 0.37))
+    _, gated = conditional_cross_attention(spatial, doppler, const_gate, params, cfg)
     cfg_un = desk_cfg(ablation="ungated")
-    _, ungated = conditional_cross_attention(spatial, doppler, const_gate, params,
-                                             cfg_un, return_weights=True)
-    for a, b in zip(gated, ungated):
+    _, ungated = conditional_cross_attention(spatial, doppler, const_gate, params, cfg_un)
+    for a, b in zip(gated[0], ungated[0]):
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -282,32 +294,29 @@ def test_huge_gate_strength_concentrates_mass():
     # equal content logits: zero q projection kills the content term
     params["cross_attn.q.weight"].data[:] = 0.0
     frames = rand_frames(cfg, 17)
-    spatial = tokenize_spatial(spatial_magnitude(frames[0]), params, cfg)
-    doppler = tokenize_doppler(frames[0], params)
+    spatial, doppler = tokens_of(frames[0], params, cfg)
     rng = np.random.default_rng(18)
     g_vals = rng.uniform(0.0, 0.3, size=(cfg.n_cells, 1))
     probe = 5  # an interior spatial token
     favored = int(neighborhood(probe, cfg)[7])
     g_vals[favored, 0] = 0.95
-    _, weights = conditional_cross_attention(spatial, doppler, T.Tensor(g_vals),
-                                             params, cfg, return_weights=True)
-    assert weights[0][probe, favored] > 0.99
+    _, weights = conditional_cross_attention(spatial, doppler, one(g_vals), params, cfg)
+    assert dense_weights(weights[0], cfg)[0][probe, favored] > 0.99
 
 
 def test_locality_far_cell_cannot_change_context():
     cfg = desk_cfg(R=16, A=16, patch_r=4, patch_a=4, neighborhood=1)
     params = init_params(cfg, seed=19)
     frames = rand_frames(cfg, 20)
-    spatial = tokenize_spatial(spatial_magnitude(frames[0]), params, cfg)
-    doppler = tokenize_doppler(frames[0], params)
+    spatial, doppler = tokens_of(frames[0], params, cfg)
     g = gate(doppler, params)
-    base = conditional_cross_attention(spatial, doppler, g, params, cfg).data
+    base = conditional_cross_attention(spatial, doppler, g, params, cfg)[0].data[0]
     # perturb a Doppler cell in the far corner (outside N(0) with w=1)
     vol = frames[0].copy()
     vol[cfg.R - 1, cfg.A - 1] += 1.0
-    doppler2 = tokenize_doppler(vol, params)
+    doppler2 = tokenize_doppler([vol], params)
     g2 = gate(doppler2, params)
-    out2 = conditional_cross_attention(spatial, doppler2, g2, params, cfg).data
+    out2 = conditional_cross_attention(spatial, doppler2, g2, params, cfg)[0].data[0]
     far_cell = (cfg.R - 1) * cfg.A + (cfg.A - 1)
     unaffected = [i for i in range(cfg.n_spatial)
                   if far_cell not in set(neighborhood(i, cfg))]
@@ -325,23 +334,21 @@ def test_cross_attention_matches_dense_head_loop(ablation, w):
                    ablation=ablation, gate_strength=0.8)
     params = init_params(cfg, seed=62, randomize_all=True)
     rng = np.random.default_rng(63)
-    spatial = T.Tensor(rng.standard_normal((cfg.n_spatial, cfg.embed_dim)),
-                       requires_grad=True)
-    doppler = T.Tensor(rng.standard_normal((cfg.n_cells, cfg.embed_dim)),
-                       requires_grad=True)
-    gates = T.Tensor(rng.uniform(0.0, 1.0, (cfg.n_cells, 1)), requires_grad=True)
+    spatial = one(rng.standard_normal((cfg.n_spatial, cfg.embed_dim)), requires_grad=True)
+    doppler = one(rng.standard_normal((cfg.n_cells, cfg.embed_dim)), requires_grad=True)
+    gates = one(rng.uniform(0.0, 1.0, (cfg.n_cells, 1)), requires_grad=True)
     g = rng.standard_normal((cfg.n_spatial, cfg.embed_dim))
-    out, weights = conditional_cross_attention(spatial, doppler, gates, params, cfg,
-                                               return_weights=True)
+    out, weights = conditional_cross_attention(spatial, doppler, gates, params, cfg)
     T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    weights = dense_weights(weights[0], cfg)
 
     # reference: a loop over heads of the dense masked softmax, and its
     # backward by hand
     wq, wk, wv, wo = (params[f"cross_attn.{n}.weight"].data
                       for n in ("q", "k", "v", "out"))
-    q, k, v = spatial.data @ wq, doppler.data @ wk, doppler.data @ wv
+    q, k, v = spatial.data[0] @ wq, doppler.data[0] @ wk, doppler.data[0] @ wv
     gated = ablation not in ("ungated", "no_gating")
-    bias = cfg.gate_strength * gates.data.T if gated else 0.0
+    bias = cfg.gate_strength * gates.data[0].T if gated else 0.0
     mask = np.zeros((cfg.n_spatial, cfg.n_cells), dtype=bool)
     for i in range(cfg.n_spatial):
         mask[i, neighborhood(i, cfg)] = True
@@ -368,11 +375,11 @@ def test_cross_attention_matches_dense_head_loop(ablation, w):
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    assert close(out.data, ctx @ wo + params["cross_attn.out.bias"].data)
-    assert close(spatial.grad, dq @ wq.T)
-    assert close(doppler.grad, dk @ wk.T + dv @ wv.T)
+    assert close(out.data[0], ctx @ wo + params["cross_attn.out.bias"].data)
+    assert close(spatial.grad[0], dq @ wq.T)
+    assert close(doppler.grad[0], dk @ wk.T + dv @ wv.T)
     if gated:
-        assert close(gates.grad, cfg.gate_strength * dbias.T)
+        assert close(gates.grad[0], cfg.gate_strength * dbias.T)
     else:
         assert gates.grad is None
 
@@ -455,7 +462,7 @@ def test_transformer_zero_projections_identity():
     cfg = desk_cfg()
     params = init_params(cfg, seed=28)  # out projections are zero-init
     rng = np.random.default_rng(29)
-    x = T.Tensor(rng.random((cfg.n_spatial, cfg.embed_dim)))
+    x = one(rng.random((cfg.n_spatial, cfg.embed_dim)))
     out = spatial_transformer(x, params, cfg, train=False)
     np.testing.assert_array_equal(out.data, x.data)
 
@@ -466,8 +473,8 @@ def test_transformer_permutation_equivariance():
     rng = np.random.default_rng(31)
     x = rng.random((cfg.n_spatial, cfg.embed_dim))
     perm = rng.permutation(cfg.n_spatial)
-    out = spatial_transformer(T.Tensor(x), params, cfg, train=False).data
-    out_perm = spatial_transformer(T.Tensor(x[perm]), params, cfg, train=False).data
+    out = spatial_transformer(one(x), params, cfg, train=False).data[0]
+    out_perm = spatial_transformer(one(x[perm]), params, cfg, train=False).data[0]
     np.testing.assert_allclose(out_perm, out[perm], atol=1e-10)
 
 
@@ -476,9 +483,9 @@ def test_regress_shapes_and_zero_case():
     params = init_params(cfg, seed=32)
     params["head.l2.weight"].data[:] = 0.0
     params["head.out_bias"].data[:] = 0.0
-    z = T.Tensor(np.zeros((cfg.n_spatial, cfg.embed_dim)))
+    z = one(np.zeros((cfg.n_spatial, cfg.embed_dim)))
     pose = regress(z, params, cfg)
-    assert pose.shape == (cfg.joints, 3)
+    assert pose.shape == (1, cfg.joints, 3)
     np.testing.assert_array_equal(pose.data, 0.0)
 
 
@@ -639,7 +646,7 @@ def test_regress_grad_through_loss_pos():
     gt = rng.random((cfg.joints, 3)) * 5.0
 
     def build(group):
-        return loss_pos(regress(T.Tensor(z), group, cfg), gt)
+        return loss_pos(regress(one(z), group, cfg), gt[None])
 
     report = grad_check(build, params)
     head_errs = {k: v for k, v in report.items() if k.startswith("head.")}

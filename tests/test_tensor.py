@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pulse import tensor as T
 from pulse.errors import DomainError, ShapeError, UsageError
 from pulse.model import _lattice_band
+from tests.conftest import one
 
 
 def rand(rng, *shape):
@@ -65,13 +66,11 @@ def test_matmul_backward_rules():
 # attention: its softmax, the band and its backward
 
 def attend(q, k, v=None, bias=None, band=None, heads=1, scale=1.0):
-    _, p = T.attention(q, k, k if v is None else v, heads, scale, bias=bias, band=band)
-    return p
-
-
-def dense_mask(R, A, patch_r, patch_a, w):
-    band = _lattice_band(R, A, patch_r, patch_a, w)
-    return band.dense(band.visible[None].astype(float))[0] == 1.0
+    """One sample's attention weights, (heads, G, N / G, K): a batch of one
+    of each array."""
+    _, p = T.attention(one(q), one(k), one(k if v is None else v), heads, scale,
+                       bias=None if bias is None else one(bias), band=band)
+    return p[0]
 
 
 def test_attention_equal_logits_weigh_keys_equally():
@@ -88,19 +87,18 @@ def test_attention_hand_case():
 def test_attention_bias_shift_invariance():
     rng = np.random.default_rng(3)
     q, k = rand(rng, 5, 4), rand(rng, 6, 4)
-    bias = rand(rng, 1, 6)
-    base = attend(q, k, bias=T.Tensor(bias), heads=2)
-    shifted = attend(q, k, bias=T.Tensor(bias + 7.25), heads=2)
+    bias = rand(rng, 1, 6).T             # one logit bias per key, a column
+    base = attend(q, k, bias=bias, heads=2)
+    shifted = attend(q, k, bias=bias + 7.25, heads=2)
     assert np.max(np.abs(base - shifted)) < 1e-12
 
 
 def test_attention_band_zeroes_and_renormalizes():
     rng = np.random.default_rng(4)
     band = _lattice_band(16, 8, 2, 4, 3)
-    mask = dense_mask(16, 8, 2, 4, 3)
-    p = band.dense(attend(rand(rng, 16, 4), rand(rng, 128, 4), band=band, heads=2))
-    assert p.shape == (2, 16, 128)
-    assert np.all(p[:, ~mask] == 0.0) and np.all(p[:, mask] > 0.0)
+    p = attend(rand(rng, 16, 4), rand(rng, 128, 4), band=band, heads=2)
+    assert p.shape == (2,) + band.visible.shape
+    assert np.all(p[:, band.hidden] == 0.0) and np.all(p[:, band.visible] > 0.0)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -111,6 +109,22 @@ def test_band_fully_hidden_row_rejected():
     visible[1, 0, 3] = False
     with pytest.raises(DomainError):
         T.Band(visible, 0, 2)
+
+
+def test_attention_rejects_unbatched_inputs():
+    x = np.zeros((4, 2))
+    with pytest.raises(ShapeError, match="batched"):
+        T.attention(T.Tensor(x), T.Tensor(x), T.Tensor(x), 1, 1.0)
+    with pytest.raises(ShapeError, match="batched"):
+        T.attention(one(x), T.Tensor(x), one(x), 1, 1.0)
+
+
+def test_attention_rejects_a_row_bias():
+    # the bias is a (B, M, 1) column, the shape of a gate; a (1, M) row is
+    # the layout of no caller
+    with pytest.raises(ShapeError, match=r"\(B, M, 1\) = \(1, 6, 1\), got \(1, 6\)"):
+        T.attention(one(np.zeros((5, 4))), one(np.zeros((6, 4))), one(np.zeros((6, 4))),
+                    2, 1.0, bias=T.Tensor(np.zeros((1, 6))))
 
 
 def test_attention_band_shape_mismatch_rejected():
@@ -131,11 +145,10 @@ def test_attention_band_rows_sum_to_one(seed, patches_r, patches_a, patch_r, pat
     rng = np.random.default_rng(seed)
     R, A = patches_r * patch_r, patches_a * patch_a
     band = _lattice_band(R, A, patch_r, patch_a, w)
-    mask = dense_mask(R, A, patch_r, patch_a, w)
-    p = band.dense(attend(10.0 * rand(rng, patches_r * patches_a, 2),
-                          rand(rng, R * A, 2), bias=rand(rng, 1, R * A), band=band))
+    p = attend(10.0 * rand(rng, patches_r * patches_a, 2),
+               rand(rng, R * A, 2), bias=rand(rng, 1, R * A).T, band=band)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
-    assert np.all(p[:, ~mask] == 0.0)
+    assert np.all(p[:, band.hidden] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +173,18 @@ def test_dropout_eval_is_identity():
 
 def test_dropout_deterministic_given_key():
     rng = np.random.default_rng(6)
-    x = T.Tensor(rand(rng, 8, 8))
-    a = T.dropout(x, 0.5, key=42, train=True).data
-    b = T.dropout(x, 0.5, key=42, train=True).data
+    x = one(rand(rng, 8, 8))
+    a = T.dropout(x, 0.5, key=[42], train=True).data
+    b = T.dropout(x, 0.5, key=[42], train=True).data
     np.testing.assert_array_equal(a, b)
-    c = T.dropout(x, 0.5, key=43, train=True).data
+    c = T.dropout(x, 0.5, key=[43], train=True).data
     assert not np.array_equal(a, c)
+
+
+def test_train_dropout_rejects_an_unbatched_tensor():
+    x = T.Tensor(np.ones((4, 4)))
+    with pytest.raises(ShapeError, match="batched"):
+        T.dropout(x, 0.5, key=[42], train=True)
 
 
 def test_layer_norm_hand_case():
@@ -247,7 +266,7 @@ def test_broadcast_add_unbroadcasts_grad():
 
 def test_forward_ops_finite_on_finite_inputs():
     rng = np.random.default_rng(7)
-    x = T.Tensor(1e3 * rand(rng, 4, 5))
+    x = one(1e3 * rand(rng, 4, 5))
     for out in (T.attention(x, x, x, 5, 1.0)[0], T.sigmoid(x), T.relu(x),
                 T.layer_norm(x, T.Tensor(np.ones(5)), T.Tensor(np.zeros(5)))):
         assert np.all(np.isfinite(out.data))
@@ -284,7 +303,8 @@ def test_batched_ops_match_per_sample_bitwise(with_band):
     rng = np.random.default_rng(11)
     band = _lattice_band(8, 8, 4, 4, 3) if with_band else None
     n, m, d, batch = 4, 64, 4, 5
-    inputs = [rand(rng, batch, n, 3), rand(rng, batch, m, 3), rand(rng, batch, 1, m)]
+    inputs = [rand(rng, batch, n, 3), rand(rng, batch, m, 3),
+              rand(rng, batch, 1, m).reshape(batch, m, 1)]
     params = [rand(rng, 3, d), rand(rng, d), rand(rng, d), rand(rng, d),
               rand(rng, 3, d), rand(rng, n * d, 2)]
 
@@ -311,7 +331,7 @@ def test_batched_dropout_draws_each_samples_own_mask():
     batched = T.dropout(T.Tensor(x, batched=True), 0.3, [7, 8, 9], train=True).data
     for k, key in enumerate([7, 8, 9]):
         np.testing.assert_array_equal(
-            batched[k], T.dropout(T.Tensor(x[k]), 0.3, key, train=True).data)
+            batched[k], T.dropout(one(x[k]), 0.3, [key], train=True).data[0])
     with pytest.raises(ShapeError):
         T.dropout(T.Tensor(x, batched=True), 0.3, [7, 8], train=True)
 

@@ -10,9 +10,15 @@
 # with `train`/`eval`/`diag` of `full` (seed 1) and `spatial_only` (seed 2) at
 # the desk profile, 2200 steps each: a few minutes per tree.
 #
+# Then the working tree's tools/graph_digest.py runs once with each tree's
+# src on PYTHONPATH: one sha256 over eval forwards and batch-4 training
+# losses and gradients of every ablation, which the CLI outputs reach only
+# in part.
+#
 # Run from anywhere inside the repository. Outputs stay in a fresh directory
 # under ${TMPDIR:-/tmp}, printed at the end; the exit status is diff's (0 when
-# both trees wrote the same bytes).
+# both trees wrote the same bytes), or 1 when the outputs match but the graph
+# digests differ.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 || ( $# -eq 2 && $2 != --acceptance ) ]]; then
@@ -72,4 +78,12 @@ wait "$ref_pid"
 status=0
 diff -r "$work/ref" "$work/tree" || status=$?
 echo "byte_identity: $ref vs working tree: outputs in $work/ref and $work/tree (diff status $status)"
+ref_digest=$(PYTHONPATH="$work/ref-src/src" python3 "$root/tools/graph_digest.py")
+tree_digest=$(PYTHONPATH="$root/src" python3 "$root/tools/graph_digest.py")
+echo "graph_digest: $ref: $ref_digest"
+echo "graph_digest: working tree: $tree_digest"
+if [[ $ref_digest != "$tree_digest" ]]; then
+    echo "byte_identity: graph digests differ" >&2
+    [[ $status -ne 0 ]] || status=1
+fi
 exit "$status"
