@@ -9,13 +9,8 @@ reruns produce byte-identical files. Exit codes: 0 success, 2 usage error,
 
 from __future__ import annotations
 
-import os
-
-# Determinism first: cap BLAS threads before numpy loads anywhere below.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -23,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, DataError, DomainError, NumericError,
-                     PulseError, ShapeError, UsageError)
+                     ShapeError, UsageError)
 from .metrics import gate_motion_diag, per_joint_report
 from .model import (ABLATIONS, ModelConfig, config_from_strings,
                     config_from_text, config_to_text, forward, init_params,

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError, NumericError, ShapeError, UsageError
+from .errors import ConfigError, DataError, NumericError, ShapeError, UsageError
 from .features import normalize_frame, spatial_magnitude
 from .model import forward, init_params
 from .metrics import motion_proxy, occupied_cells, sequence_report
@@ -39,18 +39,18 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 < self.lr < math.inf:
-            raise UsageError(f"lr must be positive and finite, got {self.lr}")
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.patience < 1:
-            raise UsageError(f"patience must be >= 1, got {self.patience}")
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.batch < 1 or self.epochs < 1:
-            raise UsageError(f"batch and epochs must be >= 1, got "
-                             f"{self.batch} and {self.epochs}")
+            raise ConfigError(f"batch and epochs must be >= 1, got "
+                              f"{self.batch} and {self.epochs}")
         if not 0.0 < self.clip < math.inf:
-            raise UsageError(f"clip must be positive and finite, got {self.clip}")
+            raise ConfigError(f"clip must be positive and finite, got {self.clip}")
         for name in ("weight_decay", "gate_loss_weight", "max_steps"):
             if not 0 <= getattr(self, name) < math.inf:
-                raise UsageError(f"{name} must be finite and >= 0, "
-                                 f"got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite and >= 0, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass

@@ -1,11 +1,16 @@
-import numpy as np
-import pytest
+import ctypes
+from pathlib import Path
 
+# pulse before numpy: importing pulse pins BLAS to one thread, which OpenBLAS
+# reads once, when numpy loads it
 from pulse import tensor as T
 from pulse.model import ModelConfig
 from pulse.radar import RadarConfig, emit_dataset, make_scene
 from pulse.storage import load_dataset
 from pulse.training import EpochRecord, TrainLog
+
+import numpy as np
+import pytest
 
 
 def tiny_radar_cfg():
@@ -24,6 +29,17 @@ def tiny_model_cfg(**kw):
 def one(x, requires_grad=False):
     """The array x as a batch of one sample, a leaf tensor."""
     return T.Tensor(np.asarray(x)[None], requires_grad=requires_grad, batched=True)
+
+
+def openblas_threads():
+    """The thread count of the OpenBLAS that numpy loaded in this process."""
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)()
+    raise AssertionError(f"no OpenBLAS library in {libs}")
 
 
 def parse_train_log(text):

@@ -18,7 +18,7 @@ from pulse.cli import main
 from pulse.features import reconstruct_rad, spatial_magnitude
 from pulse.metrics import gate_motion_diag, kalman_smooth, sequence_report
 from pulse.model import (ModelConfig, conditional_cross_attention, forward,
-                         gate, init_params, params_from_arrays, tokenize_doppler,
+                         init_params, params_from_arrays, tokenize_doppler,
                          tokenize_spatial)
 from pulse.radar import (RadarConfig, Scatterer, angle_bin, doppler_bin,
                          range_bin, range_for_bin, rad_fft, render_frame,

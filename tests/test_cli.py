@@ -1,9 +1,13 @@
 import contextlib
 import hashlib
 import io
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from pulse.cli import main
 from pulse.model import config_from_text, init_params
 from pulse.radar import JOINT_NAMES
 from pulse.storage import load_checkpoint, load_dataset, save_checkpoint, write_rdt
-from tests.conftest import parse_train_log
+from tests.conftest import openblas_threads, parse_train_log
 
 DESK = ["--bandwidth_hz", "0.5e9", "--R", "16", "--A", "16", "--D", "8",
         "--fast_samples_per_chirp", "32", "--virtual_elements", "4"]
@@ -42,6 +46,25 @@ def cli_run(tmp_path_factory, cli_dataset):
                "--seed", "5", *SMALL_MODEL, *FAST_TRAIN])
     assert rc == 0
     return out
+
+
+# ---------------------------------------------------------------------------
+# BLAS pin
+
+def test_importing_pulse_pins_blas_before_numpy_loads():
+    repo = Path(__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(repo / "src"), str(repo)])
+    code = ("import pulse.model, numpy; from tests.conftest import openblas_threads; "
+            "print(openblas_threads())")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "1"
+
+
+def test_the_suite_runs_one_blas_thread():
+    assert openblas_threads() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +101,15 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg.write_text("not_a_key=1\n")
     rc = main(["synth", "--out", str(tmp_path / "y"), "--config", str(cfg), *DESK])
     assert rc == 3
+
+
+def test_out_of_range_config_value_exits_3(cli_dataset, tmp_path, capsys):
+    cfg = tmp_path / "lr0.cfg"
+    cfg.write_text("lr=0\n")
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(tmp_path / "o"),
+               "--config", str(cfg)])
+    assert rc == 3
+    assert "lr must be positive and finite, got 0.0" in capsys.readouterr().err
 
 
 def test_config_file_flag_override(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from pulse import tensor as T
 from pulse import training
-from pulse.errors import DataError, NumericError, ShapeError, UsageError
+from pulse.errors import ConfigError, DataError, NumericError, ShapeError, UsageError
 from pulse.features import normalize_frame
 from pulse.model import ABLATIONS, forward, init_params
 from pulse.optim import adam_step, clip_global_norm
@@ -386,7 +386,7 @@ def test_train_config_validation():
     for bad in (dict(lr=0.0), dict(patience=0), dict(batch=0), dict(epochs=0),
                 dict(clip=0.0), dict(weight_decay=-0.1), dict(max_steps=-1),
                 dict(gate_loss_weight=-1.0), dict(gate_loss_weight=float("nan"))):
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigError):
             TrainConfig(**bad)
 
 

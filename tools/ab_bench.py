@@ -5,10 +5,11 @@
         --pairs 10 --seconds 30 --out BENCH_pr<N>.json
 
 Runs perfbench/run.py (untraced) on a `git archive` of <ref> (the parent)
-and on a copy of the working tree (the change): its tracked files as they
-are on disk, uncommitted edits included, and its untracked files that git
-does not ignore. Both trees are fresh directories under one temporary
-parent, so neither side runs from a directory the other does not have.
+and of the working tree (the change) as `git add -A` stages it: its tracked
+files as they are on disk, uncommitted edits included, and its untracked
+files that git does not ignore. Both trees are extracted the same way into
+fresh directories under one temporary parent, so neither side runs from a
+directory the other does not have.
 Pair i runs both sides with seed i; odd pairs run the parent first, even
 pairs the change. One run at a time, so the two sides never compete for
 the host.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import shutil
+import os
 import subprocess
 import sys
 import tarfile
@@ -113,8 +114,8 @@ def main():
                                capture_output=True, text=True,
                                cwd=Path(__file__).resolve().parent).stdout.strip())
 
-    def git(*argv):
-        return subprocess.run(["git", *argv], cwd=root, check=True,
+    def git(*argv, env=None):
+        return subprocess.run(["git", *argv], cwd=root, check=True, env=env,
                               capture_output=True).stdout
 
     parent_id = git("rev-parse", "--short", args.ref).decode().strip()
@@ -122,15 +123,15 @@ def main():
     out = Path(args.out).resolve()
 
     with tempfile.TemporaryDirectory(prefix="ab-bench-") as work:
+        # a temporary index leaves the repository's own index as it was
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(work) / "index")}
+        git("read-tree", "HEAD", env=env)
+        git("add", "-A", env=env)
+        change_tree = git("write-tree", env=env).decode().strip()
         trees = {"parent": Path(work) / "parent", "change": Path(work) / "change"}
-        with tarfile.open(fileobj=io.BytesIO(git("archive", parent_id))) as tar:
-            tar.extractall(trees["parent"], filter="data")
-        listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
-        for rel in filter(None, listed.decode().split("\0")):
-            # a tracked file deleted from the working tree is left out
-            if (root / rel).is_file():
-                (trees["change"] / rel).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(root / rel, trees["change"] / rel)
+        for side, treeish in (("parent", parent_id), ("change", change_tree)):
+            with tarfile.open(fileobj=io.BytesIO(git("archive", treeish))) as tar:
+                tar.extractall(trees[side], filter="data")
         runs, host = [], None
         for workload in args.workloads:
             for seed in range(1, args.pairs + 1):

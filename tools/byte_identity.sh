@@ -3,9 +3,9 @@
 #
 #   tools/byte_identity.sh <ref> [--acceptance]
 #
-# Runs the CLI pipeline of the CI hash-seed step (.github/workflows/tier1.yml),
-# under PYTHONHASHSEED 1 and 2, once on a `git archive` of <ref> and once on
-# the working tree, then compares the two output trees with `diff -r`.
+# Runs the working tree's tools/cli_pipeline.sh under PYTHONHASHSEED 1 and 2,
+# once with a `git archive` of <ref> on PYTHONPATH and once with the working
+# tree, then compares the two output trees with `diff -r`.
 # --acceptance adds the seed-80 acceptance dataset of tests/test_acceptance.py
 # with `train`/`eval`/`diag` of `full` (seed 1) and `spatial_only` (seed 2) at
 # the desk profile, 2200 steps each: a few minutes per tree.
@@ -34,30 +34,14 @@ git -C "$root" archive "$ref" | tar -x -C "$work/ref-src"
 
 # run_tree <source root> <output dir>
 run_tree() {
-    local src=$1 out=$2
-    local grid="--bandwidth_hz 0.5e9 --R 16 --A 16 --D 8 --fast_samples_per_chirp 32 --virtual_elements 4"
-    local model="--embed_dim 8 --layers 1 --heads 2 --lr 3e-3 --batch 4 --epochs 2 --patience 5"
-    local hash_seed dir
-    pulse() { PYTHONHASHSEED=$hash_seed PYTHONPATH="$src/src" python3 -m pulse.cli "$@" > /dev/null; }
+    local src=$1 out=$2 hash_seed
     for hash_seed in 1 2; do
-        dir="$out/pipeline-$hash_seed"
-        pulse synth --out "$dir/ds" --seed 12 --sequences 3 --frames 6 $grid
-        pulse train --dataset "$dir/ds" --out "$dir/run" --seed 5 $model
-        pulse train --dataset "$dir/ds" --config "$dir/run/resolved.cfg" --out "$dir/run_cfg"
-        pulse eval --checkpoint "$dir/run/model.ckpt" --dataset "$dir/ds" --split val --out "$dir/eval"
-        pulse diag --checkpoint "$dir/run/model.ckpt" --dataset "$dir/ds" --split all --out "$dir/diag"
-        pulse eval --checkpoint "$dir/run/model.ckpt" --dataset "$dir/ds" --split val --pa-scale off --out "$dir/eval_pa_off"
-        pulse diag --checkpoint "$dir/run/model.ckpt" --dataset "$dir/ds" --split all --cell-selection global --out "$dir/diag_global"
-        pulse train --dataset "$dir/ds" --out "$dir/run_fw2" --seed 5 --frame_window 2 --gate_loss_weight 30 $model
-        pulse eval --checkpoint "$dir/run_fw2/model.ckpt" --dataset "$dir/ds" --split val --out "$dir/eval_fw2"
-        pulse diag --checkpoint "$dir/run_fw2/model.ckpt" --dataset "$dir/ds" --split all --out "$dir/diag_fw2"
-        pulse train --dataset "$dir/ds" --out "$dir/run_b8" --seed 5 $model --batch 8
-        pulse ablate --dataset "$dir/ds" --out "$dir/ablate" --variants full,spatial_only,doppler_only,naive_concat,ungated,global_interaction,no_gating --split val --seed 5 $model
-        pulse gradcheck --R 8 --A 8 --D 4 --seed 1 --out "$dir/gradcheck"
+        PYTHONHASHSEED=$hash_seed PYTHONPATH="$src/src" \
+            "$root/tools/cli_pipeline.sh" "$out/pipeline-$hash_seed" > /dev/null
     done
     if [[ -n $acceptance ]]; then
-        hash_seed=1
-        dir="$out/acceptance"
+        pulse() { PYTHONHASHSEED=1 PYTHONPATH="$src/src" python3 -m pulse.cli "$@" > /dev/null; }
+        local dir="$out/acceptance"
         local desk="--patch_r 4 --patch_a 4 --embed_dim 16 --layers 2 --heads 2 --dropout 0.1 --joints 8 --lr 3e-3 --weight_decay 0.01 --batch 4 --clip 1.0 --epochs 500 --patience 500 --max_steps 2200 --gate_loss_weight 30"
         pulse synth --out "$dir/ds" --seed 80 --R 32 --A 32 --D 16 --sequences 8 --frames 64 --motion mixed --clutter on --noise_std 2.0
         local variant_seed variant seed

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 
-# one BLAS thread, as the CLI runs, before numpy loads
+# one BLAS thread before numpy loads, also for a ref whose package does not pin it
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
