@@ -4,7 +4,7 @@ sweeps, gradient checking, and gate diagnostics.
 Every command is reproducible under fixed flags: outputs carry no
 timestamps, the resolved configuration is written next to the results, and
 reruns produce byte-identical files. Exit codes: 0 success, 2 usage error,
-3 data/config error, 4 numeric failure.
+3 data/config error or out of memory, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -490,6 +490,9 @@ def main(argv=None):
         return 2
     except (ConfigError, DataError, DomainError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: pulse {args.command} ran out of memory: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -126,35 +126,45 @@ def frame_gate_score_tensor(gates, cell_weights):
 
 
 # ---------------------------------------------------------------------------
-# Samples and evaluation
+# Samples, windows and evaluation
 
 @dataclass
 class Sample:
     seq: str
     frame: int
-    window: list                      # frame_window normalized (R, A, D) arrays
     pose: np.ndarray                  # (J, 3) mm
-    cell_weights: np.ndarray          # occupied_cell_weights of the last frame
+    cell_weights: np.ndarray          # occupied_cell_weights of the frame
     gate_target: Optional[tuple]      # (proxy value, (lo, hi)) or None
     gate_weight: float                # 1.0 with a gate target, else 0.0
 
 
-def frame_windows(frames, frame_window):
-    """Yield each frame of a sequence, normalized, with its window of the
-    last `frame_window` normalized frames. Windows stay inside the sequence
-    and left-pad by repeating the first frame. A frame is drawn from
-    `frames` and normalized only when its window is due, so a caller that
-    drops each window holds one window, not the sequence. -> (frame, window)
-    pairs, each window a fresh list."""
-    window = []
-    for frame in frames:
-        frame = normalize_frame(frame)
-        window = (window or [frame] * frame_window)[1:] + [frame]
-        yield frame, window
+def window_batches(sequences, frame_window, size, order=None):
+    """Yield (indices, windows) for each run of `size` indices of `order`
+    (default: sequence order) into the frames of `sequences`, a list of
+    (F, R, A, D) arrays indexed flat. A window is the last `frame_window`
+    normalized frames up to its own, inside its sequence, left-padded by
+    repeating the first frame. A frame is normalized only when its window
+    is due, and frames shared with the previous window are reused, so
+    sequence order normalizes each frame once and holds one batch."""
+    slots = [(k, t) for k, frames in enumerate(sequences) for t in range(len(frames))]
+    order = range(len(slots)) if order is None else order
+    held = {}
+    for start in range(0, len(order), size):
+        indices = order[start:start + size]
+        windows = []
+        for i in indices:
+            k, t = slots[i]
+            keys = [(k, max(s, 0)) for s in range(t + 1 - frame_window, t + 1)]
+            held = {key: held[key] if key in held
+                    else normalize_frame(sequences[k][key[1]])
+                    for key in dict.fromkeys(keys)}
+            windows.append([held[key] for key in keys])
+        yield indices, windows
 
 
 def build_samples(dataset, split, mcfg):
-    """One sample per frame, each carrying its frame_windows window."""
+    """One sample per frame of the split, in sequence order, the order of
+    window_batches' indices. The frames stay in the dataset."""
     samples = []
     for seq_id, frames, poses in dataset.split_sequences(split):
         if frames.shape[1:] != (mcfg.R, mcfg.A, mcfg.D):
@@ -163,18 +173,35 @@ def build_samples(dataset, split, mcfg):
                 f"({mcfg.R}, {mcfg.A}, {mcfg.D})")
         proxy = motion_proxy(poses) if len(frames) >= 2 else np.zeros(0)
         bounds = (float(proxy.min()), float(proxy.max())) if len(proxy) else (0.0, 0.0)
-        for t, (frame, window) in enumerate(frame_windows(frames, mcfg.frame_window)):
+        for t, frame in enumerate(frames):
             gate_target = (float(proxy[t]), bounds) if t < len(proxy) else None
+            smap = spatial_magnitude(normalize_frame(frame))
             samples.append(Sample(
-                seq=seq_id, frame=t, window=window, pose=poses[t],
-                cell_weights=occupied_cell_weights(spatial_magnitude(frame)),
+                seq=seq_id, frame=t, pose=poses[t], cell_weights=occupied_cell_weights(smap),
                 gate_target=gate_target, gate_weight=float(gate_target is not None)))
     return samples
 
 
+# Dense cross-attention logit bytes one evaluation forward may span.
+# Measured: desk evaluates fastest at 3 windows a batch and slower at 4
+# than at 1, and at full a second window adds 12.6 MB of peak RSS and no
+# speed.
+EVAL_LOGIT_BYTES = 3 * 2**20
+
+
+def eval_batch(mcfg):
+    """Windows per evaluation forward, from the model geometry alone: as
+    many as keep a batch's dense cross-attention logits (heads x spatial
+    tokens x cells, float64; the band computes a share of them) within
+    EVAL_LOGIT_BYTES, at least one. Desk (32x32x16, 2 heads, 1 MiB a
+    window) runs 3 windows a batch; full (64x64x16, 4 heads, 32 MiB) runs 1."""
+    return max(1, EVAL_LOGIT_BYTES // (8 * mcfg.heads * mcfg.n_spatial * mcfg.n_cells))
+
+
 def evaluate_split(params, mcfg, dataset, split, with_scale=True,
                    collect_gates=False, align=True):
-    """Deterministic eval-mode pass over a split.
+    """Deterministic eval-mode pass over a split: one forward per
+    window_batches batch of eval_batch windows, in sequence order.
 
     Returns (MetricReport, per-sequence predictions, per-sequence ground
     truth[, gate sequences, spatial-map sequences]). With collect_gates the
@@ -183,27 +210,25 @@ def evaluate_split(params, mcfg, dataset, split, with_scale=True,
 
     The forward runs on constant tensors sharing the parameters' arrays, so
     it records no graph and leaves every .grad untouched."""
-    constants = {name: T.Tensor(p.data) for name, p in params.params.items()}
-    preds, gts, gate_seqs, smap_seqs = [], [], [], []
-    for seq_id, frames, poses in dataset.split_sequences(split):
-        seq_pred, seq_gates, seq_smaps = [], [], []
-        for frame, window in frame_windows(frames, mcfg.frame_window):
-            result = forward([window], constants, mcfg, train=False)
-            seq_pred.append(result.pose.data[0])
-            if collect_gates:
-                seq_gates.append(result.gate.data.reshape(-1)
-                                 if result.gate is not None
-                                 else np.zeros(mcfg.n_cells))
-                seq_smaps.append(spatial_magnitude(frame).reshape(-1))
-        preds.append(np.stack(seq_pred))
-        gts.append(poses)
-        if collect_gates:
-            gate_seqs.append(np.stack(seq_gates))
-            smap_seqs.append(np.stack(seq_smaps))
-    if not preds:
+    sequences = dataset.split_sequences(split)
+    if not sequences:
         raise DataError(f"split {split!r} is empty")
+    frames = [f for _, f, _ in sequences]
+    gts = [p for _, _, p in sequences]
+    constants = {name: T.Tensor(p.data) for name, p in params.params.items()}
+    poses, gates, smaps = [], [], []
+    for _, windows in window_batches(frames, mcfg.frame_window, eval_batch(mcfg)):
+        result = forward(windows, constants, mcfg, train=False)
+        poses.append(result.pose.data)
+        if collect_gates:
+            gates.append(np.zeros((len(windows), mcfg.n_cells)) if result.gate is None
+                         else result.gate.data[:, :, 0])
+            smaps.append([spatial_magnitude(w[-1]).reshape(-1) for w in windows])
+    cuts = np.cumsum([len(f) for f in frames])[:-1]   # batches -> sequences
+    preds = np.split(np.concatenate(poses), cuts)
     if collect_gates:
-        return None, preds, gts, gate_seqs, smap_seqs
+        return (None, preds, gts, np.split(np.concatenate(gates), cuts),
+                np.split(np.concatenate(smaps), cuts))
     report = sequence_report(preds, gts, with_scale=with_scale, align=align)
     return report, preds, gts
 
@@ -224,15 +249,15 @@ def _mix_key(seed, step, sample_idx):
     return (int(seed) * 1_000_003 + step * 1009 + sample_idx) & (2**63 - 1)
 
 
-def batch_loss(batch, params, mcfg, tcfg, step):
-    """Mean training loss of a batch of samples, from one forward of the
-    whole batch: loss_pos per sample plus its gate loss times
+def batch_loss(batch, windows, params, mcfg, tcfg, step):
+    """Mean training loss of a batch of samples and their windows, from one
+    forward of the whole batch: loss_pos per sample plus its gate loss times
     gate_loss_weight * gate_weight. The per-sample losses are summed in
     batch order, so the loss and its gradients are bitwise those of one
     graph per sample added up in a loop that takes the gate loss only where
     a sample has a gate target: a 0.0-weighted term adds +0.0 to a positive
     position loss and only zeros to the gradients."""
-    result = forward([s.window for s in batch], params, mcfg, train=True,
+    result = forward(windows, params, mcfg, train=True,
                      base_keys=[_mix_key(tcfg.seed, step, k) for k in range(len(batch))])
     terms = loss_pos(result.pose, np.stack([s.pose for s in batch]))
     if tcfg.gate_loss_weight > 0 and result.gate is not None:
@@ -248,6 +273,7 @@ def train_model(dataset, mcfg, tcfg):
     """Minimize loss_pos (+ optional gate loss) with Adam; keep the best
     validation-MPJPE parameters; stop early after `patience` stale epochs."""
     train_samples = build_samples(dataset, "train", mcfg)
+    train_frames = [f for _, f, _ in dataset.split_sequences("train")]
     if not train_samples:
         raise DataError("train split is empty")
     if not dataset.splits.get("val"):
@@ -274,9 +300,10 @@ def train_model(dataset, mcfg, tcfg):
         order = order_rng.permutation(len(train_samples))
         epoch_losses = []
         epoch_norms = []
-        for start in range(0, len(order), tcfg.batch):
-            batch = [train_samples[i] for i in order[start:start + tcfg.batch]]
-            loss = batch_loss(batch, params, mcfg, tcfg, global_step)
+        for indices, windows in window_batches(train_frames, mcfg.frame_window,
+                                               tcfg.batch, order):
+            batch = [train_samples[i] for i in indices]
+            loss = batch_loss(batch, windows, params, mcfg, tcfg, global_step)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NumericError(

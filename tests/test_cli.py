@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pulse import cli
 from pulse import tensor as T
 from pulse.cli import main
 from pulse.model import config_from_text, init_params
@@ -760,6 +761,23 @@ def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, cap
     # a failing eval or diag writes no report
     assert not (tmp_path / "o" / "metrics.csv").exists()
     assert not (tmp_path / "o" / "gate_diag.csv").exists()
+
+
+def test_out_of_memory_exits_3_naming_the_command(cli_dataset, tmp_path, capsys,
+                                                  monkeypatch):
+    # the MemoryError numpy raises for a model too large for the machine,
+    # raised without allocating
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. MiB for an array with shape "
+                          "(4096, 16384) and data type float64")
+
+    monkeypatch.setattr(cli, "train_model", exhausted)
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(tmp_path / "o"),
+               *SMALL_MODEL, *FAST_TRAIN])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "pulse train ran out of memory: Unable to allocate 512. MiB" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,14 @@ from pulse import tensor as T
 from pulse import training
 from pulse.errors import ConfigError, DataError, NumericError, ShapeError, UsageError
 from pulse.features import normalize_frame
-from pulse.model import ABLATIONS, forward, init_params
+from pulse.model import ABLATIONS, ModelConfig, forward, init_params
 from pulse.optim import adam_step, clip_global_norm
 from pulse.storage import Dataset, write_csv
 from pulse.training import (EpochRecord, TrainConfig, TrainLog, _mix_key,
                             build_samples, evaluate_split,
-                            frame_gate_score_tensor, frame_windows, loss_gate,
-                            loss_pos, minmax_normalize, occupied_cell_weights,
-                            train_model)
+                            frame_gate_score_tensor, loss_gate, loss_pos,
+                            minmax_normalize, occupied_cell_weights, train_model,
+                            window_batches)
 from tests.conftest import parse_train_log, tiny_model_cfg
 
 
@@ -121,44 +121,69 @@ def test_train_log_requires_increasing_epochs():
 # ---------------------------------------------------------------------------
 # sample building
 
+def _train_windows(dataset, mcfg, indices):
+    """The windows of the train split's samples at `indices`, one batch."""
+    frames = [f for _, f, _ in dataset.split_sequences("train")]
+    (_, windows), = window_batches(frames, mcfg.frame_window, len(indices), indices)
+    return windows
+
+
 def test_build_samples_counts_and_padding(tiny_dataset):
     mcfg = tiny_model_cfg(frame_window=3)
     samples = build_samples(tiny_dataset, "train", mcfg)
     per_seq = 8
     assert len(samples) == 2 * per_seq
-    first = samples[0]
-    assert len(first.window) == 3
-    np.testing.assert_array_equal(first.window[0], first.window[2])  # left pad
-    assert samples[2].window[1] is not samples[2].window[2]
+    assert not [v for s in samples for v in vars(s).values()
+                if isinstance(v, np.ndarray) and v.ndim == 3]  # no frame held
+    windows = _train_windows(tiny_dataset, mcfg, range(len(samples)))
+    first = windows[0]
+    assert len(first) == 3
+    np.testing.assert_array_equal(first[0], first[2])  # left pad
+    assert windows[2][1] is not windows[2][2]
 
 
 @pytest.mark.parametrize("frame_window", [1, 2, 3])
-def test_frame_windows_match_the_list_reference(frame_window):
-    frames = np.random.default_rng(4).random((5, 4, 4, 2)).astype(np.float32)
-    normed = [normalize_frame(f) for f in frames]
-    padded = normed[:1] * (frame_window - 1) + normed
-    pairs = list(frame_windows(frames, frame_window))
-    assert len(pairs) == len(frames)
-    for t, (frame, window) in enumerate(pairs):
-        np.testing.assert_array_equal(frame, normed[t])
-        assert len(window) == frame_window
-        for got, want in zip(window, padded[t:t + frame_window], strict=True):
-            assert got.dtype == np.float64
-            np.testing.assert_array_equal(got, want)
+def test_window_batches_match_the_list_reference(frame_window):
+    rng = np.random.default_rng(4)
+    sequences = [rng.random((5, 4, 4, 2)).astype(np.float32),
+                 rng.random((3, 4, 4, 2)).astype(np.float32)]
+    reference = []                    # (frame, window) of each flat index
+    for frames in sequences:
+        normed = [normalize_frame(f) for f in frames]
+        padded = normed[:1] * (frame_window - 1) + normed
+        reference += [(normed[t], padded[t:t + frame_window])
+                      for t in range(len(frames))]
+    # sequence order, as evaluation draws it, and a shuffle, as training does
+    for order in (None, [3, 6, 0, 4, 7, 2, 1, 5]):
+        batches = list(window_batches(sequences, frame_window, 3, order))
+        assert [len(w) for _, w in batches] == [3, 3, 2]
+        pairs = [(i, w) for indices, windows in batches
+                 for i, w in zip(indices, windows, strict=True)]
+        assert [i for i, _ in pairs] == list(order or range(len(reference)))
+        for i, window in pairs:
+            frame, padded = reference[i]
+            np.testing.assert_array_equal(window[-1], frame)
+            assert len(window) == frame_window
+            for got, want in zip(window, padded, strict=True):
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, want)
 
 
-def test_frame_windows_draws_a_frame_only_when_its_window_is_due():
+def test_window_batches_draws_a_frame_only_when_its_window_is_due():
     drawn = []
 
-    def frames():
-        for t in range(3):
-            drawn.append(t)
-            yield np.full((2, 2, 2), t + 1.0, dtype=np.float32)
+    class Frames:
+        def __len__(self):
+            return 3
 
-    pairs = frame_windows(frames(), 2)
-    _, first = next(pairs)
+        def __getitem__(self, t):
+            drawn.append(t)
+            return np.full((2, 2, 2), t + 1.0, dtype=np.float32)
+
+    batches = window_batches([Frames()], 2, 1)
+    _, (first,) = next(batches)
     assert drawn == [0] and len(first) == 2
-    _, second = next(pairs)
+    _, (second,) = next(batches)
     assert drawn == [0, 1] and second[0] is first[1]
 
 
@@ -211,12 +236,12 @@ def test_train_loss_decreases(tiny_dataset):
     assert losses[-1] < losses[0]
 
 
-def _per_sample_loss(batch, params, mcfg, tcfg, step):
+def _per_sample_loss(batch, windows, params, mcfg, tcfg, step):
     """The loop batch_loss replaced, kept as its reference: one graph per
     sample (a batch of one), the per-sample losses added in batch order."""
     total = None
-    for k, sample in enumerate(batch):
-        result = forward([sample.window], params, mcfg, train=True,
+    for k, (sample, window) in enumerate(zip(batch, windows, strict=True)):
+        result = forward([window], params, mcfg, train=True,
                          base_keys=[_mix_key(tcfg.seed, step, k)])
         term = loss_pos(result.pose, sample.pose[None])
         if tcfg.gate_loss_weight > 0 and sample.gate_target is not None \
@@ -238,10 +263,12 @@ def _first_epoch(dataset, mcfg, tcfg, loss_fn):
     params["head.out_bias"].data = mean_pose.copy()
     order = np.random.default_rng(
         np.random.SeedSequence([tcfg.seed, 909])).permutation(len(samples))
+    frames = [f for _, f, _ in dataset.split_sequences("train")]
     steps = []
-    for step, start in enumerate(range(0, len(order), tcfg.batch)):
-        batch = [samples[i] for i in order[start:start + tcfg.batch]]
-        loss = loss_fn(batch, params, mcfg, tcfg, step)
+    for step, (indices, windows) in enumerate(
+            window_batches(frames, mcfg.frame_window, tcfg.batch, order)):
+        batch = [samples[i] for i in indices]
+        loss = loss_fn(batch, windows, params, mcfg, tcfg, step)
         params.zero_grad()
         T.backward(loss)
         steps.append((loss.item(), params.grads()))
@@ -264,7 +291,8 @@ def test_single_step_matches_manual_adam(tiny_dataset):
     order = np.random.default_rng(
         np.random.SeedSequence([tcfg.seed, 909])).permutation(len(samples))
     batch = [samples[i] for i in order[:tcfg.batch]]
-    loss = _per_sample_loss(batch, params, mcfg, tcfg, 0)
+    windows = _train_windows(tiny_dataset, mcfg, order[:tcfg.batch])
+    loss = _per_sample_loss(batch, windows, params, mcfg, tcfg, 0)
     params.zero_grad()
     T.backward(loss)
     grads, _ = clip_global_norm(params, tcfg.clip)
@@ -312,12 +340,14 @@ def test_batch_loss_weighs_out_the_samples_without_a_gate_target(tiny_dataset):
     mcfg = tiny_model_cfg(dropout=0.1, frame_window=2)
     tcfg = desk_train_cfg(seed=3, gate_loss_weight=30.0)
     samples = build_samples(tiny_dataset, "train", mcfg)
-    last = [s for s in samples if s.gate_target is None]
-    for batch in ([last[0], samples[3], last[1]], last):
+    last = [i for i, s in enumerate(samples) if s.gate_target is None]
+    for indices in ([last[0], 3, last[1]], last):
+        batch = [samples[i] for i in indices]
+        windows = _train_windows(tiny_dataset, mcfg, indices)
         runs = []
         for loss_fn in (_per_sample_loss, training.batch_loss):
             params = init_params(mcfg, seed=6, randomize_all=True)
-            loss = loss_fn(batch, params, mcfg, tcfg, 0)
+            loss = loss_fn(batch, windows, params, mcfg, tcfg, 0)
             T.backward(loss)
             runs.append((loss.item(), params.grads()))
         (ref_loss, ref_grads), (loss, grads) = runs
@@ -411,41 +441,58 @@ def test_evaluate_split_builds_no_graph_and_matches_forward(
     results = []
 
     def recording_forward(windows, constants, *args, **kwargs):
-        assert len(windows) == 1
         for name, p in params.params.items():
             assert constants[name].data is p.data
         results.append(forward(windows, constants, *args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(training, "forward", recording_forward)
-    _, preds, _ = evaluate_split(params, mcfg, tiny_dataset, "all")
-    _, gate_preds, _, gates, _ = evaluate_split(params, mcfg, tiny_dataset, "all",
-                                                collect_gates=True)
-    for result in results:
-        for t in (result.pose, result.gate):
-            assert t is None or (not t.requires_grad and t._parents == ()
-                                 and t._backprop is None)
-
     # reference: one forward per frame on the grad-carrying parameters, and
     # one forward of the whole sequence as a batch
     sequences = tiny_dataset.split_sequences("all")
-    for (_, frames, _), seq_pred, seq_gate_pred, seq_gates in zip(
-            sequences, preds, gate_preds, gates, strict=True):
-        windows = [window for _, window in frame_windows(frames, frame_window)]
-        whole = forward(windows, params, mcfg, train=False)
-        for t, window in enumerate(windows):
-            ref = forward([window], params, mcfg, train=False)
-            assert ref.pose.requires_grad
-            np.testing.assert_array_equal(seq_pred[t], ref.pose.data[0])
-            np.testing.assert_array_equal(seq_gate_pred[t], ref.pose.data[0])
-            np.testing.assert_array_equal(seq_pred[t], whole.pose.data[t])
-            ref_gate = (np.zeros(mcfg.n_cells) if ref.gate is None
-                        else ref.gate.data.reshape(-1))
-            np.testing.assert_array_equal(seq_gates[t], ref_gate)
-            if whole.gate is not None:
-                np.testing.assert_array_equal(seq_gates[t], whole.gate.data[t, :, 0])
+    references = []
+    for _, frames, _ in sequences:
+        (_, windows), = window_batches([frames], frame_window, len(frames))
+        references.append((forward(windows, params, mcfg, train=False),
+                           [forward([w], params, mcfg, train=False) for w in windows]))
+    total = sum(len(frames) for _, frames, _ in sequences)
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    # the rule's batch, 48, which holds all 24 frames at this geometry, and a
+    # batch of 5, whose batches straddle the 8-frame sequences and end in a
+    # partial batch of 4
+    for batch in (training.eval_batch(mcfg), 5):
+        monkeypatch.setattr(training, "eval_batch", lambda cfg: batch)
+        results.clear()
+        _, preds, _ = evaluate_split(params, mcfg, tiny_dataset, "all")
+        _, gate_preds, _, gates, _ = evaluate_split(params, mcfg, tiny_dataset, "all",
+                                                    collect_gates=True)
+        sizes = [min(batch, total - start) for start in range(0, total, batch)]
+        assert [len(r.pose.data) for r in results] == sizes * 2
+        for result in results:
+            for t in (result.pose, result.gate):
+                assert t is None or (not t.requires_grad and t._parents == ()
+                                     and t._backprop is None)
+
+        for (whole, per_window), seq_pred, seq_gate_pred, seq_gates in zip(
+                references, preds, gate_preds, gates, strict=True):
+            for t, ref in enumerate(per_window):
+                assert ref.pose.requires_grad
+                np.testing.assert_array_equal(seq_pred[t], ref.pose.data[0])
+                np.testing.assert_array_equal(seq_gate_pred[t], ref.pose.data[0])
+                np.testing.assert_array_equal(seq_pred[t], whole.pose.data[t])
+                ref_gate = (np.zeros(mcfg.n_cells) if ref.gate is None
+                            else ref.gate.data.reshape(-1))
+                np.testing.assert_array_equal(seq_gates[t], ref_gate)
+                if whole.gate is not None:
+                    np.testing.assert_array_equal(seq_gates[t], whole.gate.data[t, :, 0])
     for name, p in params.params.items():
         assert p.grad is untouched[name] and (p.grad == 7.0).all()
+
+
+def test_eval_batch_from_the_model_geometry():
+    desk = ModelConfig(R=32, A=32, D=16, embed_dim=16, layers=2, heads=2)
+    assert training.eval_batch(desk) == 3
+    assert training.eval_batch(ModelConfig()) == 1
 
 
 def _retaining_backward(loss):
@@ -488,12 +535,13 @@ def test_backward_frees_the_graph_and_keeps_leaf_gradients(tiny_dataset):
     mcfg = tiny_model_cfg(dropout=0.1, frame_window=2)
     tcfg = desk_train_cfg(seed=3, gate_loss_weight=30.0)
     batch = build_samples(tiny_dataset, "train", mcfg)[4:9]
+    windows = _train_windows(tiny_dataset, mcfg, range(4, 9))
     assert [s.gate_target is None for s in batch] == [False] * 3 + [True, False]
 
     reference = init_params(mcfg, seed=6, randomize_all=True)
-    _retaining_backward(training.batch_loss(batch, reference, mcfg, tcfg, 0))
+    _retaining_backward(training.batch_loss(batch, windows, reference, mcfg, tcfg, 0))
     params = init_params(mcfg, seed=6, randomize_all=True)
-    loss = training.batch_loss(batch, params, mcfg, tcfg, 0)
+    loss = training.batch_loss(batch, windows, params, mcfg, tcfg, 0)
     interior = [n for n in _graph(loss) if n._backprop is not None]
     ops = {n._backprop.__qualname__.split(".")[0] for n in interior}
     assert {"attention", "affine", "layer_norm", "dropout"} <= ops

@@ -35,9 +35,9 @@ import sys
 import numpy as np
 
 from pulse import tensor as T
+from pulse import training
 from pulse.features import spatial_magnitude
 from pulse.model import ABLATIONS, ModelConfig, forward, init_params
-from pulse.training import Sample, TrainConfig, batch_loss, occupied_cell_weights
 
 PROFILES = {
     "desk": dict(R=32, A=32, D=16, patch_r=4, patch_a=4, embed_dim=16, layers=2,
@@ -45,6 +45,18 @@ PROFILES = {
     "full": dict(dropout=0.1),
 }
 BATCH = 4
+
+
+def batch_loss(samples, windows, params, cfg, tcfg):
+    """training.batch_loss at step 5 of Samples made from the `samples`
+    field dicts and their `windows`: the windows go alongside the samples,
+    or inside them in a tree whose Sample still holds its window (commit
+    e8a1b60 and before), so one copy of this script digests both."""
+    if "window" in training.Sample.__dataclass_fields__:
+        batch = [training.Sample(window=w, **s) for s, w in zip(samples, windows)]
+        return training.batch_loss(batch, params, cfg, tcfg, step=5)
+    batch = [training.Sample(**s) for s in samples]
+    return training.batch_loss(batch, windows, params, cfg, tcfg, step=5)
 
 
 def arrays(profile, ablation, frame_window):
@@ -64,15 +76,15 @@ def arrays(profile, ablation, frame_window):
             yield f"eval{int(aggregate)}.gate", result.gate.data
 
     bounds = (0.1, 0.9)
-    batch = [Sample(seq="000", frame=k, window=w,
+    samples = [dict(seq="000", frame=k,
                     pose=rng.uniform(-500.0, 500.0, (cfg.joints, 3)),
-                    cell_weights=occupied_cell_weights(spatial_magnitude(w[-1])),
+                    cell_weights=training.occupied_cell_weights(spatial_magnitude(w[-1])),
                     gate_target=(float(rng.random()), bounds) if k < BATCH - 1 else None,
                     gate_weight=float(k < BATCH - 1))
-             for k, w in enumerate(windows)]
-    tcfg = TrainConfig(seed=3, gate_loss_weight=30.0)
+               for k, w in enumerate(windows)]
+    tcfg = training.TrainConfig(seed=3, gate_loss_weight=30.0)
     params.zero_grad()
-    loss = batch_loss(batch, params, cfg, tcfg, step=5)
+    loss = batch_loss(samples, windows, params, cfg, tcfg)
     yield "loss", loss.data
     T.backward(loss)
     for name, p in params.params.items():
