@@ -151,12 +151,14 @@ def motion_proxy(gt):
     return np.linalg.norm(velocities(gt), axis=-1).mean(axis=1)
 
 
-def occupied_cells(spatial_map):
-    """Flat boolean mask of the body-occupied cells: spatial magnitude above
-    the frame median, or every cell when nothing exceeds it."""
-    flat = np.asarray(spatial_map, dtype=np.float64).reshape(-1)
-    selected = flat > np.median(flat)
-    return selected if selected.any() else np.ones_like(selected)
+def occupied_cells(spatial_maps):
+    """(B, cells) boolean masks of the body-occupied cells of a (B, ...)
+    stack of spatial maps: magnitude above the map's median, or every cell
+    of a map where nothing exceeds it."""
+    flat = np.asarray(spatial_maps, dtype=np.float64).reshape(len(spatial_maps), -1)
+    selected = flat > np.median(flat, axis=1, keepdims=True)
+    selected[~selected.any(axis=1)] = True
+    return selected
 
 
 def frame_gate_score(gates, spatial_map, cell_selection="occupied"):
@@ -170,7 +172,7 @@ def frame_gate_score(gates, spatial_map, cell_selection="occupied"):
         return float(gates.mean())
     if cell_selection != "occupied":
         raise ConfigError(f"unknown cell_selection {cell_selection!r}")
-    selected = occupied_cells(spatial_map)
+    selected = occupied_cells(np.asarray(spatial_map)[None])[0]
     if selected.shape != gates.shape:
         raise ShapeError("spatial map and gate vector disagree on cell count")
     return float(gates[selected].mean())

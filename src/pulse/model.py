@@ -485,14 +485,15 @@ def regress(embedding, params, cfg):
 class ForwardResult:
     pose: T.Tensor                       # (B, J, 3) mm
     gate: Optional[T.Tensor]             # gate used at the prompting stage, (B, N_v, 1)
+    spatial: np.ndarray                  # (B, R, A) spatial maps the tokens read
 
 
 def forward(windows, params, cfg, train=False, base_keys=None,
             force_aggregate=False):
-    """Batch of windows of frames -> poses (plus the prompting gate), one per
-    window; a single window is a batch of one. Every tensor of the result
-    has the leading batch axis, and each sample's values are bitwise those
-    of its window run alone.
+    """Batch of windows of frames -> poses (plus the prompting gate and the
+    spatial maps), one per window; a single window is a batch of one. Every
+    value of the result has the leading batch axis, and each sample's
+    values are bitwise those of its window run alone.
 
     The spatial map comes from the last frame only; Doppler tokens and gates
     are computed per frame and, for windows longer than one frame (or when
@@ -508,8 +509,8 @@ def forward(windows, params, cfg, train=False, base_keys=None,
     keys = _KeyStream([0] * len(windows) if base_keys is None else base_keys)
     if len(keys.bases) != len(windows):
         raise UsageError(f"{len(keys.bases)} dropout keys for {len(windows)} windows")
-    spatial = tokenize_spatial(_stack([spatial_magnitude(w[-1]) for w in windows]),
-                               params, cfg)
+    maps = _stack([spatial_magnitude(w[-1]) for w in windows])
+    spatial = tokenize_spatial(maps, params, cfg)
 
     gate_used = None
     if cfg.ablation == "spatial_only":
@@ -535,4 +536,4 @@ def forward(windows, params, cfg, train=False, base_keys=None,
 
     z = spatial_transformer(updated, params, cfg, train=train, keys=keys)
     pose = regress(z, params, cfg)
-    return ForwardResult(pose=pose, gate=gate_used)
+    return ForwardResult(pose=pose, gate=gate_used, spatial=maps)

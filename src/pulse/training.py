@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
-from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericError, ShapeError, UsageError
-from .features import normalize_frame, spatial_magnitude
+from .features import normalize_frame
+from .features import spatial_magnitude  # unused here: only perfbench/tracing.py reads it
 from .model import forward, init_params
 from .metrics import motion_proxy, occupied_cells, sequence_report
 from .optim import ParamGroup, adam_step, clip_global_norm
@@ -86,8 +86,9 @@ class TrainLog:
 # Losses
 
 def loss_pos(pred, gt):
-    """Mean over joints of the Euclidean error (mm); pred is a (J, 3) graph
-    tensor, gt an array. A (B, J, 3) batch gives one loss per sample."""
+    """Mean over joints of the Euclidean error (mm) of a (B, J, 3) graph
+    tensor against a (B, J, 3) array: one loss per sample. A (J, 3) pair
+    gives one loss."""
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeError(f"pose shapes differ: {pred.shape} vs {gt.shape}")
@@ -96,47 +97,38 @@ def loss_pos(pred, gt):
     return T.mean_over_axis(T.sqrt(sq_norm), axis=-1)
 
 
-def minmax_normalize(value, lo, hi):
-    """Min-max map to [0, 1]; constant spans collapse to 0."""
+def minmax_normalize(values, lo, hi):
+    """Min-max map of a value or an array to [0, 1]; constant spans
+    collapse to 0."""
     if hi <= lo:
-        return 0.0
-    return (value - lo) / (hi - lo)
+        return np.zeros(np.shape(values))
+    return (values - lo) / (hi - lo)
 
 
-def loss_gate(gate_scores, proxy_values, bounds):
+def loss_gate(gate_scores, targets):
     """Squared errors between a batch of frame gate scores (a (B,) graph
-    tensor) and their min-max-normalized motion proxies: B proxy values and
-    B (lo, hi) bounds."""
-    targets = [minmax_normalize(v, *b) for v, b in zip(proxy_values, bounds)]
+    tensor) and their B gate targets."""
     diff = T.sub(gate_scores, T.Tensor(targets))
     return T.mul(diff, diff)
 
 
-def occupied_cell_weights(spatial_map):
-    """Flat weights averaging a frame's gates over its occupied_cells."""
-    selected = occupied_cells(spatial_map)
-    return selected.astype(np.float64) / selected.sum()
+def occupied_cell_weights(spatial_maps):
+    """(B, cells) weights averaging each frame's gates over its
+    occupied_cells, from a (B, ...) stack of spatial maps."""
+    selected = occupied_cells(spatial_maps)
+    return selected / selected.sum(axis=1, keepdims=True)
 
 
 def frame_gate_score_tensor(gates, cell_weights):
     """Differentiable mean gate over the occupied cells of each frame: a
-    (B, N_v, 1) batch of gates and B occupied_cell_weights -> (B,) scores."""
-    weights = T.Tensor(np.stack(cell_weights)[:, None, :], batched=True)
+    (B, N_v, 1) batch of gates and (B, N_v) occupied_cell_weights -> (B,)
+    scores."""
+    weights = T.Tensor(cell_weights[:, None, :], batched=True)
     return T.reshape(T.matmul(weights, gates), (len(cell_weights),))
 
 
 # ---------------------------------------------------------------------------
-# Samples, windows and evaluation
-
-@dataclass
-class Sample:
-    seq: str
-    frame: int
-    pose: np.ndarray                  # (J, 3) mm
-    cell_weights: np.ndarray          # occupied_cell_weights of the frame
-    gate_target: Optional[tuple]      # (proxy value, (lo, hi)) or None
-    gate_weight: float                # 1.0 with a gate target, else 0.0
-
+# Targets, windows and evaluation
 
 def window_batches(sequences, frame_window, size, order=None):
     """Yield (indices, windows) for each run of `size` indices of `order`
@@ -163,23 +155,26 @@ def window_batches(sequences, frame_window, size, order=None):
 
 
 def build_samples(dataset, split, mcfg):
-    """One sample per frame of the split, in sequence order, the order of
-    window_batches' indices. The frames stay in the dataset."""
-    samples = []
-    for seq_id, frames, poses in dataset.split_sequences(split):
+    """The training targets of every frame of the split, from its poses
+    alone, in sequence order, the order of window_batches' indices:
+    (poses (N, J, 3), gate targets (N,), gate weights (N,)). A frame's gate
+    target is its motion proxy min-max-normalized over its sequence, with
+    weight 1.0; a sequence's last frame has no proxy, so target and weight
+    0.0. The frames stay in the dataset."""
+    poses, targets, weights = [], [], []
+    for seq_id, frames, seq_poses in dataset.split_sequences(split):
         if frames.shape[1:] != (mcfg.R, mcfg.A, mcfg.D):
             raise DataError(
                 f"sequence {seq_id} grid {frames.shape[1:]} != model "
                 f"({mcfg.R}, {mcfg.A}, {mcfg.D})")
-        proxy = motion_proxy(poses) if len(frames) >= 2 else np.zeros(0)
-        bounds = (float(proxy.min()), float(proxy.max())) if len(proxy) else (0.0, 0.0)
-        for t, frame in enumerate(frames):
-            gate_target = (float(proxy[t]), bounds) if t < len(proxy) else None
-            smap = spatial_magnitude(normalize_frame(frame))
-            samples.append(Sample(
-                seq=seq_id, frame=t, pose=poses[t], cell_weights=occupied_cell_weights(smap),
-                gate_target=gate_target, gate_weight=float(gate_target is not None)))
-    return samples
+        proxy = motion_proxy(seq_poses) if len(frames) >= 2 else np.zeros(0)
+        span = (proxy.min(), proxy.max()) if len(proxy) else (0.0, 0.0)
+        poses.append(seq_poses)
+        targets += [minmax_normalize(proxy, *span), [0.0]]
+        weights += [np.ones(len(proxy)), [0.0]]
+    if not poses:
+        raise DataError(f"{split} split is empty")
+    return np.concatenate(poses), np.concatenate(targets), np.concatenate(weights)
 
 
 # Dense cross-attention logit bytes one evaluation forward may span.
@@ -223,7 +218,7 @@ def evaluate_split(params, mcfg, dataset, split, with_scale=True,
         if collect_gates:
             gates.append(np.zeros((len(windows), mcfg.n_cells)) if result.gate is None
                          else result.gate.data[:, :, 0])
-            smaps.append([spatial_magnitude(w[-1]).reshape(-1) for w in windows])
+            smaps.append(result.spatial.reshape(len(windows), -1))
     cuts = np.cumsum([len(f) for f in frames])[:-1]   # batches -> sequences
     preds = np.split(np.concatenate(poses), cuts)
     if collect_gates:
@@ -249,41 +244,39 @@ def _mix_key(seed, step, sample_idx):
     return (int(seed) * 1_000_003 + step * 1009 + sample_idx) & (2**63 - 1)
 
 
-def batch_loss(batch, windows, params, mcfg, tcfg, step):
-    """Mean training loss of a batch of samples and their windows, from one
-    forward of the whole batch: loss_pos per sample plus its gate loss times
-    gate_loss_weight * gate_weight. The per-sample losses are summed in
-    batch order, so the loss and its gradients are bitwise those of one
-    graph per sample added up in a loop that takes the gate loss only where
-    a sample has a gate target: a 0.0-weighted term adds +0.0 to a positive
-    position loss and only zeros to the gradients."""
+def batch_loss(targets, indices, windows, params, mcfg, tcfg, step):
+    """Mean training loss of the frames at `indices` of build_samples'
+    `targets` and their windows, from one forward of the whole batch:
+    loss_pos per frame plus its gate loss times gate_loss_weight *
+    gate_weight, the gate score read over the occupied cells of the
+    forward's spatial maps. The per-frame losses are summed in batch order,
+    so the loss and its gradients are bitwise those of one graph per frame
+    added up in a loop that takes the gate loss only where a frame has a
+    gate target: a 0.0-weighted term adds +0.0 to a positive position loss
+    and only zeros to the gradients."""
+    poses, gate_targets, gate_weights = targets
     result = forward(windows, params, mcfg, train=True,
-                     base_keys=[_mix_key(tcfg.seed, step, k) for k in range(len(batch))])
-    terms = loss_pos(result.pose, np.stack([s.pose for s in batch]))
+                     base_keys=[_mix_key(tcfg.seed, step, k) for k in range(len(indices))])
+    terms = loss_pos(result.pose, poses[indices])
     if tcfg.gate_loss_weight > 0 and result.gate is not None:
-        score = frame_gate_score_tensor(result.gate, [s.cell_weights for s in batch])
-        # a finite stand-in where a sample has no target: its weight is 0.0
-        proxies, bounds = zip(*(s.gate_target or (0.0, (0.0, 0.0)) for s in batch))
-        weights = [tcfg.gate_loss_weight * s.gate_weight for s in batch]
-        terms = T.add(terms, T.mul(loss_gate(score, proxies, bounds), weights))
-    return T.scale(T.fold_sum(terms), 1.0 / len(batch))
+        score = frame_gate_score_tensor(result.gate, occupied_cell_weights(result.spatial))
+        weights = tcfg.gate_loss_weight * gate_weights[indices]
+        terms = T.add(terms, T.mul(loss_gate(score, gate_targets[indices]), weights))
+    return T.scale(T.fold_sum(terms), 1.0 / len(indices))
 
 
 def train_model(dataset, mcfg, tcfg):
     """Minimize loss_pos (+ optional gate loss) with Adam; keep the best
     validation-MPJPE parameters; stop early after `patience` stale epochs."""
-    train_samples = build_samples(dataset, "train", mcfg)
+    targets = build_samples(dataset, "train", mcfg)
     train_frames = [f for _, f, _ in dataset.split_sequences("train")]
-    if not train_samples:
-        raise DataError("train split is empty")
     if not dataset.splits.get("val"):
         raise DataError("val split is empty")
 
     params = init_params(mcfg, tcfg.seed)
     # Anchor the regression output at the mean training pose so the head
     # only has to learn residuals.
-    mean_pose = np.mean([s.pose for s in train_samples], axis=0).reshape(-1)
-    params["head.out_bias"].data[...] = mean_pose
+    params["head.out_bias"].data[...] = targets[0].mean(axis=0).reshape(-1)
 
     order_rng = np.random.default_rng(
         np.random.SeedSequence([int(tcfg.seed) & (2**63 - 1), 909]))
@@ -297,13 +290,12 @@ def train_model(dataset, mcfg, tcfg):
 
     for epoch in range(1, tcfg.epochs + 1):
         t_start = time.perf_counter()
-        order = order_rng.permutation(len(train_samples))
+        order = order_rng.permutation(len(targets[0]))
         epoch_losses = []
         epoch_norms = []
         for indices, windows in window_batches(train_frames, mcfg.frame_window,
                                                tcfg.batch, order):
-            batch = [train_samples[i] for i in indices]
-            loss = batch_loss(batch, windows, params, mcfg, tcfg, global_step)
+            loss = batch_loss(targets, indices, windows, params, mcfg, tcfg, global_step)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NumericError(

@@ -7,8 +7,8 @@ from scipy.optimize import minimize
 from pulse.errors import ConfigError, DomainError, ShapeError
 from pulse.metrics import (KalmanConfig, MetricReport, frame_gate_score,
                            gate_motion_diag, kalman_smooth, motion_proxy,
-                           pearson_r, per_joint_report, sequence_report,
-                           velocities)
+                           occupied_cells, pearson_r, per_joint_report,
+                           sequence_report, velocities)
 
 
 def rand_seq(seed, t=5, j=4, scale=100.0):
@@ -289,6 +289,25 @@ def test_frame_gate_score_occupied_cells():
     smap = np.array([10.0, 0.1, 0.1, 0.1])  # only cell 0 above the median
     assert frame_gate_score(gates, smap) == 1.0
     assert frame_gate_score(gates, smap, cell_selection="global") == 0.25
+
+
+def test_occupied_cells_of_a_stack_is_the_per_frame_rule():
+    def reference(spatial_map):
+        flat = spatial_map.reshape(-1)
+        selected = flat > np.median(flat)
+        return selected if selected.any() else np.ones_like(selected)
+
+    rng = np.random.default_rng(26)
+    for _ in range(300):
+        maps = [rng.random((4, 6)),                              # distinct values
+                rng.integers(0, 3, (4, 6)).astype(np.float64),   # ties
+                np.zeros((4, 6)),                                # nothing above
+                np.full((4, 6), rng.random())]                   # nor here
+        stack = np.stack([maps[i] for i in rng.integers(0, 4, rng.integers(1, 6))])
+        got = occupied_cells(stack)
+        assert got.shape == (len(stack), 24) and got.dtype == bool
+        for mask, spatial_map in zip(got, stack, strict=True):
+            np.testing.assert_array_equal(mask, reference(spatial_map))
 
 
 def test_frame_gate_score_constant_map_falls_back():

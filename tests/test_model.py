@@ -539,6 +539,18 @@ def test_no_gating_equals_ungated_computation():
                                   forward([frames], params, cfg_un).pose.data)
 
 
+@pytest.mark.parametrize("frame_window", [1, 2])
+def test_forward_returns_the_spatial_maps_it_reads(frame_window):
+    cfg = desk_cfg(frame_window=frame_window)
+    params = init_params(cfg, seed=45)
+    for batch in (1, 3):
+        windows = [rand_frames(cfg, 46 + k) for k in range(batch)]
+        spatial = forward(windows, params, cfg).spatial
+        assert isinstance(spatial, np.ndarray) and spatial.shape == (batch, cfg.R, cfg.A)
+        for k, window in enumerate(windows):
+            assert spatial[k].tobytes() == spatial_magnitude(window[-1]).tobytes()
+
+
 def test_spatial_only_invariant_to_doppler():
     cfg = desk_cfg(ablation="spatial_only")
     params = init_params(cfg, seed=43)

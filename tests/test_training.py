@@ -4,7 +4,7 @@ import pytest
 from pulse import tensor as T
 from pulse import training
 from pulse.errors import ConfigError, DataError, NumericError, ShapeError, UsageError
-from pulse.features import normalize_frame
+from pulse.features import normalize_frame, spatial_magnitude
 from pulse.model import ABLATIONS, ModelConfig, forward, init_params
 from pulse.optim import adam_step, clip_global_norm
 from pulse.storage import Dataset, write_csv
@@ -67,19 +67,21 @@ def _scores(*values):
 
 def test_loss_gate_zero_when_matched():
     score = _scores(0.25)
-    assert loss_gate(score, [2.0], [(1.0, 5.0)]).item() == pytest.approx(0.0, abs=1e-15)
+    target = minmax_normalize(2.0, 1.0, 5.0)
+    assert loss_gate(score, [target]).item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_loss_gate_hand_value():
     score = _scores(0.5)
-    assert loss_gate(score, [0.0], [(0.0, 1.0)]).item() == pytest.approx(0.25)
+    assert loss_gate(score, [minmax_normalize(0.0, 0.0, 1.0)]).item() == pytest.approx(0.25)
 
 
 def test_loss_gate_batch_minmax_hand():
     proxies = [1.0, 3.0, 5.0]
     lo, hi = min(proxies), max(proxies)
     scores = [0.1, 0.6, 0.9]
-    total = loss_gate(_scores(*scores), proxies, [(lo, hi)] * 3).data.sum()
+    targets = minmax_normalize(np.array(proxies), lo, hi)
+    total = loss_gate(_scores(*scores), targets).data.sum()
     want = sum((s - (v - lo) / (hi - lo)) ** 2 for s, v in zip(scores, proxies))
     assert abs(total - want) < 1e-12
 
@@ -90,7 +92,7 @@ def test_frame_gate_score_tensor_matches_metrics():
     gates = rng.random((2, 16, 1))
     smaps = list(rng.random((2, 16)))
     got = frame_gate_score_tensor(T.Tensor(gates, batched=True),
-                                  [occupied_cell_weights(m) for m in smaps]).data
+                                  occupied_cell_weights(np.stack(smaps))).data
     for k in range(2):
         assert abs(got[k] - frame_gate_score(gates[k], smaps[k])) < 1e-12
 
@@ -119,10 +121,10 @@ def test_train_log_requires_increasing_epochs():
 
 
 # ---------------------------------------------------------------------------
-# sample building
+# training targets
 
 def _train_windows(dataset, mcfg, indices):
-    """The windows of the train split's samples at `indices`, one batch."""
+    """The windows of the train split's frames at `indices`, one batch."""
     frames = [f for _, f, _ in dataset.split_sequences("train")]
     (_, windows), = window_batches(frames, mcfg.frame_window, len(indices), indices)
     return windows
@@ -130,12 +132,13 @@ def _train_windows(dataset, mcfg, indices):
 
 def test_build_samples_counts_and_padding(tiny_dataset):
     mcfg = tiny_model_cfg(frame_window=3)
-    samples = build_samples(tiny_dataset, "train", mcfg)
+    targets = build_samples(tiny_dataset, "train", mcfg)
     per_seq = 8
-    assert len(samples) == 2 * per_seq
-    assert not [v for s in samples for v in vars(s).values()
-                if isinstance(v, np.ndarray) and v.ndim == 3]  # no frame held
-    windows = _train_windows(tiny_dataset, mcfg, range(len(samples)))
+    assert len(targets[0]) == 2 * per_seq
+    # no frame held: poses (N, J, 3), gate targets and weights (N,)
+    assert [v.shape for v in targets] == [(2 * per_seq, 8, 3), (2 * per_seq,),
+                                          (2 * per_seq,)]
+    windows = _train_windows(tiny_dataset, mcfg, range(len(targets[0])))
     first = windows[0]
     assert len(first) == 3
     np.testing.assert_array_equal(first[0], first[2])  # left pad
@@ -189,13 +192,36 @@ def test_window_batches_draws_a_frame_only_when_its_window_is_due():
 
 def test_build_samples_gate_targets(tiny_dataset):
     mcfg = tiny_model_cfg()
-    samples = build_samples(tiny_dataset, "train", mcfg)
-    last = [s for s in samples if s.frame == 7]
-    assert all(s.gate_target is None for s in last)
-    assert [s.gate_weight for s in samples] == [float(s.frame != 7) for s in samples]
-    mid = [s for s in samples if s.frame == 3][0]
-    proxy, (lo, hi) = mid.gate_target
-    assert lo <= proxy <= hi
+    poses, targets, weights = build_samples(tiny_dataset, "train", mcfg)
+    frame = np.arange(len(poses)) % 8           # two 8-frame sequences
+    last = frame == 7
+    assert (targets[last] == 0.0).all()
+    assert list(weights) == [float(t != 7) for t in frame]
+    mid = targets[frame == 3]
+    assert ((0.0 <= mid) & (mid <= 1.0)).all()
+    # the min-max span of each sequence's proxy is reached
+    for seq in (targets[:7], targets[8:15]):
+        assert seq.min() == 0.0 and seq.max() == 1.0
+
+
+def test_build_samples_targets_from_poses_alone(tiny_dataset):
+    # a one-frame sequence, one moving at a constant speed (a constant
+    # motion proxy) and a random one; the frames are zeros, which the
+    # targets never read
+    rng = np.random.default_rng(8)
+    steady = np.arange(5.0)[:, None, None] * np.array([3.0, 4.0, 0.0]) + np.ones((5, 8, 3))
+    poses = {"a": rng.random((1, 8, 3)), "b": steady, "c": 100.0 * rng.random((4, 8, 3))}
+    frames = {k: np.zeros((len(p), 16, 16, 8), dtype=np.float32) for k, p in poses.items()}
+    dataset = Dataset(tiny_dataset.root, tiny_dataset.manifest,
+                      {"train": ["a", "b", "c"], "val": [], "test": []},
+                      frames, poses, tiny_dataset.joint_names)
+    got_poses, targets, weights = build_samples(dataset, "train", tiny_model_cfg())
+    np.testing.assert_array_equal(got_poses, np.concatenate(list(poses.values())))
+    assert list(weights) == [0.0] + [1.0] * 4 + [0.0] + [1.0] * 3 + [0.0]
+    assert list(targets[:6]) == [0.0] * 6          # one frame; constant proxy
+    proxy = training.motion_proxy(poses["c"])
+    want = (proxy - proxy.min()) / (proxy.max() - proxy.min())
+    assert targets[6:].tobytes() == np.append(want, 0.0).tobytes()
 
 
 def test_build_samples_grid_mismatch(tiny_dataset):
@@ -236,39 +262,40 @@ def test_train_loss_decreases(tiny_dataset):
     assert losses[-1] < losses[0]
 
 
-def _per_sample_loss(batch, windows, params, mcfg, tcfg, step):
+def _per_sample_loss(targets, indices, windows, params, mcfg, tcfg, step):
     """The loop batch_loss replaced, kept as its reference: one graph per
-    sample (a batch of one), the per-sample losses added in batch order."""
+    frame (a batch of one), the per-frame losses added in batch order, each
+    frame's cell weights read from its own window's last frame."""
+    poses, gate_targets, gate_weights = targets
     total = None
-    for k, (sample, window) in enumerate(zip(batch, windows, strict=True)):
+    for k, (i, window) in enumerate(zip(indices, windows, strict=True)):
         result = forward([window], params, mcfg, train=True,
                          base_keys=[_mix_key(tcfg.seed, step, k)])
-        term = loss_pos(result.pose, sample.pose[None])
-        if tcfg.gate_loss_weight > 0 and sample.gate_target is not None \
+        term = loss_pos(result.pose, poses[i][None])
+        if tcfg.gate_loss_weight > 0 and gate_weights[i] == 1.0 \
                 and result.gate is not None:
-            score = frame_gate_score_tensor(result.gate, [sample.cell_weights])
-            proxy, bounds = sample.gate_target
-            term = T.add(term, T.scale(loss_gate(score, [proxy], [bounds]),
+            cell_weights = occupied_cell_weights(spatial_magnitude(window[-1])[None])
+            score = frame_gate_score_tensor(result.gate, cell_weights)
+            term = T.add(term, T.scale(loss_gate(score, [gate_targets[i]]),
                                        tcfg.gate_loss_weight))
         total = term if total is None else T.add(total, term)
-    return T.scale(total, 1.0 / len(batch))
+    return T.scale(total, 1.0 / len(indices))
 
 
 def _first_epoch(dataset, mcfg, tcfg, loss_fn):
     """Train the first epoch as train_model does, with loss_fn building each
     batch's loss. -> [(loss, gradients)] per step, final parameters."""
-    samples = build_samples(dataset, "train", mcfg)
+    targets = build_samples(dataset, "train", mcfg)
     params = init_params(mcfg, tcfg.seed)
-    mean_pose = np.mean([s.pose for s in samples], axis=0).reshape(-1)
+    mean_pose = np.mean(list(targets[0]), axis=0).reshape(-1)
     params["head.out_bias"].data = mean_pose.copy()
     order = np.random.default_rng(
-        np.random.SeedSequence([tcfg.seed, 909])).permutation(len(samples))
+        np.random.SeedSequence([tcfg.seed, 909])).permutation(len(targets[0]))
     frames = [f for _, f, _ in dataset.split_sequences("train")]
     steps = []
     for step, (indices, windows) in enumerate(
             window_batches(frames, mcfg.frame_window, tcfg.batch, order)):
-        batch = [samples[i] for i in indices]
-        loss = loss_fn(batch, windows, params, mcfg, tcfg, step)
+        loss = loss_fn(targets, indices, windows, params, mcfg, tcfg, step)
         params.zero_grad()
         T.backward(loss)
         steps.append((loss.item(), params.grads()))
@@ -284,15 +311,14 @@ def test_single_step_matches_manual_adam(tiny_dataset):
     result = train_model(tiny_dataset, mcfg, tcfg)
 
     # manual replication of the first optimizer step, one graph per sample
-    samples = build_samples(tiny_dataset, "train", mcfg)
+    targets = build_samples(tiny_dataset, "train", mcfg)
     params = init_params(mcfg, tcfg.seed)
-    mean_pose = np.mean([s.pose for s in samples], axis=0).reshape(-1)
+    mean_pose = np.mean(list(targets[0]), axis=0).reshape(-1)
     params["head.out_bias"].data = mean_pose.copy()
     order = np.random.default_rng(
-        np.random.SeedSequence([tcfg.seed, 909])).permutation(len(samples))
-    batch = [samples[i] for i in order[:tcfg.batch]]
+        np.random.SeedSequence([tcfg.seed, 909])).permutation(len(targets[0]))
     windows = _train_windows(tiny_dataset, mcfg, order[:tcfg.batch])
-    loss = _per_sample_loss(batch, windows, params, mcfg, tcfg, 0)
+    loss = _per_sample_loss(targets, order[:tcfg.batch], windows, params, mcfg, tcfg, 0)
     params.zero_grad()
     T.backward(loss)
     grads, _ = clip_global_norm(params, tcfg.clip)
@@ -339,21 +365,45 @@ def test_batch_loss_weighs_out_the_samples_without_a_gate_target(tiny_dataset):
     # 0.0-weighted gate terms must change no bit of the loss or a gradient
     mcfg = tiny_model_cfg(dropout=0.1, frame_window=2)
     tcfg = desk_train_cfg(seed=3, gate_loss_weight=30.0)
-    samples = build_samples(tiny_dataset, "train", mcfg)
-    last = [i for i, s in enumerate(samples) if s.gate_target is None]
+    targets = build_samples(tiny_dataset, "train", mcfg)
+    last = list(np.flatnonzero(targets[2] == 0.0))
     for indices in ([last[0], 3, last[1]], last):
-        batch = [samples[i] for i in indices]
         windows = _train_windows(tiny_dataset, mcfg, indices)
         runs = []
         for loss_fn in (_per_sample_loss, training.batch_loss):
             params = init_params(mcfg, seed=6, randomize_all=True)
-            loss = loss_fn(batch, windows, params, mcfg, tcfg, 0)
+            loss = loss_fn(targets, np.array(indices), windows, params, mcfg, tcfg, 0)
             T.backward(loss)
             runs.append((loss.item(), params.grads()))
         (ref_loss, ref_grads), (loss, grads) = runs
-        assert loss == ref_loss, len(batch)
+        assert loss == ref_loss, len(indices)
         for name in ref_grads:
-            assert grads[name].tobytes() == ref_grads[name].tobytes(), (name, len(batch))
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), (name, len(indices))
+
+
+@pytest.mark.parametrize("frame_window", [1, 2])
+def test_ungated_and_no_gating_are_one_model(tiny_dataset, frame_window):
+    # both only drop the gate bias of the cross-attention; the gate is still
+    # computed and, with the gate loss on, still supervised
+    tcfg = desk_train_cfg(seed=3, gate_loss_weight=30.0)
+    indices = np.arange(4)
+    runs = []
+    for ablation in ("ungated", "no_gating"):
+        mcfg = tiny_model_cfg(dropout=0.1, ablation=ablation, frame_window=frame_window)
+        targets = build_samples(tiny_dataset, "train", mcfg)
+        windows = _train_windows(tiny_dataset, mcfg, indices)
+        params = init_params(mcfg, seed=6, randomize_all=True)
+        constants = {name: T.Tensor(p.data) for name, p in params.params.items()}
+        result = forward(windows, constants, mcfg)
+        loss = training.batch_loss(targets, indices, windows, params, mcfg, tcfg, 0)
+        T.backward(loss)
+        runs.append([result.pose.data, result.gate.data, loss.data, params.grads()])
+    (*ungated, ungated_grads), (*no_gating, no_gating_grads) = runs
+    for a, b in zip(ungated, no_gating, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert list(ungated_grads) == list(no_gating_grads)
+    for name in ungated_grads:
+        assert ungated_grads[name].tobytes() == no_gating_grads[name].tobytes(), name
 
 
 def test_early_stopping_keeps_best(tiny_dataset):
@@ -534,14 +584,16 @@ def test_backward_frees_the_graph_and_keeps_leaf_gradients(tiny_dataset):
     # window and the gate loss all on, and a sample without a gate target
     mcfg = tiny_model_cfg(dropout=0.1, frame_window=2)
     tcfg = desk_train_cfg(seed=3, gate_loss_weight=30.0)
-    batch = build_samples(tiny_dataset, "train", mcfg)[4:9]
-    windows = _train_windows(tiny_dataset, mcfg, range(4, 9))
-    assert [s.gate_target is None for s in batch] == [False] * 3 + [True, False]
+    targets = build_samples(tiny_dataset, "train", mcfg)
+    indices = np.arange(4, 9)
+    windows = _train_windows(tiny_dataset, mcfg, indices)
+    assert list(targets[2][indices] == 0.0) == [False] * 3 + [True, False]
 
     reference = init_params(mcfg, seed=6, randomize_all=True)
-    _retaining_backward(training.batch_loss(batch, windows, reference, mcfg, tcfg, 0))
+    _retaining_backward(training.batch_loss(targets, indices, windows, reference,
+                                            mcfg, tcfg, 0))
     params = init_params(mcfg, seed=6, randomize_all=True)
-    loss = training.batch_loss(batch, windows, params, mcfg, tcfg, 0)
+    loss = training.batch_loss(targets, indices, windows, params, mcfg, tcfg, 0)
     interior = [n for n in _graph(loss) if n._backprop is not None]
     ops = {n._backprop.__qualname__.split(".")[0] for n in interior}
     assert {"attention", "affine", "layer_norm", "dropout"} <= ops

@@ -5,20 +5,25 @@
 #
 # Runs the working tree's tools/cli_pipeline.sh under PYTHONHASHSEED 1 and 2,
 # once with a `git archive` of <ref> on PYTHONPATH and once with the working
-# tree, then compares the two output trees with `diff -r`.
+# tree, then compares the two output trees with `diff -r`, and each tree's
+# pipeline-1 output with its pipeline-2 output. `tools/byte_identity.sh HEAD`
+# in a clean checkout is the A/A run CI makes.
 # --acceptance adds the seed-80 acceptance dataset of tests/test_acceptance.py
 # with `train`/`eval`/`diag` of `full` (seed 1) and `spatial_only` (seed 2) at
 # the desk profile, 2200 steps each: a few minutes per tree.
 #
-# Then the working tree's tools/graph_digest.py runs once with each tree's
-# src on PYTHONPATH: one sha256 over eval forwards and batch-4 training
-# losses and gradients of every ablation, which the CLI outputs reach only
-# in part.
+# Then each tree's own tools/graph_digest.py runs with that tree's src on
+# PYTHONPATH: one sha256 over eval forwards and batch-4 training losses and
+# gradients of every ablation, which the CLI outputs reach only in part.
+# Each copy calls its own tree's API, and any difference between the two
+# copies is printed; the digests match only when both hash the same names,
+# dtypes, shapes and bytes.
 #
 # Run from anywhere inside the repository. Outputs stay in a fresh directory
 # under ${TMPDIR:-/tmp}, printed at the end; the exit status is diff's (0 when
-# both trees wrote the same bytes), or 1 when the outputs match but the graph
-# digests differ.
+# both trees wrote the same bytes), or 1 when the outputs match but a tree's
+# two hash seeds wrote different bytes or the graph digests differ. A ref
+# without tools/graph_digest.py (before commit 774b5a7) exits 1 at once.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 || ( $# -eq 2 && $2 != --acceptance ) ]]; then
@@ -31,6 +36,10 @@ root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d "${TMPDIR:-/tmp}/byte-identity.XXXXXX")
 mkdir "$work/ref-src"
 git -C "$root" archive "$ref" | tar -x -C "$work/ref-src"
+if [[ ! -f $work/ref-src/tools/graph_digest.py ]]; then
+    echo "byte_identity: $ref has no tools/graph_digest.py" >&2
+    exit 1
+fi
 
 # run_tree <source root> <output dir>
 run_tree() {
@@ -62,7 +71,19 @@ wait "$ref_pid"
 status=0
 diff -r "$work/ref" "$work/tree" || status=$?
 echo "byte_identity: $ref vs working tree: outputs in $work/ref and $work/tree (diff status $status)"
-ref_digest=$(PYTHONPATH="$work/ref-src/src" python3 "$root/tools/graph_digest.py")
+for tree in ref tree; do
+    if ! diff -r "$work/$tree/pipeline-1" "$work/$tree/pipeline-2"; then
+        echo "byte_identity: $work/$tree: PYTHONHASHSEED 1 and 2 wrote different bytes" >&2
+        [[ $status -ne 0 ]] || status=1
+    fi
+done
+if git -C "$root" diff --quiet "$ref" -- tools/graph_digest.py; then
+    echo "graph_digest: $ref and the working tree run the same script"
+else
+    echo "graph_digest: the script differs between $ref and the working tree:"
+    git -C "$root" --no-pager diff "$ref" -- tools/graph_digest.py
+fi
+ref_digest=$(PYTHONPATH="$work/ref-src/src" python3 "$work/ref-src/tools/graph_digest.py")
 tree_digest=$(PYTHONPATH="$root/src" python3 "$root/tools/graph_digest.py")
 echo "graph_digest: $ref: $ref_digest"
 echo "graph_digest: working tree: $tree_digest"

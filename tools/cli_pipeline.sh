@@ -12,7 +12,7 @@
 # partial last batch; gradcheck covers the probe path. eval --pa-scale off
 # and diag --cell-selection global cover the two evaluation switches. A
 # run's resolved.cfg fed back as --config must reproduce the run byte for
-# byte. The CI hash-seed step and tools/byte_identity.sh both run this copy.
+# byte. tools/byte_identity.sh, which CI runs, runs this copy for both trees.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then

@@ -17,8 +17,8 @@ Parameters come from init_params(randomize_all=True), so no branch output
 is exactly zero, and frames from a seeded generator. Every array enters
 the hash with its name, dtype and shape. Prints one line,
 `<sha256> <number of arrays> arrays`: two trees whose lines are equal
-computed bitwise the same values. tools/byte_identity.sh compares a git
-ref's line with the working tree's.
+computed bitwise the same values. tools/byte_identity.sh runs each tree's
+own copy of this script on that tree and compares the two lines.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 
 from pulse import tensor as T
 from pulse import training
-from pulse.features import spatial_magnitude
 from pulse.model import ABLATIONS, ModelConfig, forward, init_params
 
 PROFILES = {
@@ -45,18 +44,6 @@ PROFILES = {
     "full": dict(dropout=0.1),
 }
 BATCH = 4
-
-
-def batch_loss(samples, windows, params, cfg, tcfg):
-    """training.batch_loss at step 5 of Samples made from the `samples`
-    field dicts and their `windows`: the windows go alongside the samples,
-    or inside them in a tree whose Sample still holds its window (commit
-    e8a1b60 and before), so one copy of this script digests both."""
-    if "window" in training.Sample.__dataclass_fields__:
-        batch = [training.Sample(window=w, **s) for s, w in zip(samples, windows)]
-        return training.batch_loss(batch, params, cfg, tcfg, step=5)
-    batch = [training.Sample(**s) for s in samples]
-    return training.batch_loss(batch, windows, params, cfg, tcfg, step=5)
 
 
 def arrays(profile, ablation, frame_window):
@@ -75,16 +62,16 @@ def arrays(profile, ablation, frame_window):
         if result.gate is not None:
             yield f"eval{int(aggregate)}.gate", result.gate.data
 
-    bounds = (0.1, 0.9)
-    samples = [dict(seq="000", frame=k,
-                    pose=rng.uniform(-500.0, 500.0, (cfg.joints, 3)),
-                    cell_weights=training.occupied_cell_weights(spatial_magnitude(w[-1])),
-                    gate_target=(float(rng.random()), bounds) if k < BATCH - 1 else None,
-                    gate_weight=float(k < BATCH - 1))
-               for k, w in enumerate(windows)]
+    poses, gate_targets = [], []
+    for k in range(BATCH):          # per sample, the pose, then the proxy
+        poses.append(rng.uniform(-500.0, 500.0, (cfg.joints, 3)))
+        gate_targets.append(training.minmax_normalize(rng.random(), 0.1, 0.9)
+                            if k < BATCH - 1 else 0.0)
+    targets = (np.stack(poses), np.array(gate_targets),
+               np.array([1.0] * (BATCH - 1) + [0.0]))
     tcfg = training.TrainConfig(seed=3, gate_loss_weight=30.0)
     params.zero_grad()
-    loss = batch_loss(samples, windows, params, cfg, tcfg)
+    loss = training.batch_loss(targets, np.arange(BATCH), windows, params, cfg, tcfg, step=5)
     yield "loss", loss.data
     T.backward(loss)
     for name, p in params.params.items():
