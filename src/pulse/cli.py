@@ -28,7 +28,7 @@ from .radar import MOTIONS, RadarConfig, emit_dataset, make_scene
 from .storage import (SPLITS, key_value_text, load_checkpoint, load_dataset,
                       parse_key_values, read_text, save_checkpoint, write_csv)
 from .training import (TrainConfig, TrainLog, evaluate_split, loss_pos,
-                       train_model)
+                       score_gates, train_model)
 
 
 def _config_defaults():
@@ -273,8 +273,9 @@ def _load_evaluation(args):
     grid = (int(manifest["R"]), int(manifest["A"]), int(manifest["D"]))
     if grid != (mcfg.R, mcfg.A, mcfg.D) or int(manifest["J"]) != mcfg.joints:
         raise ConfigError(
-            f"checkpoint grid {(mcfg.R, mcfg.A, mcfg.D)}/J={mcfg.joints} does not "
-            f"match dataset {grid}/J={manifest['J']}")
+            f"{args.checkpoint}: checkpoint grid {(mcfg.R, mcfg.A, mcfg.D)}/"
+            f"J={mcfg.joints} does not match {dataset.root / 'manifest.txt'}: "
+            f"dataset {grid}/J={manifest['J']}")
     _check_split(args.split, dataset)
     return dataset, mcfg, params
 
@@ -401,12 +402,11 @@ def cmd_diag(args):
         raise UsageError(f"--bins {args.bins} exceeds the {scored} scored frames "
                          f"of split {args.split!r}")
     out = _make_out_dir(args.out)
-    _, preds, gts, gate_seqs, smaps = evaluate_split(
-        params, mcfg, dataset, args.split, collect_gates=True)
-    diag = gate_motion_diag(gate_seqs, preds, gts, smaps, bins=args.bins,
-                            cell_selection=args.cell_selection)
+    preds, gts, scores = score_gates(params, mcfg, dataset, args.split,
+                                     args.cell_selection)
+    diag = gate_motion_diag(scores, preds, gts, bins=args.bins)
     write_csv(out / "gate_diag.csv", "frame,g_bar,v_t,bin",
-              [(i, *record[2:]) for i, record in enumerate(diag.records)])
+              [(i, *record) for i, record in enumerate(diag.records)])
     _write_evaluation_record(args, out, ("split", "bins", "cell_selection"))
     if diag.pearson is None:
         print("pearson_r: undefined (zero variance)")

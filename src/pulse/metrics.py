@@ -161,21 +161,21 @@ def occupied_cells(spatial_maps):
     return selected
 
 
-def frame_gate_score(gates, spatial_map, cell_selection="occupied"):
-    """Collapse per-cell gates to one frame score.
+def frame_gate_scores(gates, spatial_maps, cell_selection="occupied"):
+    """Collapse a (B, N_v) batch of per-cell gates to one score per frame.
 
-    occupied: mean over the occupied_cells (a body-occupancy proxy).
+    occupied: mean over each frame's occupied_cells (a body-occupancy proxy).
     global: mean over all cells.
     """
-    gates = np.asarray(gates, dtype=np.float64).reshape(-1)
+    gates = np.asarray(gates, dtype=np.float64).reshape(len(gates), -1)
     if cell_selection == "global":
-        return float(gates.mean())
+        return np.array([g.mean() for g in gates])
     if cell_selection != "occupied":
         raise ConfigError(f"unknown cell_selection {cell_selection!r}")
-    selected = occupied_cells(np.asarray(spatial_map)[None])[0]
+    selected = occupied_cells(spatial_maps)
     if selected.shape != gates.shape:
-        raise ShapeError("spatial map and gate vector disagree on cell count")
-    return float(gates[selected].mean())
+        raise ShapeError("spatial maps and gates disagree on cell count")
+    return np.array([g[s].mean() for g, s in zip(gates, selected)])
 
 
 def pearson_r(x, y):
@@ -194,27 +194,24 @@ def pearson_r(x, y):
 
 @dataclass
 class GateDiagnostics:
-    records: list                      # (seq, frame, g_bar, v_t, bin)
+    records: list                      # (g_bar, v_t, bin) per scored frame
     pearson: float | None
     binned_mpjve: list = field(default_factory=list)   # one value per quantile bin
 
 
-def gate_motion_diag(gate_seqs, preds, gts, spatial_maps, bins=5,
-                     cell_selection="occupied"):
+def gate_motion_diag(gate_scores, preds, gts, bins=5):
     """Correlate frame gate scores with the ground-truth motion proxy and
     stratify per-frame velocity error by gate quantile.
 
-    gate_seqs[i]: (T_i, N_v); spatial_maps[i]: (T_i, R*A) or (T_i, R, A).
-    Frames lacking a successor (the last of each sequence) are skipped.
+    gate_scores[i]: the (T_i,) frame_gate_scores of sequence i. Frames
+    lacking a successor (the last of each sequence) are skipped.
     """
     if bins < 2:
         raise DomainError(f"need at least 2 quantile bins, got {bins}")
     errors = _sequence_errors(preds, gts, align=False)
     proxies = [motion_proxy(gt) for gt in gts]
-    keys = [(idx, t) for idx, proxy in enumerate(proxies) for t in range(len(proxy))]
-    g_scores = np.array([frame_gate_score(gate_seqs[idx][t],
-                                          np.asarray(spatial_maps[idx][t]),
-                                          cell_selection) for idx, t in keys])
+    g_scores = np.concatenate([scores[:len(proxy)] for scores, proxy
+                               in zip(gate_scores, proxies, strict=True)])
     v_vals = np.concatenate(proxies)
     e_vals = np.concatenate([e.velocity.mean(axis=1) for e in errors])
     r = pearson_r(g_scores, v_vals)
@@ -224,8 +221,7 @@ def gate_motion_diag(gate_seqs, preds, gts, spatial_maps, bins=5,
     for b, chunk in enumerate(np.array_split(order, bins)):
         bin_of[chunk] = b
         binned.append(float(e_vals[chunk].mean()) if len(chunk) else float("nan"))
-    records = [key + (float(g), float(v), int(b))
-               for key, g, v, b in zip(keys, g_scores, v_vals, bin_of)]
+    records = [(float(g), float(v), int(b)) for g, v, b in zip(g_scores, v_vals, bin_of)]
     return GateDiagnostics(records=records, pearson=r, binned_mpjve=binned)
 
 

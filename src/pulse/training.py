@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError, UsageError
 from .features import normalize_frame
 from .features import spatial_magnitude  # unused here: only perfbench/tracing.py reads it
 from .model import forward, init_params
-from .metrics import motion_proxy, occupied_cells, sequence_report
+from .metrics import frame_gate_scores, motion_proxy, occupied_cells, sequence_report
 from .optim import ParamGroup, adam_step, clip_global_norm
 
 
@@ -112,19 +112,14 @@ def loss_gate(gate_scores, targets):
     return T.mul(diff, diff)
 
 
-def occupied_cell_weights(spatial_maps):
-    """(B, cells) weights averaging each frame's gates over its
-    occupied_cells, from a (B, ...) stack of spatial maps."""
+def frame_gate_score_tensor(gates, spatial_maps):
+    """Differentiable mean gate over the occupied_cells of each frame: a
+    (B, N_v, 1) batch of gates and the (B, ...) stack of spatial maps the
+    forward read -> (B,) scores."""
     selected = occupied_cells(spatial_maps)
-    return selected / selected.sum(axis=1, keepdims=True)
-
-
-def frame_gate_score_tensor(gates, cell_weights):
-    """Differentiable mean gate over the occupied cells of each frame: a
-    (B, N_v, 1) batch of gates and (B, N_v) occupied_cell_weights -> (B,)
-    scores."""
-    weights = T.Tensor(cell_weights[:, None, :], batched=True)
-    return T.reshape(T.matmul(weights, gates), (len(cell_weights),))
+    weights = selected / selected.sum(axis=1, keepdims=True)
+    return T.reshape(T.matmul(T.Tensor(weights[:, None, :], batched=True), gates),
+                     (len(weights),))
 
 
 # ---------------------------------------------------------------------------
@@ -193,39 +188,47 @@ def eval_batch(mcfg):
     return max(1, EVAL_LOGIT_BYTES // (8 * mcfg.heads * mcfg.n_spatial * mcfg.n_cells))
 
 
-def evaluate_split(params, mcfg, dataset, split, with_scale=True,
-                   collect_gates=False, align=True):
-    """Deterministic eval-mode pass over a split: one forward per
-    window_batches batch of eval_batch windows, in sequence order.
-
-    Returns (MetricReport, per-sequence predictions, per-sequence ground
-    truth[, gate sequences, spatial-map sequences]). With collect_gates the
-    report is None, sparing the gate diagnostics its per-frame alignment;
-    align=False spares it too and leaves the report's pa_mpjpe nan.
-
-    The forward runs on constant tensors sharing the parameters' arrays, so
-    it records no graph and leaves every .grad untouched."""
+def _eval_forwards(params, mcfg, dataset, split):
+    """The eval-mode pass evaluate_split and score_gates share: (per-sequence
+    ground truth, sequence lengths, a generator of the ForwardResult of each
+    window_batches batch of eval_batch windows, in sequence order). The
+    forward runs on constant tensors sharing the parameters' arrays, so it
+    records no graph and leaves every .grad untouched."""
     sequences = dataset.split_sequences(split)
     if not sequences:
         raise DataError(f"split {split!r} is empty")
     frames = [f for _, f, _ in sequences]
-    gts = [p for _, _, p in sequences]
     constants = {name: T.Tensor(p.data) for name, p in params.params.items()}
-    poses, gates, smaps = [], [], []
-    for _, windows in window_batches(frames, mcfg.frame_window, eval_batch(mcfg)):
-        result = forward(windows, constants, mcfg, train=False)
+    results = (forward(windows, constants, mcfg, train=False) for _, windows
+               in window_batches(frames, mcfg.frame_window, eval_batch(mcfg)))
+    return [p for _, _, p in sequences], [len(f) for f in frames], results
+
+
+def _by_sequence(batches, lengths):
+    """Per-batch arrays of frames, cut into sequences of `lengths` frames."""
+    return np.split(np.concatenate(batches), np.cumsum(lengths)[:-1])
+
+
+def evaluate_split(params, mcfg, dataset, split, with_scale=True, align=True):
+    """Deterministic eval-mode pass over a split -> (MetricReport,
+    per-sequence predictions, per-sequence ground truth). align=False spares
+    the report its per-frame alignment and leaves its pa_mpjpe nan."""
+    gts, lengths, results = _eval_forwards(params, mcfg, dataset, split)
+    preds = _by_sequence([result.pose.data for result in results], lengths)
+    return sequence_report(preds, gts, with_scale=with_scale, align=align), preds, gts
+
+
+def score_gates(params, mcfg, dataset, split, cell_selection="occupied"):
+    """evaluate_split's pass for diag -> (per-sequence predictions, ground
+    truth, frame_gate_scores of each batch as its forward returns it; 0.0
+    for a model without a gate)."""
+    gts, lengths, results = _eval_forwards(params, mcfg, dataset, split)
+    poses, scores = [], []
+    for result in results:
         poses.append(result.pose.data)
-        if collect_gates:
-            gates.append(np.zeros((len(windows), mcfg.n_cells)) if result.gate is None
-                         else result.gate.data[:, :, 0])
-            smaps.append(result.spatial.reshape(len(windows), -1))
-    cuts = np.cumsum([len(f) for f in frames])[:-1]   # batches -> sequences
-    preds = np.split(np.concatenate(poses), cuts)
-    if collect_gates:
-        return (None, preds, gts, np.split(np.concatenate(gates), cuts),
-                np.split(np.concatenate(smaps), cuts))
-    report = sequence_report(preds, gts, with_scale=with_scale, align=align)
-    return report, preds, gts
+        scores.append(np.zeros(len(result.pose.data)) if result.gate is None else
+                      frame_gate_scores(result.gate.data, result.spatial, cell_selection))
+    return _by_sequence(poses, lengths), gts, _by_sequence(scores, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +262,7 @@ def batch_loss(targets, indices, windows, params, mcfg, tcfg, step):
                      base_keys=[_mix_key(tcfg.seed, step, k) for k in range(len(indices))])
     terms = loss_pos(result.pose, poses[indices])
     if tcfg.gate_loss_weight > 0 and result.gate is not None:
-        score = frame_gate_score_tensor(result.gate, occupied_cell_weights(result.spatial))
+        score = frame_gate_score_tensor(result.gate, result.spatial)
         weights = tcfg.gate_loss_weight * gate_weights[indices]
         terms = T.add(terms, T.mul(loss_gate(score, gate_targets[indices]), weights))
     return T.scale(T.fold_sum(terms), 1.0 / len(indices))

@@ -24,7 +24,7 @@ from pulse.radar import (RadarConfig, Scatterer, angle_bin, doppler_bin,
                          range_bin, range_for_bin, rad_fft, render_frame,
                          sin_theta_for_bin, speed_for_bin)
 from pulse.storage import load_dataset
-from pulse.training import TrainConfig, evaluate_split, train_model
+from pulse.training import TrainConfig, evaluate_split, score_gates, train_model
 
 # Desk-scale training profile: overrides of the full-scale defaults sized
 # for a few CPU minutes per run.
@@ -315,9 +315,8 @@ def test_gate_motion_direction(trained_models):
     correlations = []
     for seed in DESK["seeds"]:
         params, mcfg = models[("full", seed)]
-        _, preds, gts, gate_seqs, smaps = evaluate_split(
-            params, mcfg, dataset, "all", collect_gates=True)
-        diag = gate_motion_diag(gate_seqs, preds, gts, smaps)
+        preds, gts, scores = score_gates(params, mcfg, dataset, "all")
+        diag = gate_motion_diag(scores, preds, gts)
         assert diag.pearson is not None
         correlations.append(diag.pearson)
     median_r = float(np.median(correlations))

@@ -422,9 +422,10 @@ def _train_with(*flags, name=None):
     return case
 
 
-def _synth_with(*flags):
+def _synth_with(*flags, name=None):
     def case(ds, run, tmp):
-        return ["synth", "--out", str(tmp / "o"), *DESK, *flags], flags[0].lstrip("-")
+        return (["synth", "--out", str(tmp / "o"), *DESK, *flags],
+                name or flags[0].lstrip("-"))
     return case
 
 
@@ -655,6 +656,23 @@ def _diag_one_frame(ds, run, tmp):
             "split 'all' sequence 000 has 1 frame")
 
 
+def _ckpt_other_grid(command):
+    """`command` with a checkpoint of the trained model's config at R=32, on
+    the R=16 dataset."""
+    def case(ds, run, tmp):
+        text, seed, _ = load_checkpoint(run / "model.ckpt")
+        assert text.startswith("R=16\n")
+        text = "R=32" + text[len("R=16"):]
+        params = init_params(config_from_text(text), seed)
+        save_checkpoint(tmp / "m.ckpt", text, seed,
+                        [(n, params[n].data) for n in params.names()])
+        return ([command, "--checkpoint", str(tmp / "m.ckpt"), "--dataset", str(ds),
+                 "--out", str(tmp / "o")],
+                f"{tmp / 'm.ckpt'}: checkpoint grid (32, 16, 8)/J=8 does not match "
+                f"{ds / 'manifest.txt'}: dataset (16, 16, 8)/J=8")
+    return case
+
+
 def _joint_names_count(ds, run, tmp):
     text = (ds / "manifest.txt").read_text()
     assert "\njoint_names=head," in text
@@ -726,6 +744,15 @@ def _joint_names_count(ds, run, tmp):
                   name="--sweep-values needs --sweep"),
     _train_with("--beta", "2", "--gate_strength", "0.5",
                 name="--beta and --gate_strength both set gate_strength"),
+    _ckpt_other_grid("eval"), _ckpt_other_grid("diag"),
+    _command_with("ablate", "--split", "val", "--sweep", "bogus",
+                  name="unknown sweep 'bogus'"),
+    # an empty --variants overrides the one _command_with passes
+    _command_with("ablate", "--split", "val", "--variants", "",
+                  name="nothing to do: pass --variants and/or --sweep"),
+    _synth_with("--split-ratios", "0.5,0.5",
+                name="--split-ratios needs three comma-separated values"),
+    _synth_with("--split-ratios", "a,b,c", name="bad --split-ratios 'a,b,c'"),
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
@@ -748,7 +775,9 @@ def _joint_names_count(ds, run, tmp):
         "virtual_elements_conflict", "ablate_frame_rate_conflict",
         "manifest_radar_value", "frame_window_zero", "neighborhood_zero",
         "agg_eps_zero", "diag_bins_over_frames", "joint_names_count",
-        "ablate_sweep_values_without_sweep", "beta_and_gate_strength"])
+        "ablate_sweep_values_without_sweep", "beta_and_gate_strength",
+        "eval_ckpt_other_grid", "diag_ckpt_other_grid", "ablate_sweep_unknown",
+        "ablate_nothing_to_do", "split_two_values", "split_not_numbers"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from pulse.errors import ConfigError, DomainError, ShapeError
-from pulse.metrics import (KalmanConfig, MetricReport, frame_gate_score,
+from pulse.metrics import (KalmanConfig, MetricReport, frame_gate_scores,
                            gate_motion_diag, kalman_smooth, motion_proxy,
                            occupied_cells, pearson_r, per_joint_report,
                            sequence_report, velocities)
@@ -269,8 +269,8 @@ def test_gate_equals_proxy_gives_r_one():
     gates = np.tile(proxy[:, None], (1, n_cells))
     gates = np.vstack([gates, gates[-1:]])  # length T
     smaps = rng.random((9, n_cells))
-    diag = gate_motion_diag([gates], [gt + rng.standard_normal(gt.shape)], [gt],
-                            [smaps], bins=3)
+    diag = gate_motion_diag([frame_gate_scores(gates, smaps)],
+                            [gt + rng.standard_normal(gt.shape)], [gt], bins=3)
     assert diag.pearson == pytest.approx(1.0, abs=1e-12)
     assert len(diag.binned_mpjve) == 3
     assert len(diag.records) == 8
@@ -280,44 +280,74 @@ def test_gate_constant_reports_undefined():
     gt = rand_seq(23, t=6, j=2)
     gates = np.full((6, 8), 0.5)
     smaps = np.random.default_rng(24).random((6, 8))
-    diag = gate_motion_diag([gates], [gt], [gt], [smaps])
+    diag = gate_motion_diag([frame_gate_scores(gates, smaps)], [gt], [gt])
     assert diag.pearson is None
 
 
 def test_frame_gate_score_occupied_cells():
     gates = np.array([1.0, 0.0, 0.0, 0.0])
     smap = np.array([10.0, 0.1, 0.1, 0.1])  # only cell 0 above the median
-    assert frame_gate_score(gates, smap) == 1.0
-    assert frame_gate_score(gates, smap, cell_selection="global") == 0.25
+    assert frame_gate_scores(gates[None], smap[None])[0] == 1.0
+    assert frame_gate_scores(gates[None], smap[None], cell_selection="global")[0] == 0.25
+
+
+def _occupied_reference(spatial_map):
+    """The per-frame occupied-cells rule, kept as the reference."""
+    flat = spatial_map.reshape(-1)
+    selected = flat > np.median(flat)
+    return selected if selected.any() else np.ones_like(selected)
+
+
+def _random_maps(rng):
+    """A stack of 1 to 5 (4, 6) maps, each drawn from four kinds."""
+    maps = [rng.random((4, 6)),                              # distinct values
+            rng.integers(0, 3, (4, 6)).astype(np.float64),   # ties
+            np.zeros((4, 6)),                                # nothing above
+            np.full((4, 6), rng.random())]                   # nor here
+    return np.stack([maps[i] for i in rng.integers(0, 4, rng.integers(1, 6))])
 
 
 def test_occupied_cells_of_a_stack_is_the_per_frame_rule():
-    def reference(spatial_map):
-        flat = spatial_map.reshape(-1)
-        selected = flat > np.median(flat)
-        return selected if selected.any() else np.ones_like(selected)
-
     rng = np.random.default_rng(26)
     for _ in range(300):
-        maps = [rng.random((4, 6)),                              # distinct values
-                rng.integers(0, 3, (4, 6)).astype(np.float64),   # ties
-                np.zeros((4, 6)),                                # nothing above
-                np.full((4, 6), rng.random())]                   # nor here
-        stack = np.stack([maps[i] for i in rng.integers(0, 4, rng.integers(1, 6))])
+        stack = _random_maps(rng)
         got = occupied_cells(stack)
         assert got.shape == (len(stack), 24) and got.dtype == bool
         for mask, spatial_map in zip(got, stack, strict=True):
-            np.testing.assert_array_equal(mask, reference(spatial_map))
+            np.testing.assert_array_equal(mask, _occupied_reference(spatial_map))
+
+
+def test_frame_gate_scores_of_a_batch_are_the_per_frame_rule():
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        maps = _random_maps(rng)
+        # gates as the forward returns them, (B, N_v, 1), and flat
+        gates = rng.random((len(maps), 24, 1))
+        for g_in in (gates, gates[:, :, 0]):
+            occupied = frame_gate_scores(g_in, maps)
+            spread = frame_gate_scores(g_in, maps, cell_selection="global")
+            assert occupied.dtype == spread.dtype == np.float64
+            for k, (g, spatial_map) in enumerate(zip(gates[:, :, 0], maps, strict=True)):
+                assert occupied[k] == g[_occupied_reference(spatial_map)].mean()
+                assert spread[k] == g.mean()
+
+
+def test_frame_gate_scores_reject_a_bad_selection_or_cell_count():
+    gates = np.zeros((2, 24))
+    with pytest.raises(ConfigError):
+        frame_gate_scores(gates, np.zeros((2, 4, 6)), cell_selection="body")
+    with pytest.raises(ShapeError):
+        frame_gate_scores(gates, np.zeros((2, 4, 5)))
 
 
 def test_frame_gate_score_constant_map_falls_back():
     gates = np.array([0.2, 0.4, 0.6, 0.8])
-    assert frame_gate_score(gates, np.ones(4)) == pytest.approx(0.5)
+    assert frame_gate_scores(gates[None], np.ones((1, 4)))[0] == pytest.approx(0.5)
 
 
 def test_gate_diag_needs_two_bins():
     with pytest.raises(DomainError):
-        gate_motion_diag([], [], [], [], bins=1)
+        gate_motion_diag([], [], [], bins=1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ from pulse import tensor as T
 from pulse import training
 from pulse.errors import ConfigError, DataError, NumericError, ShapeError, UsageError
 from pulse.features import normalize_frame, spatial_magnitude
+from pulse.metrics import frame_gate_scores
 from pulse.model import ABLATIONS, ModelConfig, forward, init_params
 from pulse.optim import adam_step, clip_global_norm
 from pulse.storage import Dataset, write_csv
 from pulse.training import (EpochRecord, TrainConfig, TrainLog, _mix_key,
                             build_samples, evaluate_split,
                             frame_gate_score_tensor, loss_gate, loss_pos,
-                            minmax_normalize, occupied_cell_weights, train_model,
+                            minmax_normalize, score_gates, train_model,
                             window_batches)
 from tests.conftest import parse_train_log, tiny_model_cfg
 
@@ -87,14 +88,12 @@ def test_loss_gate_batch_minmax_hand():
 
 
 def test_frame_gate_score_tensor_matches_metrics():
-    from pulse.metrics import frame_gate_score
     rng = np.random.default_rng(3)
     gates = rng.random((2, 16, 1))
     smaps = list(rng.random((2, 16)))
-    got = frame_gate_score_tensor(T.Tensor(gates, batched=True),
-                                  occupied_cell_weights(np.stack(smaps))).data
+    got = frame_gate_score_tensor(T.Tensor(gates, batched=True), np.stack(smaps)).data
     for k in range(2):
-        assert abs(got[k] - frame_gate_score(gates[k], smaps[k])) < 1e-12
+        assert abs(got[k] - frame_gate_scores(gates[k:k + 1], smaps[k][None])[0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +273,8 @@ def _per_sample_loss(targets, indices, windows, params, mcfg, tcfg, step):
         term = loss_pos(result.pose, poses[i][None])
         if tcfg.gate_loss_weight > 0 and gate_weights[i] == 1.0 \
                 and result.gate is not None:
-            cell_weights = occupied_cell_weights(spatial_magnitude(window[-1])[None])
-            score = frame_gate_score_tensor(result.gate, cell_weights)
+            score = frame_gate_score_tensor(result.gate,
+                                            spatial_magnitude(window[-1])[None])
             term = T.add(term, T.scale(loss_gate(score, [gate_targets[i]]),
                                        tcfg.gate_loss_weight))
         total = term if total is None else T.add(total, term)
@@ -514,8 +513,7 @@ def test_evaluate_split_builds_no_graph_and_matches_forward(
         monkeypatch.setattr(training, "eval_batch", lambda cfg: batch)
         results.clear()
         _, preds, _ = evaluate_split(params, mcfg, tiny_dataset, "all")
-        _, gate_preds, _, gates, _ = evaluate_split(params, mcfg, tiny_dataset, "all",
-                                                    collect_gates=True)
+        gate_preds, _, scores = score_gates(params, mcfg, tiny_dataset, "all")
         sizes = [min(batch, total - start) for start in range(0, total, batch)]
         assert [len(r.pose.data) for r in results] == sizes * 2
         for result in results:
@@ -523,20 +521,43 @@ def test_evaluate_split_builds_no_graph_and_matches_forward(
                 assert t is None or (not t.requires_grad and t._parents == ()
                                      and t._backprop is None)
 
-        for (whole, per_window), seq_pred, seq_gate_pred, seq_gates in zip(
-                references, preds, gate_preds, gates, strict=True):
+        for (whole, per_window), seq_pred, seq_gate_pred, seq_scores in zip(
+                references, preds, gate_preds, scores, strict=True):
             for t, ref in enumerate(per_window):
                 assert ref.pose.requires_grad
                 np.testing.assert_array_equal(seq_pred[t], ref.pose.data[0])
                 np.testing.assert_array_equal(seq_gate_pred[t], ref.pose.data[0])
                 np.testing.assert_array_equal(seq_pred[t], whole.pose.data[t])
-                ref_gate = (np.zeros(mcfg.n_cells) if ref.gate is None
-                            else ref.gate.data.reshape(-1))
-                np.testing.assert_array_equal(seq_gates[t], ref_gate)
+                ref_score = (0.0 if ref.gate is None
+                             else frame_gate_scores(ref.gate.data, ref.spatial)[0])
+                assert seq_scores[t] == ref_score
                 if whole.gate is not None:
-                    np.testing.assert_array_equal(seq_gates[t], whole.gate.data[t, :, 0])
+                    assert seq_scores[t] == frame_gate_scores(whole.gate.data,
+                                                              whole.spatial)[t]
     for name, p in params.params.items():
         assert p.grad is untouched[name] and (p.grad == 7.0).all()
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_score_gates_predicts_as_evaluate_split(tiny_dataset, ablation):
+    mcfg = tiny_model_cfg(ablation=ablation, frame_window=2)
+    params = init_params(mcfg, seed=4, randomize_all=True)
+    _, preds, gts = evaluate_split(params, mcfg, tiny_dataset, "all")
+    for selection in ("occupied", "global"):
+        got_preds, got_gts, scores = score_gates(params, mcfg, tiny_dataset, "all",
+                                                 selection)
+        for want, got in zip(preds + gts, got_preds + got_gts, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert [s.shape for s in scores] == [(len(p),) for p in preds]
+
+
+def test_score_gates_without_a_gate_are_zero(tiny_dataset):
+    mcfg = tiny_model_cfg(ablation="spatial_only")
+    params = init_params(mcfg, seed=4, randomize_all=True)
+    lengths = [len(f) for _, f, _ in tiny_dataset.split_sequences("all")]
+    for selection in ("occupied", "global"):
+        _, _, scores = score_gates(params, mcfg, tiny_dataset, "all", selection)
+        assert [s.tolist() for s in scores] == [[0.0] * n for n in lengths]
 
 
 def test_eval_batch_from_the_model_geometry():

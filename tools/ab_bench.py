@@ -17,8 +17,9 @@ the host.
 The record written to --out has the keys what, command, parent, change,
 host, summary and runs. summary holds, per workload and end-to-end metric
 of BENCHMARK.json, each side's median and quartiles, change_over_parent
-(the ratio of the medians) and pairs_change_better; runs holds every run's
-last stdout line. The record is rewritten after each pair, so an
+(the ratio of the medians) and pairs_change_better, and each side's median
+minor page faults a run; runs holds every run's last stdout line and its
+minor page faults. The record is rewritten after each pair, so an
 interrupted session keeps the pairs it finished.
 
 Run from anywhere inside the repository; exits 1 when a run failed.
@@ -30,6 +31,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tarfile
@@ -47,16 +49,22 @@ WHAT = ("perfbench/run.py runs of the parent commit and of this change on one "
         "'result' is the last stdout line of run.py, 'host_line' the line it "
         "prints before its metrics; quartiles are numpy.percentile 25/50/75 of "
         "each side's runs; pairs_change_better counts pairs in which the "
-        "change reads better (per BENCHMARK.json's 'better'); written by "
+        "change reads better (per BENCHMARK.json's 'better'); 'minor_faults' "
+        "is a run's minor page faults, the change in "
+        "getrusage(RUSAGE_CHILDREN).ru_minflt across its run.py process, and "
+        "minor_faults_median each side's median of them; written by "
         "tools/ab_bench.py")
 
 
 def run_once(tree, workload, seed, seconds):
-    """One untraced run.py job in `tree` -> (host line, last-line JSON or None)."""
+    """One untraced run.py job in `tree` -> (host line, last-line JSON or None,
+    minor page faults of the run.py process)."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.splitlines()
     host = next((line for line in lines if line.startswith("workload ")), None)
     try:
@@ -66,7 +74,7 @@ def run_once(tree, workload, seed, seconds):
     if result is None:
         sys.stderr.write(f"{tree}: {workload} seed {seed} failed "
                          f"(exit {proc.returncode})\n{proc.stderr[-2000:]}")
-    return host, result
+    return host, result, faults
 
 
 def quartiles(values):
@@ -74,11 +82,13 @@ def quartiles(values):
 
 
 def summarize(runs, workload, metrics):
-    """Per-metric medians, quartiles and pair wins of one workload's runs."""
-    pairs = {}
+    """Per-metric medians, quartiles and pair wins of one workload's runs,
+    and each side's median minor page faults."""
+    pairs, faults = {}, {}
     for run in runs:
         if run["workload"] == workload:
             pairs.setdefault(run["seed"], {})[run["side"]] = run["result"]
+            faults.setdefault(run["side"], []).append(run["minor_faults"])
     done = [p for p in pairs.values() if p.get("parent") and p.get("change")]
     summary = {}
     for metric in metrics if done else ():
@@ -97,6 +107,8 @@ def summarize(runs, workload, metrics):
     summary["failed_runs"] = sum(
         1 for p in pairs.values() for side in p.values()
         if side is None or not side.get("correct"))
+    summary["minor_faults_median"] = {side: float(np.median(counts))
+                                      for side, counts in faults.items()}
     return summary
 
 
@@ -137,13 +149,14 @@ def main():
             for seed in range(1, args.pairs + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
-                    host_line, result = run_once(trees[side], workload, seed,
-                                                 args.seconds)
+                    host_line, result, faults = run_once(trees[side], workload, seed,
+                                                         args.seconds)
                     if host is None and host_line:
                         host = host_line.split(": ", 1)[-1]
                     runs.append({"workload": workload, "seed": seed, "side": side,
                                  "first": side == order[0], "seconds": args.seconds,
-                                 "trace": 0, "host_line": host_line, "result": result})
+                                 "trace": 0, "host_line": host_line, "result": result,
+                                 "minor_faults": faults})
                 record = {
                     "what": WHAT, "command": COMMAND, "parent": parent_id,
                     "change": "the commit that adds this file", "host": host,
