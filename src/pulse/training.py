@@ -47,6 +47,8 @@ class TrainConfig:
                               f"{self.batch} and {self.epochs}")
         if not 0.0 < self.clip < math.inf:
             raise ConfigError(f"clip must be positive and finite, got {self.clip}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("weight_decay", "gate_loss_weight", "max_steps"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, "

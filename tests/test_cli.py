@@ -139,13 +139,17 @@ def test_beta_overrides_a_config_entry_but_not_gate_strength(tmp_path, capsys):
     assert not (tmp_path / "both").exists()
 
 
-def test_pulse_seed_env_fallback(tmp_path, monkeypatch):
+def test_pulse_seed_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PULSE_SEED", "77")
     out = tmp_path / "env"
     rc = main(["synth", "--out", str(out), "--sequences", "2", "--frames", "4",
                *DESK])
     assert rc == 0
     assert "seed=77" in (out / "manifest.txt").read_text()
+    monkeypatch.setenv("PULSE_SEED", "-1")
+    assert main(["synth", "--out", str(tmp_path / "neg"), "--sequences", "2",
+                 "--frames", "4", *DESK]) == 3
+    assert "seed must be in [0, 2**64), got -1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +433,10 @@ def _synth_with(*flags, name=None):
     return case
 
 
-def _gradcheck_with(*flags):
+def _gradcheck_with(*flags, name=None):
     def case(ds, run, tmp):
-        return ["gradcheck", "--R", "8", "--A", "8", "--D", "4", *flags], flags[0]
+        return (["gradcheck", "--R", "8", "--A", "8", "--D", "4", *flags],
+                name or flags[0])
     return case
 
 
@@ -753,6 +758,10 @@ def _joint_names_count(ds, run, tmp):
     _synth_with("--split-ratios", "0.5,0.5",
                 name="--split-ratios needs three comma-separated values"),
     _synth_with("--split-ratios", "a,b,c", name="bad --split-ratios 'a,b,c'"),
+    _synth_with("--seed", "-1", name="seed must be in [0, 2**64), got -1"),
+    _train_with("--seed", "-1", name="seed must be in [0, 2**64), got -1"),
+    _train_with("--seed", str(2**64), name=f"seed must be in [0, 2**64), got {2**64}"),
+    _gradcheck_with("--seed", "-1", name="seed must be in [0, 2**64), got -1"),
 ], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
         "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
         "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
@@ -777,7 +786,9 @@ def _joint_names_count(ds, run, tmp):
         "agg_eps_zero", "diag_bins_over_frames", "joint_names_count",
         "ablate_sweep_values_without_sweep", "beta_and_gate_strength",
         "eval_ckpt_other_grid", "diag_ckpt_other_grid", "ablate_sweep_unknown",
-        "ablate_nothing_to_do", "split_two_values", "split_not_numbers"])
+        "ablate_nothing_to_do", "split_two_values", "split_not_numbers",
+        "synth_seed_negative", "train_seed_negative", "train_seed_too_large",
+        "gradcheck_seed_negative"])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)

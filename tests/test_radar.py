@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pulse.errors import DomainError, UsageError
-from pulse.radar import (BONES, C_LIGHT, JOINT_NAMES, RadarConfig, Scatterer,
+from pulse.radar import (BONES, C_LIGHT, JOINT_NAMES, MOTIONS, RadarConfig, Scatterer,
                          SkeletonMotion, angle_bin, doppler_bin, make_scene,
                          rad_fft, range_bin, range_for_bin, render_frame,
                          render_scene_frame, sin_theta_for_bin, speed_for_bin)
@@ -129,6 +129,72 @@ def test_render_frame_matches_per_scatterer_reference(cfg):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * peak)
 
 
+def einsum_reference(scatterers, cfg):
+    """The noise-free cube as np.einsum(..., optimize=True) over the three
+    phase tables: the contraction render_frame ran before its fixed order."""
+    pos = np.array([sc.position for sc in scatterers], dtype=np.float64).reshape(-1, 3)
+    speed = np.array([sc.radial_velocity for sc in scatterers], dtype=np.float64)
+    refl = np.array([sc.reflectivity for sc in scatterers], dtype=np.float64)
+    beat_hz = (2.0 * cfg.bandwidth_hz * np.linalg.norm(pos, axis=1)
+               / (C_LIGHT * cfg.chirp_duration_s))
+    lateral = np.hypot(pos[:, 0], pos[:, 1])
+    sin_theta = np.divide(pos[:, 0], lateral, out=np.zeros_like(lateral),
+                          where=lateral > 0)
+    doppler_hz = 2.0 * speed / cfg.wavelength_m
+    t_fast = np.arange(cfg.fast_samples_per_chirp) / cfg.fast_sample_rate_hz
+    chirp_idx = np.arange(cfg.chirps_per_frame)
+    elem_idx = np.arange(cfg.virtual_elements)
+    fast = np.exp(2j * np.pi * (beat_hz[:, None] * t_fast))
+    chirp = np.exp(2j * np.pi * (doppler_hz[:, None] * cfg.chirp_duration_s * chirp_idx))
+    elem = np.exp(2j * np.pi * ((cfg.element_spacing_m / cfg.wavelength_m)
+                                * sin_theta[:, None] * elem_idx))
+    return np.einsum("s,sf,sc,se->fce", refl, fast, chirp, elem, optimize=True)
+
+
+def random_scatterers(cfg, rng, n):
+    """n scatterers spread over the range, azimuth and Doppler span."""
+    r = rng.uniform(0.2, 0.9, n) * cfg.max_range_m
+    sin_t = rng.uniform(-0.9, 0.9, n)
+    elevation = rng.uniform(-0.4, 0.4, n)
+    pos = r[:, None] * np.stack([sin_t * np.cos(elevation),
+                                 np.sqrt(1.0 - sin_t ** 2) * np.cos(elevation),
+                                 np.sin(elevation)], axis=1)
+    speed = rng.uniform(-0.9, 0.9, n) * cfg.max_speed_mps
+    return [Scatterer(p, v, a) for p, v, a in
+            zip(pos, speed.tolist(), rng.uniform(0.5, 1.5, n).tolist())]
+
+
+_DESK = RadarConfig(noise_std=0.0)
+_FULL = RadarConfig(R=64, A=64, noise_std=0.0)
+_PIPELINE = RadarConfig(R=16, A=16, chirps_per_frame=8, fast_samples_per_chirp=32,
+                        virtual_elements=4, bandwidth_hz=0.5e9, noise_std=0.0)
+_SQUARE = RadarConfig(chirps_per_frame=8, virtual_elements=8, noise_std=0.0)
+
+
+@pytest.mark.parametrize("geometry, counts, bitwise", [
+    # greedy einsum takes the fixed order: the bytes are einsum's
+    (_DESK, (2, 7, 22, 48, 63, 64), True),
+    (_FULL, (2, 22, 48, 64), True),
+    (_PIPELINE, (2, 5, 22, 48, 100, 300), True),
+    # greedy takes another order, or (one scatterer) multiplies where the
+    # fixed order runs a matmul: round-off of the cube's peak
+    (_DESK, (1, 65, 100, 200), False),
+    (_SQUARE, (1, 22, 48, 100), False),
+], ids=["desk", "full", "pipeline", "desk_other", "chirps_equal_elements"])
+def test_render_frame_contracts_as_greedy_einsum(geometry, counts, bitwise):
+    rng = np.random.default_rng(31)
+    for n in counts:
+        scatterers = random_scatterers(geometry, rng, n)
+        got = render_frame(scatterers, geometry, seed=0)
+        want = einsum_reference(scatterers, geometry)
+        assert got.shape == want.shape
+        if bitwise:
+            assert got.tobytes() == want.tobytes(), n
+        else:
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("axis", ["range", "speed"])
 def test_render_frame_span_check_covers_every_scatterer(cfg, axis):
     inside = [scatterer_at_bins(cfg, rb, cfg.A // 2 + 2, cfg.D // 2 + 1)
@@ -149,6 +215,15 @@ def test_noise_deterministic_for_seed(cfg_noise=RadarConfig(noise_std=0.5)):
     np.testing.assert_array_equal(a, b)
     c = render_frame([], cfg_noise, seed=[7, 1, 3])
     assert not np.array_equal(a, c)
+    # the noise is one Philox stream: the real parts' draws, then the imaginary
+    # parts', each scaled by noise_std and added to the noise-free cube
+    scatterers = make_scene(cfg_noise, seed=3, motion="walk").scatterers_at(0.4)
+    quiet = render_frame(scatterers, RadarConfig(noise_std=0.0), seed=0)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([7, 1, 2])))
+    quiet.real += 0.5 * rng.standard_normal(quiet.shape)
+    quiet.imag += 0.5 * rng.standard_normal(quiet.shape)
+    noisy = render_frame(scatterers, cfg_noise, seed=[7, 1, 2])
+    assert noisy.tobytes() == quiet.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +391,35 @@ def test_scene_matches_per_point_reference(cfg):
     for k, t in enumerate(times):
         np.testing.assert_allclose(scene.moving_points(times)[k], scene.moving_points(t),
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("clutter", [True, False], ids=["clutter", "no_clutter"])
+def test_scene_kinematics_are_the_separate_evaluations(cfg, clutter):
+    """One moving_points call on (t, t + dt, t - dt) gives, bit for bit, the
+    positions at t and the central difference of three separate calls."""
+    def reference(scene, t):
+        speed = -(np.linalg.norm(scene.moving_points(t + 1e-3), axis=-1)
+                  - np.linalg.norm(scene.moving_points(t - 1e-3), axis=-1)) / 2e-3
+        return scene.moving_points(t), speed
+
+    times = np.arange(64) / cfg.frame_rate_hz
+    for i, motion in enumerate(MOTIONS * 2):
+        scene = make_scene(cfg, seed=80 * 100_003 + i, motion=motion, clutter=clutter)
+        for t in times.tolist():
+            points, speed = scene.kinematics(t)
+            want_points, want_speed = reference(scene, t)
+            assert points.tobytes() == want_points.tobytes()
+            assert speed.tobytes() == want_speed.tobytes()
+            # scatterers_at: body points and ghosts, clutter, then the fan
+            scats, fan = scene.scatterers_at(t), int(scene.oscillator is not None)
+            moving = scats[:len(points) - fan] + scats[len(scats) - fan:]
+            assert np.array([sc.position for sc in moving]).tobytes() == points.tobytes()
+            assert [sc.radial_velocity for sc in moving] == speed.tolist()
+        # the span check's (T, N, 3) evaluation
+        points, speed = scene.kinematics(times)
+        want_points, want_speed = reference(scene, times)
+        assert points.tobytes() == want_points.tobytes()
+        assert speed.tobytes() == want_speed.tobytes()
 
 
 def test_make_scene_span_check_covers_clutter_and_fan():

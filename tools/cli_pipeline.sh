@@ -12,7 +12,9 @@
 # partial last batch; gradcheck covers the probe path. eval --pa-scale off
 # and diag --cell-selection global cover the two evaluation switches. A
 # run's resolved.cfg fed back as --config must reproduce the run byte for
-# byte. tools/byte_identity.sh, which CI runs, runs this copy for both trees.
+# byte. The last synth renders two frames at the CLI's default grid, the
+# full profile (64x64x16, 64 fast samples, 48 scatterers a scene).
+# tools/byte_identity.sh, which CI runs, runs this copy for both trees.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -37,3 +39,4 @@ pulse diag --checkpoint "$out/run_fw2/model.ckpt" --dataset "$out/ds" --split al
 pulse train --dataset "$out/ds" --out "$out/run_b8" --seed 5 $model --batch 8
 pulse ablate --dataset "$out/ds" --out "$out/ablate" --variants full,spatial_only,doppler_only,naive_concat,ungated,global_interaction,no_gating --split val --seed 5 $model
 pulse gradcheck --R 8 --A 8 --D 4 --seed 1 --out "$out/gradcheck"
+pulse synth --out "$out/ds_full" --seed 12 --sequences 1 --frames 2
