@@ -254,13 +254,11 @@ def load_model(ckpt_path):
     return mcfg, params, seed
 
 
-def _check_split(split, dataset=None):
-    """--split names a split, and one with sequences in `dataset` if given."""
+def _check_split(split):
+    """--split names a split."""
     if split not in SPLITS + ("all",):
         raise UsageError(f"--split must be one of {', '.join(SPLITS)} or all, "
                          f"got {split!r}")
-    if dataset is not None and not dataset.split_sequences(split):
-        raise DataError(f"{dataset.root / 'manifest.txt'}: split {split!r} is empty")
 
 
 def _load_evaluation(args):
@@ -276,7 +274,7 @@ def _load_evaluation(args):
             f"{args.checkpoint}: checkpoint grid {(mcfg.R, mcfg.A, mcfg.D)}/"
             f"J={mcfg.joints} does not match {dataset.root / 'manifest.txt'}: "
             f"dataset {grid}/J={manifest['J']}")
-    _check_split(args.split, dataset)
+    dataset.split_sequences(args.split)
     return dataset, mcfg, params
 
 
@@ -327,7 +325,7 @@ def cmd_ablate(args):
             runs.append((label, config_from_resolved(ModelConfig, local)))
     if not runs:
         raise UsageError("nothing to do: pass --variants and/or --sweep")
-    _check_split(args.split, dataset)
+    dataset.split_sequences(args.split)
     out = _make_out_dir(args.out)
     rows = []
     for label, mcfg in runs:

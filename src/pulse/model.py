@@ -235,7 +235,7 @@ def init_params(cfg, seed, randomize_all=False):
     [-0.8, 0.8]: a generic, well-conditioned probe point for gradient
     checking where no activation is flat or saturated, not a training init.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 303]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 303]))
     g = ParamGroup()
     for name, shape, initializer in param_table(cfg):
         g.add(name, initializer(rng, shape))
@@ -437,7 +437,7 @@ class _KeyStream:
         self.count = 0
 
     def next(self):
-        keys = [(b * 131 + self.count) & (2**64 - 1) for b in self.bases]
+        keys = [b * 131 + self.count for b in self.bases]
         self.count += 1
         return keys
 

@@ -276,7 +276,7 @@ class SkeletonMotion:
         if motion not in MOTIONS:
             raise UsageError(f"unknown motion {motion!r}; expected one of {MOTIONS}")
         self.motion = motion
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 101]))
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 101]))
         # small placement jitter: sub-bin localization varies across scenes
         # while motion phase/amplitude carry the sequence-level diversity
         cx = rng.uniform(-0.08, 0.08)
@@ -398,7 +398,7 @@ class Scene:
 def make_scene(cfg, seed, motion="walk", clutter=True):
     """Build a seeded scene and verify every scatterer stays inside the
     unambiguous range/Doppler span over a 30 s horizon."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 202]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 202]))
     sk = SkeletonMotion(seed, motion)
     n_body = 1 + len(BONES) * len(_BONE_FRACTIONS)
     refl = rng.uniform(0.7, 1.3, size=n_body)
@@ -421,10 +421,15 @@ def make_scene(cfg, seed, motion="walk", clutter=True):
     r = np.concatenate([np.linalg.norm(points, axis=-1).ravel(),
                         np.linalg.norm(scene.clutter_positions, axis=-1)])
     if r.max() >= cfg.max_range_m - 0.6 * cfg.range_per_bin_m:
-        raise DomainError(f"scene scatterer at {r.max():.2f} m exceeds the span")
+        raise DomainError(f"scene scatterer at {r.max():.2f} m exceeds the span: "
+                          f"max_range_m={cfg.max_range_m:.2f}, set by R={cfg.R} and "
+                          f"bandwidth_hz={cfg.bandwidth_hz:g}")
     v = np.abs(speeds).max()
     if v >= 0.98 * cfg.max_speed_mps:
-        raise DomainError(f"scene scatterer at {v:.2f} m/s exceeds the span")
+        raise DomainError(f"scene scatterer at {v:.2f} m/s exceeds the span: "
+                          f"max_speed_mps={cfg.max_speed_mps:.2f}, set by "
+                          f"carrier_hz={cfg.carrier_hz:g} and "
+                          f"chirp_duration_s={cfg.chirp_duration_s:g}")
     return scene
 
 

@@ -280,6 +280,8 @@ class Dataset:
             ids = [sid for name in SPLITS for sid in self.splits.get(name, [])]
         else:
             ids = self.splits.get(split, [])
+        if not ids:
+            raise DataError(f"{self.root / 'manifest.txt'}: split {split!r} is empty")
         return [(sid, self.frames[sid], self.poses[sid]) for sid in ids]
 
 

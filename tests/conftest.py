@@ -26,6 +26,15 @@ def tiny_model_cfg(**kw):
     return ModelConfig(**base)
 
 
+# tiny_radar_cfg's grid and a small tiny_model_cfg as pulse flags, and a
+# two-epoch training run, for the tests that drive the CLI
+TINY_GRID = ["--bandwidth_hz", "0.5e9", "--R", "16", "--A", "16", "--D", "8",
+             "--fast_samples_per_chirp", "32", "--virtual_elements", "4"]
+TINY_MODEL = ["--embed_dim", "8", "--layers", "1", "--heads", "2",
+              "--patch_r", "4", "--patch_a", "4"]
+TINY_TRAIN = ["--lr", "3e-3", "--batch", "4", "--epochs", "2", "--patience", "5"]
+
+
 def one(x, requires_grad=False):
     """The array x as a batch of one sample, a leaf tensor."""
     return T.Tensor(np.asarray(x)[None], requires_grad=requires_grad, batched=True)

@@ -25,6 +25,7 @@ from pulse.radar import (RadarConfig, Scatterer, angle_bin, doppler_bin,
                          sin_theta_for_bin, speed_for_bin)
 from pulse.storage import load_dataset
 from pulse.training import TrainConfig, evaluate_split, score_gates, train_model
+from tests.conftest import TINY_GRID, TINY_MODEL, TINY_TRAIN
 
 # Desk-scale training profile: overrides of the full-scale defaults sized
 # for a few CPU minutes per run.
@@ -349,12 +350,6 @@ def test_kalman_direction():
 # ---------------------------------------------------------------------------
 # Criterion 10: CLI determinism
 
-DET_FLAGS = ["--bandwidth_hz", "0.5e9", "--R", "16", "--A", "16", "--D", "8",
-             "--fast_samples_per_chirp", "32", "--virtual_elements", "4"]
-DET_MODEL = ["--embed_dim", "8", "--layers", "1", "--heads", "2"]
-DET_TRAIN = ["--lr", "3e-3", "--batch", "4", "--epochs", "2", "--patience", "5"]
-
-
 def _tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(Path(root).rglob("*")) if p.is_file()}
@@ -367,9 +362,9 @@ def test_cli_determinism(tmp_path):
         run = tmp_path / tag / "run"
         ev = tmp_path / tag / "eval"
         assert main(["synth", "--out", str(ds), "--seed", "12",
-                     "--sequences", "3", "--frames", "6", *DET_FLAGS]) == 0
+                     "--sequences", "3", "--frames", "6", *TINY_GRID]) == 0
         assert main(["train", "--dataset", str(ds), "--out", str(run),
-                     "--seed", "5", *DET_MODEL, *DET_TRAIN]) == 0
+                     "--seed", "5", *TINY_MODEL, *TINY_TRAIN]) == 0
         assert main(["eval", "--checkpoint", str(run / "model.ckpt"),
                      "--dataset", str(ds), "--split", "val",
                      "--out", str(ev)]) == 0

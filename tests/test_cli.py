@@ -15,22 +15,18 @@ from hypothesis import given, settings, strategies as st
 
 from pulse import cli
 from pulse import tensor as T
+from pulse import training
 from pulse.cli import main
 from pulse.model import config_from_text, init_params
 from pulse.radar import JOINT_NAMES
 from pulse.storage import load_checkpoint, load_dataset, save_checkpoint, write_rdt
-from tests.conftest import openblas_threads, parse_train_log
-
-DESK = ["--bandwidth_hz", "0.5e9", "--R", "16", "--A", "16", "--D", "8",
-        "--fast_samples_per_chirp", "32", "--virtual_elements", "4"]
-SMALL_MODEL = ["--embed_dim", "8", "--layers", "1", "--heads", "2",
-               "--patch_r", "4", "--patch_a", "4"]
-FAST_TRAIN = ["--lr", "3e-3", "--batch", "4", "--epochs", "2", "--patience", "5"]
+from tests.conftest import (TINY_GRID, TINY_MODEL, TINY_TRAIN, openblas_threads,
+                            parse_train_log)
 
 
 def synth(out, seed="3", extra=()):
     rc = main(["synth", "--out", str(out), "--seed", seed, "--sequences", "3",
-               "--frames", "6", "--motion", "mixed", *DESK, *extra])
+               "--frames", "6", "--motion", "mixed", *TINY_GRID, *extra])
     assert rc == 0
     return out
 
@@ -44,7 +40,7 @@ def cli_dataset(tmp_path_factory):
 def cli_run(tmp_path_factory, cli_dataset):
     out = tmp_path_factory.mktemp("clirun") / "run"
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out),
-               "--seed", "5", *SMALL_MODEL, *FAST_TRAIN])
+               "--seed", "5", *TINY_MODEL, *TINY_TRAIN])
     assert rc == 0
     return out
 
@@ -93,14 +89,14 @@ def test_synth_clutter_off_recorded(tmp_path):
 
 
 def test_synth_rejects_unknown_motion(tmp_path):
-    rc = main(["synth", "--out", str(tmp_path / "x"), "--motion", "fly", *DESK])
+    rc = main(["synth", "--out", str(tmp_path / "x"), "--motion", "fly", *TINY_GRID])
     assert rc == 2
 
 
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_key=1\n")
-    rc = main(["synth", "--out", str(tmp_path / "y"), "--config", str(cfg), *DESK])
+    rc = main(["synth", "--out", str(tmp_path / "y"), "--config", str(cfg), *TINY_GRID])
     assert rc == 3
 
 
@@ -118,7 +114,7 @@ def test_config_file_flag_override(tmp_path):
     cfg.write_text("noise_std=0.25\nseed=4\n")
     out = tmp_path / "ds"
     rc = main(["synth", "--out", str(out), "--config", str(cfg), "--seed", "6",
-               "--sequences", "2", "--frames", "4", *DESK])
+               "--sequences", "2", "--frames", "4", *TINY_GRID])
     assert rc == 0
     resolved = (out / "resolved.cfg").read_text()
     assert "noise_std=0.25" in resolved
@@ -130,7 +126,7 @@ def test_beta_overrides_a_config_entry_but_not_gate_strength(tmp_path, capsys):
     cfg = tmp_path / "beta.cfg"
     cfg.write_text("gate_strength=0.5\n")
     argv = ["synth", "--config", str(cfg), "--beta", "2", "--sequences", "2",
-            "--frames", "4", *DESK]
+            "--frames", "4", *TINY_GRID]
     assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
     assert "gate_strength=2\n" in (tmp_path / "ok" / "resolved.cfg").read_text()
     capsys.readouterr()
@@ -143,12 +139,12 @@ def test_pulse_seed_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PULSE_SEED", "77")
     out = tmp_path / "env"
     rc = main(["synth", "--out", str(out), "--sequences", "2", "--frames", "4",
-               *DESK])
+               *TINY_GRID])
     assert rc == 0
     assert "seed=77" in (out / "manifest.txt").read_text()
     monkeypatch.setenv("PULSE_SEED", "-1")
     assert main(["synth", "--out", str(tmp_path / "neg"), "--sequences", "2",
-                 "--frames", "4", *DESK]) == 3
+                 "--frames", "4", *TINY_GRID]) == 3
     assert "seed must be in [0, 2**64), got -1" in capsys.readouterr().err
 
 
@@ -167,11 +163,23 @@ def test_train_deterministic_rerun(tmp_path, cli_dataset):
     for name in ("r1", "r2"):
         out = tmp_path / name
         rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out),
-                   "--seed", "5", *SMALL_MODEL, *FAST_TRAIN])
+                   "--seed", "5", *TINY_MODEL, *TINY_TRAIN])
         assert rc == 0
         outs.append(out)
     for rel in ("model.ckpt", "train_log.csv", "resolved.cfg"):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+def test_train_seed_2_63_is_its_own_run(cli_dataset, tmp_path):
+    checkpoints = []
+    for seed in (0, 2**63):
+        out = tmp_path / str(seed)
+        assert main(["train", "--dataset", str(cli_dataset), "--out", str(out),
+                     "--seed", str(seed), *TINY_MODEL, *TINY_TRAIN, "--max_steps", "1"]) == 0
+        checkpoints.append(load_checkpoint(out / "model.ckpt"))
+    (_, seed_a, params_a), (_, seed_b, params_b) = checkpoints
+    assert (seed_a, seed_b) == (0, 2**63)
+    assert not all(np.array_equal(a, b) for (_, a), (_, b) in zip(params_a, params_b))
 
 
 def test_resolved_cfg_reproduces_the_run(cli_run, cli_dataset, tmp_path):
@@ -199,7 +207,7 @@ def test_resolved_cfg_records_the_datasets_radar_settings(cli_run, cli_dataset, 
     # run records the manifest's spelling
     out = tmp_path / "flags"
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--seed", "5",
-               *SMALL_MODEL, *FAST_TRAIN, *DESK])
+               *TINY_MODEL, *TINY_TRAIN, *TINY_GRID])
     assert rc == 0
     assert (out / "resolved.cfg").read_bytes() == (cli_run / "resolved.cfg").read_bytes()
 
@@ -238,7 +246,7 @@ def test_train_grid_conflict_rejected(cli_dataset, tmp_path):
     # 64 is also the ModelConfig default: passing it explicitly still conflicts
     for r in ("32", "64"):
         rc = main(["train", "--dataset", str(cli_dataset), "--out",
-                   str(tmp_path / "x"), "--R", r, *SMALL_MODEL, *FAST_TRAIN])
+                   str(tmp_path / "x"), "--R", r, *TINY_MODEL, *TINY_TRAIN])
         assert rc == 3, r
 
 
@@ -287,7 +295,7 @@ def test_eval_names_the_joints_of_a_manifest_without_joint_names(cli_dataset, tm
         lines[:1] + [line for line in lines[1:] if int(line.split(",")[2]) < 4]) + "\n")
     run, out = tmp_path / "run", tmp_path / "eval"
     assert main(["train", "--dataset", str(ds), "--out", str(run), "--seed", "5",
-                 *SMALL_MODEL, *FAST_TRAIN]) == 0
+                 *TINY_MODEL, *TINY_TRAIN]) == 0
     assert main(["eval", "--checkpoint", str(run / "model.ckpt"), "--dataset",
                  str(ds), "--split", "val", "--out", str(out)]) == 0
     rows = (out / "per_joint.csv").read_text().splitlines()[1:]
@@ -328,7 +336,7 @@ def test_ablate_beta_zero_full_equals_ungated(cli_dataset, tmp_path):
     out = tmp_path / "ab"
     rc = main(["ablate", "--dataset", str(cli_dataset), "--out", str(out),
                "--variants", "full,ungated", "--beta", "0", "--split", "val",
-               "--seed", "5", *SMALL_MODEL, *FAST_TRAIN])
+               "--seed", "5", *TINY_MODEL, *TINY_TRAIN])
     assert rc == 0
     lines = (out / "ablation.csv").read_text().splitlines()
     assert lines[0] == "variant,mpjpe,pa_mpjpe,mpjve,akv"
@@ -347,7 +355,7 @@ def test_ablate_sweep_rows(cli_dataset, tmp_path):
     out = tmp_path / "sweep"
     rc = main(["ablate", "--dataset", str(cli_dataset), "--out", str(out),
                "--sweep", "beta", "--sweep-values", "0,1", "--split", "val",
-               "--seed", "5", *SMALL_MODEL, *FAST_TRAIN])
+               "--seed", "5", *TINY_MODEL, *TINY_TRAIN])
     assert rc == 0
     lines = (out / "ablation.csv").read_text().splitlines()
     assert [ln.split(",")[0] for ln in lines[1:]] == ["beta=0", "beta=1"]
@@ -422,13 +430,13 @@ def test_eval_pa_scale_flag(cli_run, cli_dataset, tmp_path):
 def _train_with(*flags, name=None):
     def case(ds, run, tmp):
         return (["train", "--dataset", str(ds), "--out", str(tmp / "o"),
-                 *SMALL_MODEL, *FAST_TRAIN, *flags], name or flags[0].lstrip("-"))
+                 *TINY_MODEL, *TINY_TRAIN, *flags], name or flags[0].lstrip("-"))
     return case
 
 
 def _synth_with(*flags, name=None):
     def case(ds, run, tmp):
-        return (["synth", "--out", str(tmp / "o"), *DESK, *flags],
+        return (["synth", "--out", str(tmp / "o"), *TINY_GRID, *flags],
                 name or flags[0].lstrip("-"))
     return case
 
@@ -444,7 +452,7 @@ def _command_with(command, *flags, name):
     """`command` on the copied dataset, with the trained checkpoint for eval
     and diag and one small variant for ablate."""
     def case(ds, run, tmp):
-        extra = (["--variants", "full", *SMALL_MODEL, *FAST_TRAIN]
+        extra = (["--variants", "full", *TINY_MODEL, *TINY_TRAIN]
                  if command == "ablate" else ["--checkpoint", str(run / "model.ckpt")])
         return ([command, "--dataset", str(ds), "--out", str(tmp / "o"), *extra,
                  *flags], name)
@@ -650,8 +658,8 @@ def _ckpt_line_without_equals(ds, run, tmp):
 def _manifest_radar_value(ds, run, tmp):
     text = (ds / "manifest.txt").read_text()
     (ds / "manifest.txt").write_text(text.replace("carrier_hz=", "carrier_hz=6O", 1))
-    return (["train", "--dataset", str(ds), "--out", str(tmp / "o"), *SMALL_MODEL,
-             *FAST_TRAIN], "manifest.txt: carrier_hz='6O")
+    return (["train", "--dataset", str(ds), "--out", str(tmp / "o"), *TINY_MODEL,
+             *TINY_TRAIN], "manifest.txt: carrier_hz='6O")
 
 
 def _diag_one_frame(ds, run, tmp):
@@ -687,108 +695,179 @@ def _joint_names_count(ds, run, tmp):
             "manifest.txt: joint_names lists 3 names for J=8")
 
 
+def _empty_split(command, split):
+    """train, or ablate of the train split, on the copy with `split` emptied
+    in its manifest: the error names the manifest and the split."""
+    def case(ds, run, tmp):
+        text = (ds / "manifest.txt").read_text()
+        text, count = re.subn(rf"\nsplit_{split}=[^\n]+\n", f"\nsplit_{split}=\n", text)
+        assert count == 1
+        (ds / "manifest.txt").write_text(text)
+        argv = (["train", "--dataset", str(ds), "--out", str(tmp / "o"), *TINY_MODEL,
+                 *TINY_TRAIN] if command == "train" else
+                _command_with("ablate", "--split", "train", name="")(ds, run, tmp)[0])
+        return argv, f"{ds / 'manifest.txt'}: split {split!r} is empty"
+    return case
+
+
 @pytest.mark.parametrize("case", [
-    _train_with("--embed_dim", "abc"), _synth_with("--noise_std", "abc"),
-    _synth_with("--seed", "abc"), _train_with("--dropout", "x"),
-    _train_with("--batch", "0"), _config_file, _ckpt_bad_value, _ckpt_bad_utf8,
-    _rdt_truncated, _poses_edit(_set_field(3, 2, "x")),
-    _poses_edit(_set_field(3, 2, "8")), _rdt_nan,
-    _train_with("--noise_std", "abc"), _ckpt_bad_shape, _rdt_other_grid,
-    _poses_edit(_drop_joint_1, "poses.csv: sequence 000 frame 0 lacks joints [1]"),
-    _poses_edit(_repeat_joint_0, "poses.csv: line 3: sequence 000 frame 0 repeats joint 0"),
-    _poses_edit(_set_field(1, 3, "nan"), "poses.csv: line 2: non-finite coordinate"),
-    _split_without_poses, _synth_with("--frames", "0"),
-    _synth_with("--split-ratios", "nan,0.25,0.25"),
-    _synth_with("--split-ratios", "0.5,-3,0.5", "--sequences", "3"),
-    _synth_with("--split-ratios", "0,0,0"),
-    _command_with("eval", "--split", "bogus", name="--split"),
-    _command_with("diag", "--split", "bogus", name="--split"),
-    _command_with("ablate", "--split", "bogus", name="--split"),
-    _command_with("diag", "--split", "all", "--bins", "1", name="--bins"),
-    _command_with("eval", "--split", "test", name="manifest.txt: split 'test' is empty"),
-    _command_with("ablate", "--split", "test",
-                  name="manifest.txt: split 'test' is empty"),
-    _diag_one_frame,
-    _train_with("--heads", "0"), _train_with("--heads", "-2"),
-    _train_with("--patch_r", "0"), _train_with("--embed_dim", "0"),
-    _train_with("--layers", "-1"), _train_with("--lr", "nan"),
-    _train_with("--weight_decay", "nan"), _train_with("--clip", "nan"),
-    _synth_with("--frame_rate_hz", "0"), _synth_with("--frame_rate_hz", "nan"),
-    _synth_with("--chirp_duration_s", "0"), _synth_with("--bandwidth_hz", "0"),
-    _synth_with("--carrier_hz", "0"), _synth_with("--noise_std", "nan"),
-    _synth_with("--noise_std", "inf"),
-    _gradcheck_with("--tol", "nan"), _gradcheck_with("--tol", "0"),
-    _gradcheck_with("--step", "nan"), _gradcheck_with("--step", "inf"),
-    _ckpt_nan("eval", "head.l2.weight"), _ckpt_nan("diag", "token_gate.bias"),
-    _ckpt_nan("eval", "pos_embed"), _ckpt_nan("diag", "pos_embed"),
-    _ckpt_flip("spatial_encoder.bias", -1, 9),
-    _ckpt_flip("doppler_encoder.l1.bias", 0, 10), _ckpt_huge_config,
-    _high_bit("manifest.txt", 3), _high_bit("poses.csv", 40), _config_not_utf8,
-    _split_listed_twice("split_val=002", "split_val=000",
-                        "split_val lists sequence '000', which split_train already lists"),
-    _split_listed_twice("split_train=000", "split_train=000,000",
-                        "split_train lists sequence '000', which split_train already lists"),
-    _out_is_file(_train_with("--seed", "5")),
-    _out_is_file(_command_with("eval", "--split", "val", name="")),
-    _out_is_file(_command_with("diag", "--split", "val", name=""), below=True),
-    _out_is_file(_command_with("ablate", "--split", "val", name="")),
-    _out_is_file(_gradcheck_with("--seed", "1"), below=True),
-    _train_with("--joints", "4"), _line_without_equals,
-    _config_line_without_equals, _ckpt_line_without_equals,
-    _train_with("--bandwidth_hz", "1e9"), _train_with("--virtual_elements", "8"),
-    _command_with("ablate", "--split", "val", "--frame_rate_hz", "5",
-                  name="flag frame_rate_hz=5 conflicts with dataset frame_rate=10.0"),
-    _manifest_radar_value,
-    _train_with("--frame_window", "0", name="frame_window must be >= 1, got 0"),
-    _train_with("--neighborhood", "0", name="neighborhood must be >= 1, got 0"),
-    _train_with("--agg_eps", "0", name="agg_eps must be > 0, got 0.0"),
-    _command_with("diag", "--split", "val", "--bins", "6",
-                  name="--bins 6 exceeds the 5 scored frames of split 'val'"),
-    _joint_names_count,
-    _command_with("ablate", "--split", "val", "--sweep-values", "0,1,2",
-                  name="--sweep-values needs --sweep"),
-    _train_with("--beta", "2", "--gate_strength", "0.5",
-                name="--beta and --gate_strength both set gate_strength"),
-    _ckpt_other_grid("eval"), _ckpt_other_grid("diag"),
-    _command_with("ablate", "--split", "val", "--sweep", "bogus",
-                  name="unknown sweep 'bogus'"),
+    pytest.param(_train_with("--embed_dim", "abc"), id="embed_dim"),
+    pytest.param(_synth_with("--noise_std", "abc"), id="noise_std"),
+    pytest.param(_synth_with("--seed", "abc"), id="seed"),
+    pytest.param(_train_with("--dropout", "x"), id="dropout"),
+    pytest.param(_train_with("--batch", "0"), id="batch"),
+    pytest.param(_config_file, id="config_file"),
+    pytest.param(_ckpt_bad_value, id="ckpt_value"),
+    pytest.param(_ckpt_bad_utf8, id="ckpt_utf8"),
+    pytest.param(_rdt_truncated, id="rdt_truncated"),
+    pytest.param(_poses_edit(_set_field(3, 2, "x")), id="poses_joint"),
+    pytest.param(_poses_edit(_set_field(3, 2, "8")), id="poses_joint_range"),
+    pytest.param(_rdt_nan, id="rdt_nan"),
+    pytest.param(_train_with("--noise_std", "abc"), id="train_noise_std"),
+    pytest.param(_ckpt_bad_shape, id="ckpt_shape"),
+    pytest.param(_rdt_other_grid, id="rdt_grid"),
+    pytest.param(
+        _poses_edit(_drop_joint_1, "poses.csv: sequence 000 frame 0 lacks joints [1]"),
+        id="poses_missing_joint"),
+    pytest.param(_poses_edit(_repeat_joint_0,
+                             "poses.csv: line 3: sequence 000 frame 0 repeats joint 0"),
+                 id="poses_repeated_joint"),
+    pytest.param(
+        _poses_edit(_set_field(1, 3, "nan"), "poses.csv: line 2: non-finite coordinate"),
+        id="poses_nan"),
+    pytest.param(_split_without_poses, id="split_without_poses"),
+    pytest.param(_synth_with("--frames", "0"), id="synth_frames"),
+    pytest.param(_synth_with("--split-ratios", "nan,0.25,0.25"), id="split_nan"),
+    pytest.param(_synth_with("--split-ratios", "0.5,-3,0.5", "--sequences", "3"),
+                 id="split_negative"),
+    pytest.param(_synth_with("--split-ratios", "0,0,0"), id="split_zero"),
+    pytest.param(_command_with("eval", "--split", "bogus", name="--split"),
+                 id="eval_split"),
+    pytest.param(_command_with("diag", "--split", "bogus", name="--split"),
+                 id="diag_split"),
+    pytest.param(_command_with("ablate", "--split", "bogus", name="--split"),
+                 id="ablate_split"),
+    pytest.param(_command_with("diag", "--split", "all", "--bins", "1", name="--bins"),
+                 id="diag_bins"),
+    pytest.param(_command_with("eval", "--split", "test",
+                               name="manifest.txt: split 'test' is empty"),
+                 id="eval_split_empty"),
+    pytest.param(_command_with("ablate", "--split", "test",
+                               name="manifest.txt: split 'test' is empty"),
+                 id="ablate_split_empty"),
+    pytest.param(_diag_one_frame, id="diag_one_frame"),
+    pytest.param(_train_with("--heads", "0"), id="heads_zero"),
+    pytest.param(_train_with("--heads", "-2"), id="heads_negative"),
+    pytest.param(_train_with("--patch_r", "0"), id="patch_r_zero"),
+    pytest.param(_train_with("--embed_dim", "0"), id="embed_dim_zero"),
+    pytest.param(_train_with("--layers", "-1"), id="layers_negative"),
+    pytest.param(_train_with("--lr", "nan"), id="lr_nan"),
+    pytest.param(_train_with("--weight_decay", "nan"), id="weight_decay_nan"),
+    pytest.param(_train_with("--clip", "nan"), id="clip_nan"),
+    pytest.param(_synth_with("--frame_rate_hz", "0"), id="frame_rate_zero"),
+    pytest.param(_synth_with("--frame_rate_hz", "nan"), id="frame_rate_nan"),
+    pytest.param(_synth_with("--chirp_duration_s", "0"), id="chirp_duration_zero"),
+    pytest.param(_synth_with("--bandwidth_hz", "0"), id="bandwidth_zero"),
+    pytest.param(_synth_with("--carrier_hz", "0"), id="carrier_zero"),
+    pytest.param(_synth_with("--noise_std", "nan"), id="noise_std_nan"),
+    pytest.param(_synth_with("--noise_std", "inf"), id="noise_std_inf"),
+    pytest.param(_gradcheck_with("--tol", "nan"), id="gradcheck_tol_nan"),
+    pytest.param(_gradcheck_with("--tol", "0"), id="gradcheck_tol_zero"),
+    pytest.param(_gradcheck_with("--step", "nan"), id="gradcheck_step_nan"),
+    pytest.param(_gradcheck_with("--step", "inf"), id="gradcheck_step_inf"),
+    pytest.param(_ckpt_nan("eval", "head.l2.weight"), id="ckpt_nan_head_eval"),
+    pytest.param(_ckpt_nan("diag", "token_gate.bias"), id="ckpt_nan_gate_diag"),
+    pytest.param(_ckpt_nan("eval", "pos_embed"), id="ckpt_nan_pos_eval"),
+    pytest.param(_ckpt_nan("diag", "pos_embed"), id="ckpt_nan_pos_diag"),
+    pytest.param(_ckpt_flip("spatial_encoder.bias", -1, 9), id="ckpt_rank_flip"),
+    pytest.param(_ckpt_flip("doppler_encoder.l1.bias", 0, 10), id="ckpt_dims_flip"),
+    pytest.param(_ckpt_huge_config, id="ckpt_huge_config"),
+    pytest.param(_high_bit("manifest.txt", 3), id="manifest_utf8"),
+    pytest.param(_high_bit("poses.csv", 40), id="poses_utf8"),
+    pytest.param(_config_not_utf8, id="config_utf8"),
+    pytest.param(
+        _split_listed_twice("split_val=002", "split_val=000",
+                            "split_val lists sequence '000', which split_train "
+                            "already lists"),
+        id="split_in_two_splits"),
+    pytest.param(
+        _split_listed_twice("split_train=000", "split_train=000,000",
+                            "split_train lists sequence '000', which split_train "
+                            "already lists"),
+        id="split_repeated"),
+    pytest.param(_out_is_file(_train_with("--seed", "5")), id="train_out_is_file"),
+    pytest.param(_out_is_file(_command_with("eval", "--split", "val", name="")),
+                 id="eval_out_is_file"),
+    pytest.param(_out_is_file(_command_with("diag", "--split", "val", name=""), below=True),
+                 id="diag_out_below_file"),
+    pytest.param(_out_is_file(_command_with("ablate", "--split", "val", name="")),
+                 id="ablate_out_is_file"),
+    pytest.param(_out_is_file(_gradcheck_with("--seed", "1"), below=True),
+                 id="gradcheck_out_below_file"),
+    pytest.param(_train_with("--joints", "4"), id="joints_conflict"),
+    pytest.param(_line_without_equals, id="manifest_line"),
+    pytest.param(_config_line_without_equals, id="config_line"),
+    pytest.param(_ckpt_line_without_equals, id="ckpt_config_line"),
+    pytest.param(_train_with("--bandwidth_hz", "1e9"), id="bandwidth_conflict"),
+    pytest.param(_train_with("--virtual_elements", "8"), id="virtual_elements_conflict"),
+    pytest.param(
+        _command_with("ablate", "--split", "val", "--frame_rate_hz", "5",
+                      name="flag frame_rate_hz=5 conflicts with dataset frame_rate=10.0"),
+        id="ablate_frame_rate_conflict"),
+    pytest.param(_manifest_radar_value, id="manifest_radar_value"),
+    pytest.param(
+        _train_with("--frame_window", "0", name="frame_window must be >= 1, got 0"),
+        id="frame_window_zero"),
+    pytest.param(
+        _train_with("--neighborhood", "0", name="neighborhood must be >= 1, got 0"),
+        id="neighborhood_zero"),
+    pytest.param(_train_with("--agg_eps", "0", name="agg_eps must be > 0, got 0.0"),
+                 id="agg_eps_zero"),
+    pytest.param(_command_with("diag", "--split", "val", "--bins", "6",
+                               name="--bins 6 exceeds the 5 scored frames of split 'val'"),
+                 id="diag_bins_over_frames"),
+    pytest.param(_joint_names_count, id="joint_names_count"),
+    pytest.param(_command_with("ablate", "--split", "val", "--sweep-values", "0,1,2",
+                               name="--sweep-values needs --sweep"),
+                 id="ablate_sweep_values_without_sweep"),
+    pytest.param(_train_with("--beta", "2", "--gate_strength", "0.5",
+                             name="--beta and --gate_strength both set gate_strength"),
+                 id="beta_and_gate_strength"),
+    pytest.param(_ckpt_other_grid("eval"), id="eval_ckpt_other_grid"),
+    pytest.param(_ckpt_other_grid("diag"), id="diag_ckpt_other_grid"),
+    pytest.param(_command_with("ablate", "--split", "val", "--sweep", "bogus",
+                               name="unknown sweep 'bogus'"),
+                 id="ablate_sweep_unknown"),
     # an empty --variants overrides the one _command_with passes
-    _command_with("ablate", "--split", "val", "--variants", "",
-                  name="nothing to do: pass --variants and/or --sweep"),
-    _synth_with("--split-ratios", "0.5,0.5",
-                name="--split-ratios needs three comma-separated values"),
-    _synth_with("--split-ratios", "a,b,c", name="bad --split-ratios 'a,b,c'"),
-    _synth_with("--seed", "-1", name="seed must be in [0, 2**64), got -1"),
-    _train_with("--seed", "-1", name="seed must be in [0, 2**64), got -1"),
-    _train_with("--seed", str(2**64), name=f"seed must be in [0, 2**64), got {2**64}"),
-    _gradcheck_with("--seed", "-1", name="seed must be in [0, 2**64), got -1"),
-], ids=["embed_dim", "noise_std", "seed", "dropout", "batch", "config_file",
-        "ckpt_value", "ckpt_utf8", "rdt_truncated", "poses_joint",
-        "poses_joint_range", "rdt_nan", "train_noise_std", "ckpt_shape",
-        "rdt_grid", "poses_missing_joint", "poses_repeated_joint",
-        "poses_nan", "split_without_poses", "synth_frames", "split_nan",
-        "split_negative", "split_zero", "eval_split", "diag_split",
-        "ablate_split", "diag_bins", "eval_split_empty", "ablate_split_empty",
-        "diag_one_frame", "heads_zero", "heads_negative", "patch_r_zero",
-        "embed_dim_zero", "layers_negative", "lr_nan", "weight_decay_nan",
-        "clip_nan", "frame_rate_zero", "frame_rate_nan", "chirp_duration_zero",
-        "bandwidth_zero", "carrier_zero", "noise_std_nan", "noise_std_inf",
-        "gradcheck_tol_nan", "gradcheck_tol_zero", "gradcheck_step_nan",
-        "gradcheck_step_inf", "ckpt_nan_head_eval", "ckpt_nan_gate_diag",
-        "ckpt_nan_pos_eval", "ckpt_nan_pos_diag", "ckpt_rank_flip",
-        "ckpt_dims_flip", "ckpt_huge_config", "manifest_utf8", "poses_utf8",
-        "config_utf8", "split_in_two_splits", "split_repeated",
-        "train_out_is_file", "eval_out_is_file", "diag_out_below_file",
-        "ablate_out_is_file", "gradcheck_out_below_file", "joints_conflict",
-        "manifest_line", "config_line", "ckpt_config_line", "bandwidth_conflict",
-        "virtual_elements_conflict", "ablate_frame_rate_conflict",
-        "manifest_radar_value", "frame_window_zero", "neighborhood_zero",
-        "agg_eps_zero", "diag_bins_over_frames", "joint_names_count",
-        "ablate_sweep_values_without_sweep", "beta_and_gate_strength",
-        "eval_ckpt_other_grid", "diag_ckpt_other_grid", "ablate_sweep_unknown",
-        "ablate_nothing_to_do", "split_two_values", "split_not_numbers",
-        "synth_seed_negative", "train_seed_negative", "train_seed_too_large",
-        "gradcheck_seed_negative"])
+    pytest.param(_command_with("ablate", "--split", "val", "--variants", "",
+                               name="nothing to do: pass --variants and/or --sweep"),
+                 id="ablate_nothing_to_do"),
+    pytest.param(_synth_with("--split-ratios", "0.5,0.5",
+                             name="--split-ratios needs three comma-separated values"),
+                 id="split_two_values"),
+    pytest.param(_synth_with("--split-ratios", "a,b,c", name="bad --split-ratios 'a,b,c'"),
+                 id="split_not_numbers"),
+    pytest.param(_synth_with("--seed", "-1", name="seed must be in [0, 2**64), got -1"),
+                 id="synth_seed_negative"),
+    pytest.param(_train_with("--seed", "-1", name="seed must be in [0, 2**64), got -1"),
+                 id="train_seed_negative"),
+    pytest.param(
+        _train_with("--seed", str(2**64), name=f"seed must be in [0, 2**64), got {2**64}"),
+        id="train_seed_too_large"),
+    pytest.param(_gradcheck_with("--seed", "-1", name="seed must be in [0, 2**64), got -1"),
+                 id="gradcheck_seed_negative"),
+    pytest.param(_synth_with("--bandwidth_hz", "1e10",
+                             name="exceeds the span: max_range_m=0.24, set by R=16 and "
+                                  "bandwidth_hz=1e+10"),
+                 id="synth_range_span"),
+    pytest.param(_synth_with("--chirp_duration_s", "1e-2",
+                             name="exceeds the span: max_speed_mps=0.12, set by "
+                                  "carrier_hz=6e+10 and chirp_duration_s=0.01"),
+                 id="synth_speed_span"),
+    pytest.param(_empty_split("train", "val"), id="train_val_empty"),
+    pytest.param(_empty_split("train", "train"), id="train_train_empty"),
+    pytest.param(_empty_split("ablate", "val"), id="ablate_val_empty"),
+])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(cli_dataset, ds)
@@ -803,6 +882,32 @@ def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, cap
     assert not (tmp_path / "o" / "gate_diag.csv").exists()
 
 
+@pytest.mark.parametrize("case", [
+    pytest.param(_empty_split("train", "val"), id="train_val"),
+    pytest.param(_empty_split("train", "train"), id="train_train"),
+    pytest.param(_empty_split("ablate", "val"), id="ablate_val"),
+    pytest.param(_command_with("ablate", "--split", "test",
+                               name="manifest.txt: split 'test' is empty"),
+                 id="ablate_test"),
+    pytest.param(_command_with("eval", "--split", "test",
+                               name="manifest.txt: split 'test' is empty"),
+                 id="eval_test"),
+])
+def test_an_empty_split_exits_3_before_any_forward(case, cli_dataset, cli_run, tmp_path,
+                                                   capsys, monkeypatch):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(training, "forward", no_forward)
+    ds = tmp_path / "ds"
+    shutil.copytree(cli_dataset, ds)
+    argv, name = case(ds, cli_run, tmp_path)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert name in err
+
+
 def test_out_of_memory_exits_3_naming_the_command(cli_dataset, tmp_path, capsys,
                                                   monkeypatch):
     # the MemoryError numpy raises for a model too large for the machine,
@@ -813,7 +918,7 @@ def test_out_of_memory_exits_3_naming_the_command(cli_dataset, tmp_path, capsys,
 
     monkeypatch.setattr(cli, "train_model", exhausted)
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(tmp_path / "o"),
-               *SMALL_MODEL, *FAST_TRAIN])
+               *TINY_MODEL, *TINY_TRAIN])
     err = capsys.readouterr().err
     assert rc == 3, err
     assert "pulse train ran out of memory: Unable to allocate 512. MiB" in err

@@ -6,8 +6,9 @@ from pulse import training
 from pulse.errors import ConfigError, DataError, NumericError, ShapeError, UsageError
 from pulse.features import normalize_frame, spatial_magnitude
 from pulse.metrics import frame_gate_scores
-from pulse.model import ABLATIONS, ModelConfig, forward, init_params
+from pulse.model import ABLATIONS, ModelConfig, _KeyStream, forward, init_params
 from pulse.optim import adam_step, clip_global_norm
+from pulse.radar import RadarConfig, SkeletonMotion, make_scene
 from pulse.storage import Dataset, write_csv
 from pulse.training import (EpochRecord, TrainConfig, TrainLog, _mix_key,
                             build_samples, evaluate_split,
@@ -452,6 +453,32 @@ def test_empty_split_rejected(tiny_dataset):
         train_model(empty, mcfg, desk_train_cfg())
 
 
+def _without_split(dataset, split):
+    return Dataset(dataset.root, dataset.manifest, dict(dataset.splits, **{split: []}),
+                   dataset.frames, dataset.poses, dataset.joint_names)
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_model_names_the_manifest_of_an_empty_split(tiny_dataset, split,
+                                                         monkeypatch):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(training, "forward", no_forward)
+    with pytest.raises(DataError) as exc:
+        train_model(_without_split(tiny_dataset, split), tiny_model_cfg(), desk_train_cfg())
+    manifest = tiny_dataset.root / "manifest.txt"
+    assert str(exc.value) == f"{manifest}: split {split!r} is empty"
+
+
+def test_evaluate_split_names_the_manifest_of_an_empty_split(tiny_dataset):
+    mcfg = tiny_model_cfg()
+    assert tiny_dataset.splits["test"] == []
+    with pytest.raises(DataError) as exc:
+        evaluate_split(init_params(mcfg, 0), mcfg, tiny_dataset, "test")
+    assert str(exc.value) == f"{tiny_dataset.root / 'manifest.txt'}: split 'test' is empty"
+
+
 def test_evaluate_split_deterministic_and_self_consistent(tiny_dataset):
     mcfg = tiny_model_cfg()
     params = init_params(mcfg, seed=2)
@@ -627,3 +654,99 @@ def test_backward_frees_the_graph_and_keeps_leaf_gradients(tiny_dataset):
         assert node._backprop is T._consumed
     for p in params.params.values():
         assert p._parts is None
+
+
+# ---------------------------------------------------------------------------
+# Seeds: TrainConfig bounds a seed to [0, 2**64) once; every random stream
+# takes it whole
+
+def _key_streams_as_the_masked_seed(monkeypatch, seed):
+    """Key every np.random.SeedSequence([s, tag]) stream with the masked
+    expression [seed & (2**63 - 1), tag], whatever s the code passes: the
+    reference for init_params, the training shuffle, SkeletonMotion and
+    make_scene at seeds below 2**63."""
+    real = np.random.SeedSequence
+
+    def masked(entropy, *args, **kwargs):
+        if isinstance(entropy, list):
+            entropy = [seed & (2**63 - 1), *entropy[1:]]
+        return real(entropy, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", masked)
+
+
+def _seeded_draws(dataset, seed, monkeypatch):
+    """What each seeded stream draws from `seed`: the init_params arrays,
+    the first training shuffle, and SkeletonMotion's and make_scene's
+    arrays."""
+    orders = []
+
+    def spy(sequences, frame_window, size, order=None):
+        orders.append(order)
+        return window_batches(sequences, frame_window, size, order)
+
+    monkeypatch.setattr(training, "window_batches", spy)
+    train_model(dataset, tiny_model_cfg(), desk_train_cfg(seed=seed, max_steps=1))
+    params = init_params(tiny_model_cfg(), seed)
+    motion = SkeletonMotion(seed, "walk")
+    scene = make_scene(RadarConfig(), seed)
+    return {
+        "init_params": [params[name].data for name in params.names()],
+        "shuffle": [orders[0]],
+        "SkeletonMotion": [motion.base, motion.amp, motion.freq, motion.phase],
+        "make_scene": [scene.body_reflectivities, scene.clutter_positions,
+                       scene.clutter_reflectivities, scene.mirror_x, *scene.oscillator],
+    }
+
+
+def _mask_of(key):
+    ones = T.Tensor(np.ones((1, 64)), batched=True)
+    return T.dropout(ones, 0.5, [key], True).data
+
+
+def _dropout_masks(seed, step, sample, draws=3):
+    """The masks T.dropout draws from the first `draws` keys of the
+    _KeyStream batch_loss gives sample `sample` of step `step`."""
+    stream = _KeyStream([_mix_key(seed, step, sample)])
+    return [_mask_of(stream.next()[0]) for _ in range(draws)]
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**62 + 3])
+def test_seeds_below_2_63_draw_what_the_masked_seed_drew(tiny_dataset, seed, monkeypatch):
+    draws = _seeded_draws(tiny_dataset, seed, monkeypatch)
+    _key_streams_as_the_masked_seed(monkeypatch, seed)
+    old = _seeded_draws(tiny_dataset, seed, monkeypatch)
+    for stream in draws:
+        assert _same(draws[stream], old[stream]), stream
+
+
+def test_seed_2_63_is_not_seed_0(tiny_dataset, monkeypatch):
+    zero = _seeded_draws(tiny_dataset, 0, monkeypatch)
+    top = _seeded_draws(tiny_dataset, 2**63, monkeypatch)
+    for stream in zero:
+        assert not _same(zero[stream], top[stream]), stream
+    assert not _same(_dropout_masks(0, 3, 1), _dropout_masks(2**63, 3, 1))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9 * 10**12])
+def test_dropout_keys_match_the_masked_keys_where_mix_key_did_not_wrap(seed):
+    # below seed (2**63 - 1) // 1_000_003, about 9.2e12, no base reaches
+    # 2**63, so a 63-bit mask of the base changes no key; above it, it did
+    for step, sample in ((0, 0), (7, 3)):
+        old_base = (seed * 1_000_003 + step * 1009 + sample) & (2**63 - 1)
+        old = [_mask_of((old_base * 131 + count) & (2**64 - 1)) for count in range(3)]
+        assert _same(_dropout_masks(seed, step, sample), old)
+
+
+def test_key_stream_keys_reach_dropout_as_their_64_bit_residues():
+    # T.dropout reduces each key mod 2**64, so a _KeyStream key of any
+    # width draws the mask of its residue
+    for base in (5, _mix_key(2**62 + 3, 7, 3), _mix_key(2**64 - 1, 7, 3)):
+        stream = _KeyStream([base])
+        for count in range(3):
+            assert np.array_equal(_mask_of(stream.next()[0]),
+                                  _mask_of((base * 131 + count) & (2**64 - 1)))

@@ -17,10 +17,12 @@ the host.
 The record written to --out has the keys what, command, parent, change,
 host, summary and runs. summary holds, per workload and end-to-end metric
 of BENCHMARK.json, each side's median and quartiles, change_over_parent
-(the ratio of the medians) and pairs_change_better, and each side's median
-minor page faults a run; runs holds every run's last stdout line and its
-minor page faults. The record is rewritten after each pair, so an
-interrupted session keeps the pairs it finished.
+(the ratio of the medians), pairs_change_better, the metric's bound and
+within_bound (the change's median is not worse than the parent's by more
+than bound times the parent's median), and each side's median minor page
+faults a run; runs holds every run's last stdout line and its minor page
+faults. The record is rewritten after each pair, so an interrupted session
+keeps the pairs it finished.
 
 Run from anywhere inside the repository; exits 1 when a run failed.
 """
@@ -49,7 +51,10 @@ WHAT = ("perfbench/run.py runs of the parent commit and of this change on one "
         "'result' is the last stdout line of run.py, 'host_line' the line it "
         "prints before its metrics; quartiles are numpy.percentile 25/50/75 of "
         "each side's runs; pairs_change_better counts pairs in which the "
-        "change reads better (per BENCHMARK.json's 'better'); 'minor_faults' "
+        "change reads better (per BENCHMARK.json's 'better'); 'bound' is the "
+        "metric's BENCHMARK.json bound, and 'within_bound' says the change's "
+        "median is not worse than the parent's by more than bound times the "
+        "parent's median; 'minor_faults' "
         "is a run's minor page faults, the change in "
         "getrusage(RUSAGE_CHILDREN).ru_minflt across its run.py process, and "
         "minor_faults_median each side's median of them; written by "
@@ -82,8 +87,8 @@ def quartiles(values):
 
 
 def summarize(runs, workload, metrics):
-    """Per-metric medians, quartiles and pair wins of one workload's runs,
-    and each side's median minor page faults."""
+    """Per-metric medians, quartiles, pair wins and bound check of one
+    workload's runs, and each side's median minor page faults."""
     pairs, faults = {}, {}
     for run in runs:
         if run["workload"] == workload:
@@ -93,6 +98,7 @@ def summarize(runs, workload, metrics):
     summary = {}
     for metric in metrics if done else ():
         name, higher = metric["name"], metric["better"] == "higher"
+        bound = metric["bound"]
         parent = [p["parent"]["metrics"][name]["value"] for p in done]
         change = [p["change"]["metrics"][name]["value"] for p in done]
         pq, cq = quartiles(parent), quartiles(change)
@@ -103,6 +109,9 @@ def summarize(runs, workload, metrics):
             "change_over_parent": round(cq[1] / pq[1], 4),
             "pairs_change_better": sum((c > p) if higher else (c < p)
                                        for p, c in zip(parent, change)),
+            "bound": bound,
+            "within_bound": bool(cq[1] >= pq[1] * (1 - bound) if higher
+                                 else cq[1] <= pq[1] * (1 + bound)),
         }
     summary["failed_runs"] = sum(
         1 for p in pairs.values() for side in p.values()
