@@ -212,6 +212,13 @@ def _write_evaluation_record(args, out, flags):
     write_resolved(record, out)
 
 
+def _check_training_splits(dataset):
+    """train and ablate: the train and val splits are nonempty, checked
+    before --out is made."""
+    dataset.split_sequences("train")
+    dataset.split_sequences("val")
+
+
 def _train_once(dataset, mcfg, tcfg):
     result = train_model(dataset, mcfg, tcfg)
     return result, params_from_arrays(mcfg, result.best_values.items())
@@ -223,6 +230,7 @@ def cmd_train(args):
     _use_dataset_settings(resolved, explicit, dataset)
     mcfg = config_from_resolved(ModelConfig, resolved)
     tcfg = config_from_resolved(TrainConfig, resolved)
+    _check_training_splits(dataset)
     out = _make_out_dir(args.out)
     result, params = _train_once(dataset, mcfg, tcfg)
     ckpt_path = out / "model.ckpt"
@@ -241,7 +249,9 @@ def cmd_train(args):
 
 def load_model(ckpt_path):
     """-> (model config, parameters, seed) of a checkpoint, its parameters
-    checked against the config's param_table and used without a copy."""
+    checked against the config's param_table and cast to float32 once.
+    A forward computes in its parameters' dtype, so eval and diag run in
+    float32; nothing that trains loads a checkpoint."""
     config_text, seed, named = load_checkpoint(ckpt_path)
     try:
         mcfg = config_from_text(config_text)
@@ -251,6 +261,8 @@ def load_model(ckpt_path):
         params = params_from_arrays(mcfg, named)
     except DataError as exc:
         raise DataError(f"{ckpt_path}: {exc}") from None
+    for p in params.params.values():
+        p.data = p.data.astype(np.float32)
     return mcfg, params, seed
 
 
@@ -325,6 +337,7 @@ def cmd_ablate(args):
             runs.append((label, config_from_resolved(ModelConfig, local)))
     if not runs:
         raise UsageError("nothing to do: pass --variants and/or --sweep")
+    _check_training_splits(dataset)
     dataset.split_sequences(args.split)
     out = _make_out_dir(args.out)
     rows = []

@@ -52,10 +52,11 @@ def normalize_frame(h):
     constant yields the same output and the op is idempotent on nonzero
     frames. The one check a frame gets before the model sees it: an (R, A, D)
     shape and finite, nonnegative entries; the functions above trust it.
-    The one place float64 enters: a dataset holds frames in float32, as
-    stored. The check and the max read the frame as given, and the division
-    casts it to float64, an exact conversion, so a float32 frame and its
-    float64 conversion normalize to the same bits.
+    A dataset holds frames in float32, as stored. The check and the max
+    read the frame as given, and the division casts it to float64, an exact
+    conversion, so a float32 frame and its float64 conversion normalize to
+    the same bits. The forward then casts the result to its parameters'
+    dtype: a no-op for training, a rounding to float32 for eval and diag.
     """
     h = np.asarray(h)
     if h.ndim != 3:

@@ -11,7 +11,8 @@ that regresses joint coordinates in millimeters.
 
 Every stage takes a batch: activations carry a leading batch axis, and a
 single window is a batch of one. Parameters are unbatched leaves that every
-sample of a batch reads.
+sample of a batch reads, and a forward computes in their dtype: float64 for
+training, float32 for an evaluation of a loaded checkpoint.
 
 Multi-frame mode aggregates per-frame Doppler tokens by their gates
 (confidence-weighted mean with a small eps in the denominator) before
@@ -317,8 +318,8 @@ def neighborhood(i, cfg):
 def patch_matrix(s_maps, cfg):
     """(B, N_s, patch_r*patch_a) flattened non-overlapping patches of a
     (B, R, A) batch of maps, patches in row-major order over the patch
-    lattice."""
-    s = np.asarray(s_maps, dtype=np.float64)
+    lattice, in the maps' dtype."""
+    s = np.asarray(s_maps)
     if s.ndim != 3 or s.shape[1:] != (cfg.R, cfg.A):
         raise ShapeError(f"spatial maps shape {s.shape} != (B, {cfg.R}, {cfg.A})")
     blocks = s.reshape(len(s), cfg.patches_r, cfg.patch_r, cfg.patches_a, cfg.patch_a)
@@ -333,7 +334,8 @@ def tokenize_spatial(s_maps, params, cfg):
     patches = patch_matrix(s_maps, cfg)
     if cfg.ablation == "doppler_only":
         # + 0.0 gives every sample its own copy of the embeddings
-        return T.add(pos, T.Tensor(np.zeros((len(patches), 1, 1)), batched=True))
+        return T.add(pos, T.Tensor(np.zeros((len(patches), 1, 1), patches.dtype),
+                                   batched=True))
     content = T.affine(T.Tensor(patches, batched=True), params["spatial_encoder.weight"],
                        params["spatial_encoder.bias"])
     return T.add(content, pos)
@@ -402,7 +404,9 @@ def aggregate_doppler_multiframe(frame_tokens, frame_gates, cfg):
     for t, gv in zip(frame_tokens[1:], frame_gates[1:]):
         num = T.add(num, T.mul(gv, t))
         den = T.add(den, gv)
-    return T.div(num, T.add(den, cfg.agg_eps))
+    # eps in the tokens' dtype: lifted to a Tensor, a Python float becomes a
+    # float64 array, which would promote a float32 forward
+    return T.div(num, T.add(den, np.asarray(cfg.agg_eps, den.data.dtype)))
 
 
 def residual_update(spatial, contexts, params):
@@ -418,8 +422,8 @@ def naive_concat_update(spatial, doppler, params, cfg):
     neighborhood-mean Doppler token, then project back to width d. The mean
     is one attention head over the neighborhood_band with zero queries:
     every logit is 0, so each visible cell gets weight 1/count."""
-    queries = T.Tensor(np.zeros(spatial.shape), batched=True)
-    keys = T.Tensor(np.zeros(doppler.shape), batched=True)
+    queries = T.Tensor(np.zeros(spatial.shape, spatial.data.dtype), batched=True)
+    keys = T.Tensor(np.zeros(doppler.shape, doppler.data.dtype), batched=True)
     pool, _ = T.attention(queries, keys, doppler, 1, 1.0, band=neighborhood_band(cfg))
     return T.affine(T.concat_lastdim([spatial, pool]),
                     params["concat_fuse.weight"], params["concat_fuse.bias"])
@@ -500,8 +504,11 @@ def forward(windows, params, cfg, train=False, base_keys=None,
     force_aggregate is set), merged by confidence-weighted aggregation with
     the prompting gate recomputed from the merged tokens. base_keys gives
     each sample its own dropout key stream (default 0 for every sample).
+    Each frame is cast to the parameters' dtype, a no-op for float64
+    parameters and float64 frames.
     """
-    windows = [list(w) for w in windows]
+    dtype = params["pos_embed"].data.dtype
+    windows = [[np.asarray(frame, dtype) for frame in w] for w in windows]
     for w in windows:
         if len(w) != cfg.frame_window:
             raise UsageError(

@@ -265,7 +265,8 @@ SPLITS = ("train", "val", "test")
 class Dataset:
     """In-memory view of an emitted dataset directory. Frames are held as
     the .rdt files store them, in float32; features.normalize_frame turns
-    each into float64 when the model reads it."""
+    each into float64 when the model reads it, and the forward casts that
+    to its parameters' dtype."""
 
     def __init__(self, root, manifest, splits, frames, poses, joint_names):
         self.root = Path(root)

@@ -1,6 +1,9 @@
 """Dense row-major tensors with reverse-mode automatic differentiation.
 
-Values live in float64 numpy arrays; the graph bookkeeping and every
+Values live in float32 or float64 numpy arrays, and an op computes in the
+dtype of its inputs: the training graph runs in float64, an evaluation
+forward on float32 parameters in float32. Scalars stay Python floats, which
+take the dtype of the array they meet. The graph bookkeeping and every
 backward rule are local to this module. Graphs are built functionally: each
 op returns a fresh Tensor holding its parents and a closure that pushes the
 upstream gradient to them; an op none of whose inputs requires grad records
@@ -32,10 +35,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DomainError, ShapeError, UsageError
 
 
+_FLOAT32 = np.dtype(np.float32)
+
+
 class Tensor:
     """A node in the autodiff graph.
 
-    data          row-major float64 numpy array
+    data          row-major numpy array: a float32 array stays float32,
+                  anything else becomes float64
     requires_grad whether gradients should flow to (or through) this node
     batched       whether axis 0 of data is a batch of independent samples
     grad          populated by backward(); same shape as data
@@ -46,7 +53,9 @@ class Tensor:
 
     def __init__(self, values, requires_grad=False, _parents=(), _backprop=None,
                  batched=False):
-        self.data = np.asarray(values, dtype=np.float64)
+        if not (type(values) is np.ndarray and values.dtype == _FLOAT32):
+            values = np.asarray(values, dtype=np.float64)
+        self.data = values
         self.requires_grad = bool(requires_grad)
         self.batched = bool(batched)
         self.grad = None
@@ -367,7 +376,8 @@ class Band:
         each head's rows of every group's window, zero rows in the padding."""
         g, b = self.groups, self.block
         batch = len(x)
-        padded = np.zeros((batch, heads, g + self.window - 1, b, x.shape[-1] // heads))
+        padded = np.zeros((batch, heads, g + self.window - 1, b, x.shape[-1] // heads),
+                          x.dtype)
         padded[:, :, self.before:self.before + g] = \
             x.reshape(batch, g, b, heads, -1).transpose(0, 3, 1, 2, 4)
         shifted = sliding_window_view(padded, self.window, axis=2)
@@ -378,7 +388,7 @@ class Band:
         """Adjoint of windows for one sample: (heads, G, window * block, e) ->
         (M, heads * e), summing each key row over the windows that share it."""
         heads, g, _, e = xw.shape
-        padded = np.zeros((heads, g + self.window - 1, self.block, e))
+        padded = np.zeros((heads, g + self.window - 1, self.block, e), xw.dtype)
         shifted = xw.reshape(heads, g, self.window, self.block, e)
         for o in range(self.window):
             padded[:, o:o + g] += shifted[:, :, o]

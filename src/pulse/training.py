@@ -175,16 +175,20 @@ def build_samples(dataset, split, mcfg):
 # Dense cross-attention logit bytes one evaluation forward may span.
 # Measured: desk evaluates fastest at 3 windows a batch and slower at 4
 # than at 1, and at full a second window adds 12.6 MB of peak RSS and no
-# speed.
+# speed. A float32 forward halves the logit bytes, yet desk float32 eval
+# still runs 3 windows a batch faster than 6 (0.60 s against 0.70 s a
+# split pass).
 EVAL_LOGIT_BYTES = 3 * 2**20
 
 
 def eval_batch(mcfg):
     """Windows per evaluation forward, from the model geometry alone: as
     many as keep a batch's dense cross-attention logits (heads x spatial
-    tokens x cells, float64; the band computes a share of them) within
-    EVAL_LOGIT_BYTES, at least one. Desk (32x32x16, 2 heads, 1 MiB a
-    window) runs 3 windows a batch; full (64x64x16, 4 heads, 32 MiB) runs 1."""
+    tokens x cells, counted at 8 bytes each; the band computes a share of
+    them) within EVAL_LOGIT_BYTES, at least one. The count is the same for
+    training's float64 validation passes and the float32 forwards of eval
+    and diag. Desk (32x32x16, 2 heads, 1 MiB a window) runs 3 windows a
+    batch; full (64x64x16, 4 heads, 32 MiB) runs 1."""
     return max(1, EVAL_LOGIT_BYTES // (8 * mcfg.heads * mcfg.n_spatial * mcfg.n_cells))
 
 

@@ -14,18 +14,19 @@ import numpy as np
 import pytest
 
 from pulse import tensor as T
-from pulse.cli import main
+from pulse.cli import load_model, main
 from pulse.features import reconstruct_rad, spatial_magnitude
 from pulse.metrics import gate_motion_diag, kalman_smooth, sequence_report
-from pulse.model import (ModelConfig, conditional_cross_attention, forward,
-                         init_params, params_from_arrays, tokenize_doppler,
+from pulse.model import (ModelConfig, conditional_cross_attention, config_to_text,
+                         forward, init_params, params_from_arrays, tokenize_doppler,
                          tokenize_spatial)
 from pulse.radar import (RadarConfig, Scatterer, angle_bin, doppler_bin,
                          range_bin, range_for_bin, rad_fft, render_frame,
                          sin_theta_for_bin, speed_for_bin)
-from pulse.storage import load_dataset
+from pulse.storage import load_dataset, save_checkpoint
 from pulse.training import TrainConfig, evaluate_split, score_gates, train_model
-from tests.conftest import TINY_GRID, TINY_MODEL, TINY_TRAIN
+from tests.conftest import (TINY_GRID, TINY_MODEL, TINY_TRAIN, float32_pearson_tolerance,
+                            float32_pose_tolerance)
 
 # Desk-scale training profile: overrides of the full-scale defaults sized
 # for a few CPU minutes per run.
@@ -325,6 +326,40 @@ def test_gate_motion_direction(trained_models):
     _passline("gate-motion-direction",
               f"median Pearson r {median_r:.3f} "
               f"(per seed: {', '.join(f'{r:+.3f}' for r in correlations)})")
+
+
+def test_float32_evaluation_agrees_with_float64(trained_models, tmp_path):
+    # eval and diag load a checkpoint as float32: on every trained model the
+    # test-split metrics and the gate-motion Pearson r stay within the
+    # tolerances derived in tests/conftest.py of the float64 evaluation
+    dataset, models, _ = trained_models
+    worst = {"mpjpe": 0.0, "mpjve": 0.0, "akv": 0.0, "pearson": 0.0}
+    bound = {key: math.inf for key in worst}
+    for (variant, seed), (params, mcfg) in models.items():
+        path = tmp_path / f"{variant}-{seed}.ckpt"
+        save_checkpoint(path, config_to_text(mcfg), seed,
+                        [(name, params[name].data) for name in params.names()])
+        _, loaded, _ = load_model(path)
+        report64, preds64, _ = evaluate_split(params, mcfg, dataset, "test")
+        report32, _, _ = evaluate_split(loaded, mcfg, dataset, "test")
+        tol = float32_pose_tolerance(mcfg, preds64)
+        for key in ("mpjpe", "mpjve", "akv"):
+            dev = abs(getattr(report32, key) - getattr(report64, key))
+            assert dev < tol, (variant, seed, key, dev, tol)
+            worst[key] = max(worst[key], dev)
+            bound[key] = min(bound[key], tol)
+        if variant == "full":
+            diags = [gate_motion_diag(scores, preds, gts) for preds, gts, scores in
+                     (score_gates(group, mcfg, dataset, "all") for group in (params, loaded))]
+            tol = float32_pearson_tolerance(mcfg, [g for g, _, _ in diags[0].records])
+            dev = abs(diags[1].pearson - diags[0].pearson)
+            assert dev < tol, (seed, dev, tol)
+            worst["pearson"] = max(worst["pearson"], dev)
+            bound["pearson"] = min(bound["pearson"], tol)
+    _passline("float32-evaluation",
+              ", ".join(f"{key} max |float32 - float64| {worst[key]:.1e} "
+                        f"(smallest tolerance {bound[key]:.1e})"
+                        for key in worst))
 
 
 # ---------------------------------------------------------------------------

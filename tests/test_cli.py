@@ -17,11 +17,11 @@ from pulse import cli
 from pulse import tensor as T
 from pulse import training
 from pulse.cli import main
-from pulse.model import config_from_text, init_params
+from pulse.model import config_from_text, init_params, params_from_arrays
 from pulse.radar import JOINT_NAMES
 from pulse.storage import load_checkpoint, load_dataset, save_checkpoint, write_rdt
-from tests.conftest import (TINY_GRID, TINY_MODEL, TINY_TRAIN, openblas_threads,
-                            parse_train_log)
+from tests.conftest import (TINY_GRID, TINY_MODEL, TINY_TRAIN, float32_pose_tolerance,
+                            openblas_threads, parse_train_log)
 
 
 def synth(out, seed="3", extra=()):
@@ -250,7 +250,27 @@ def test_train_grid_conflict_rejected(cli_dataset, tmp_path):
         assert rc == 3, r
 
 
+def _float64_val_evaluation(run, dataset):
+    """(model config, float64 evaluate_split of the val split, the log's best
+    val MPJPE) of the checkpoint's values as stored."""
+    text, _, named = load_checkpoint(run / "model.ckpt")
+    mcfg = config_from_text(text)
+    evaluation = training.evaluate_split(params_from_arrays(mcfg, named), mcfg,
+                                         load_dataset(dataset), "val")
+    log = parse_train_log((run / "train_log.csv").read_text())
+    return mcfg, evaluation, min(r.val_mpjpe for r in log)
+
+
+def test_float64_evaluation_reproduces_training_log_best(cli_run, cli_dataset):
+    # the checkpoint holds the best epoch's float64 values, and a float64
+    # evaluation of them repeats that epoch's validation pass
+    _, (report, _, _), best = _float64_val_evaluation(cli_run, cli_dataset)
+    assert abs(report.mpjpe - best) < 1e-9
+
+
 def test_eval_matches_training_log_best(cli_run, cli_dataset, tmp_path):
+    # eval runs the same values in float32: within the float32 tolerance,
+    # derived from the model geometry and the pose scale, of the float64 best
     out = tmp_path / "eval"
     rc = main(["eval", "--checkpoint", str(cli_run / "model.ckpt"),
                "--dataset", str(cli_dataset), "--split", "val",
@@ -258,12 +278,44 @@ def test_eval_matches_training_log_best(cli_run, cli_dataset, tmp_path):
     assert rc == 0
     rows = dict(line.split(",") for line in
                 (out / "metrics.csv").read_text().splitlines()[1:])
-    log = parse_train_log((cli_run / "train_log.csv").read_text())
-    best = min(r.val_mpjpe for r in log)
-    assert abs(float(rows["mpjpe"]) - best) < 1e-9
+    mcfg, (_, preds, _), best = _float64_val_evaluation(cli_run, cli_dataset)
+    assert abs(float(rows["mpjpe"]) - best) < float32_pose_tolerance(mcfg, preds)
     pj = (out / "per_joint.csv").read_text().splitlines()
     assert pj[0] == "joint,mpjpe,mpjve"
     assert len(pj) == 9  # 8 joints
+
+
+def test_load_model_casts_the_parameters_to_float32(cli_run):
+    stored = dict(load_checkpoint(cli_run / "model.ckpt")[2])
+    _, params, _ = cli.load_model(cli_run / "model.ckpt")
+    assert params.names() == list(stored)
+    for name, p in params.params.items():
+        assert p.data.dtype == np.float32, name
+        assert np.array_equal(p.data, stored[name].astype(np.float32)), name
+
+
+def test_a_train_checkpoint_holds_float64_parameters(cli_run):
+    named = load_checkpoint(cli_run / "model.ckpt")[2]
+    assert named and all(values.dtype == np.float64 for _, values in named)
+
+
+def test_eval_and_diag_compute_in_float32(cli_run, cli_dataset, tmp_path, op_dtypes):
+    for command in ("eval", "diag"):
+        op_dtypes.clear()
+        assert main([command, "--checkpoint", str(cli_run / "model.ckpt"),
+                     "--dataset", str(cli_dataset), "--split", "all",
+                     "--out", str(tmp_path / command)]) == 0
+        assert set(op_dtypes) == {np.dtype(np.float32)}, (command, set(op_dtypes))
+
+
+def test_train_and_gradcheck_compute_in_float64(cli_dataset, tmp_path, op_dtypes):
+    # training, its validation passes and the gradient checker stay float64
+    assert main(["train", "--dataset", str(cli_dataset), "--out", str(tmp_path / "run"),
+                 *TINY_MODEL, *TINY_TRAIN, "--max_steps", "2"]) == 0
+    assert op_dtypes and set(op_dtypes) == {np.dtype(np.float64)}
+    op_dtypes.clear()
+    assert main(["gradcheck", "--R", "8", "--A", "8", "--D", "4"]) == 0
+    assert op_dtypes and set(op_dtypes) == {np.dtype(np.float64)}
 
 
 def test_eval_all_per_joint_pools_like_metrics(cli_run, cli_dataset, tmp_path):
@@ -880,6 +932,9 @@ def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, cap
     # a failing eval or diag writes no report
     assert not (tmp_path / "o" / "metrics.csv").exists()
     assert not (tmp_path / "o" / "gate_diag.csv").exists()
+    # an empty split is refused before --out is made
+    if "is empty" in name:
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("case", [

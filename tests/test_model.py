@@ -665,6 +665,42 @@ def test_regress_grad_through_loss_pos():
     assert max(head_errs.values()) < 1e-4
 
 
+@pytest.mark.parametrize("frame_window", [1, 2])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_a_float32_forward_computes_only_in_float32(ablation, frame_window, op_dtypes):
+    # a forward computes in its parameters' dtype: no op of a float32
+    # forward may promote to float64, not even where a scalar or a constant
+    # array meets an activation, and the float64 forward stays float64
+    cfg = desk_cfg(ablation=ablation, frame_window=frame_window)
+    params = init_params(cfg, seed=62, randomize_all=True)
+    rng = np.random.default_rng(63)
+    windows = [[rng.random((cfg.R, cfg.A, cfg.D)) for _ in range(frame_window)]
+               for _ in range(2)]
+    results = {}
+    for dtype in (np.float32, np.float64):
+        constants = {name: T.Tensor(p.data.astype(dtype))
+                     for name, p in params.params.items()}
+        op_dtypes.clear()
+        result = forward(windows, constants, cfg)
+        assert set(op_dtypes) == {np.dtype(dtype)}, (dtype, set(op_dtypes))
+        assert result.pose.data.dtype == dtype and result.spatial.dtype == dtype
+        results[dtype] = result.pose.data
+    np.testing.assert_allclose(results[np.float32], results[np.float64], atol=1e-3)
+
+
+def test_gate_strength_zero_is_bitwise_ungated_in_float32():
+    # criterion 2's exact equivalence, which the acceptance suite checks in
+    # float64, holds in the float32 forwards of eval and diag too
+    full0, ungated = desk_cfg(gate_strength=0.0), desk_cfg(ablation="ungated")
+    params = init_params(full0, seed=64, randomize_all=True)
+    constants = {name: T.Tensor(p.data.astype(np.float32))
+                 for name, p in params.params.items()}
+    frames = rand_frames(full0, 65)
+    a = forward([frames], constants, full0).pose.data
+    b = forward([frames], constants, ungated).pose.data
+    assert a.dtype == np.float32 and np.array_equal(a, b)
+
+
 def test_full_scale_profile_forward_smoke():
     # default profile: 64x64x16 grid, 256 spatial / 4096 Doppler tokens
     cfg = ModelConfig()

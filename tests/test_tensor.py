@@ -16,6 +16,29 @@ def rand(rng, *shape):
 
 
 # ---------------------------------------------------------------------------
+# values
+
+def test_tensor_keeps_float32_and_float64_and_casts_the_rest_to_float64():
+    x32 = np.arange(6, dtype=np.float32).reshape(2, 3)
+    x64 = x32.astype(np.float64)
+    assert T.Tensor(x32).data is x32
+    assert T.Tensor(x64).data is x64
+    for other in (np.arange(3), np.arange(3, dtype=np.float16), [1.0, 2.0],
+                  np.float32(2.0), 3):
+        assert T.Tensor(other).data.dtype == np.float64, other
+
+
+def test_band_windows_and_overlap_add_keep_the_input_dtype():
+    band = _lattice_band(16, 8, 2, 4, 3)
+    rng = np.random.default_rng(3)
+    for dtype in (np.float32, np.float64):
+        keys = rand(rng, 2, 128, 4).astype(dtype)
+        windows = band.windows(keys, 2)
+        assert windows.dtype == dtype
+        assert band.overlap_add(windows[0]).dtype == dtype
+
+
+# ---------------------------------------------------------------------------
 # matmul
 
 def test_matmul_identity():

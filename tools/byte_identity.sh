@@ -19,6 +19,11 @@
 # copies is printed; the digests match only when both hash the same names,
 # dtypes, shapes and bytes.
 #
+# When the two trees differ, each differing CSV is printed with the largest
+# absolute difference of each numeric column (a column is numeric when
+# every value of it in both files parses as a float), so a difference
+# shows its size as well as its place.
+#
 # Run from anywhere inside the repository. Outputs stay in a fresh directory
 # under ${TMPDIR:-/tmp}, printed at the end; the exit status is diff's (0 when
 # both trees wrote the same bytes), or 1 when the outputs match but a tree's
@@ -70,6 +75,33 @@ run_tree "$root" "$work/tree"
 wait "$ref_pid"
 status=0
 diff -r "$work/ref" "$work/tree" || status=$?
+if [[ $status -ne 0 ]]; then
+    python3 - "$work/ref" "$work/tree" <<'PY'
+import csv
+import sys
+from pathlib import Path
+
+ref, tree = map(Path, sys.argv[1:])
+for a in sorted(ref.rglob("*.csv")):
+    b = tree / a.relative_to(ref)
+    if not b.is_file() or a.read_bytes() == b.read_bytes():
+        continue
+    (head, *rows_a), (_, *rows_b) = (list(csv.reader(p.read_text().splitlines()))
+                                     for p in (a, b))
+    name = a.relative_to(ref)
+    if len(rows_a) != len(rows_b) or any(len(x) != len(y) for x, y in zip(rows_a, rows_b)):
+        print(f"csv_diff: {name}: the files differ in shape")
+        continue
+    sizes = []
+    for col, title in enumerate(head):
+        try:
+            diffs = [abs(float(x[col]) - float(y[col])) for x, y in zip(rows_a, rows_b)]
+        except ValueError:
+            continue
+        sizes.append(f"{title} {max(diffs, default=0.0):.3g}")
+    print(f"csv_diff: {name}: largest |ref - tree| by column: {', '.join(sizes) or 'no numeric column'}")
+PY
+fi
 echo "byte_identity: $ref vs working tree: outputs in $work/ref and $work/tree (diff status $status)"
 for tree in ref tree; do
     if ! diff -r "$work/$tree/pipeline-1" "$work/$tree/pipeline-2"; then
