@@ -148,9 +148,14 @@ def cmd_synth(args):
         raise UsageError("--split-ratios needs three comma-separated values")
     if args.frames < 1:
         raise UsageError(f"--frames must be at least 1, got {args.frames}")
+    out = Path(args.out)
+    # a second dataset would leave the first one's frames under its manifest
+    for existing in (out / "manifest.txt", out / "frames"):
+        if existing.exists():
+            raise UsageError(f"--out {out} holds a dataset already: {existing} "
+                             f"exists; remove the directory to synthesize into it")
     scenes = [make_scene(rcfg, seed=seed * 100_003 + i, motion=m, clutter=clutter)
               for i, m in enumerate(motions)]
-    out = Path(args.out)
     manifest = emit_dataset(rcfg, scenes, ratios, out, seed=seed,
                             frames_per_seq=args.frames, motions=motions,
                             clutter=clutter)

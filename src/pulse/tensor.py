@@ -351,8 +351,7 @@ class Band:
     contiguous window of key blocks g - before .. g - before + window - 1;
     blocks past either end of the keys are zero padding. `visible` is the
     boolean (G, N / G, window * block) array of the keys each query keeps
-    in its group's window and `hidden` its complement. A query row with no
-    visible key is rejected.
+    in its group's window. A query row with no visible key is rejected.
     """
 
     def __init__(self, visible, before, block):
@@ -362,14 +361,24 @@ class Band:
                              f"rows, window * {block})")
         if not visible.any(axis=2).all():
             raise DomainError("Band: a query row has no visible key")
+        visible.setflags(write=False)
         self.visible = visible
-        self.hidden = ~visible
-        for arr in (self.visible, self.hidden):
-            arr.setflags(write=False)
         self.groups, self.rows_per_group, width = visible.shape
         self.block = int(block)
         self.window = width // self.block
         self.before = int(before)
+        self._offsets = {}
+
+    def offset(self, dtype):
+        """The band as an additive logit offset in `dtype`: 0.0 on visible
+        keys, -inf on hidden ones. Built once per dtype and read-only."""
+        offset = self._offsets.get(dtype)
+        if offset is None:
+            offset = np.full(self.visible.shape, -np.inf, dtype)
+            offset[self.visible] = 0.0
+            offset.setflags(write=False)
+            self._offsets[dtype] = offset
+        return offset
 
     def windows(self, x, heads):
         """(B, M, heads * e) key rows -> (B, heads, G, window * block, e):
@@ -396,6 +405,25 @@ class Band:
             .reshape(g * self.block, heads * e)
 
 
+def _softmax(p, band):
+    """Softmax over the last axis of the logits p, in place; a Band first
+    adds its offset, 0.0 on visible keys and -inf on hidden ones, so banded
+    and unbanded logits run one plain softmax.
+
+    For finite logits the weights are bitwise those of a softmax that reads
+    only the visible keys: each row has a visible key, so its max is the
+    visible max; a hidden logit becomes -inf, and exp(-inf) is exactly +0.0;
+    a visible one plus 0.0 is itself up to the sign of a zero, which exp
+    erases. A +inf or NaN logit on a hidden key turns its row to NaN, where
+    a masked softmax would skip it.
+    """
+    if band is not None:
+        p += band.offset(p.dtype)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+
 def attention(q, k, v, heads, logit_scale, bias=None, band=None):
     """Multi-head attention over a batch: per sample and head h,
     softmax(logit_scale * q_h k_h^T + bias) v_h, with the heads as one more
@@ -406,7 +434,8 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
     bias    : optional (B, M, 1) tensor, one column per sample (the shape of
               a gate), added to every head's logits, per key.
     band    : optional Band; each query group then scores only the keys of
-              its window, and keys it hides get weight exactly 0.
+              its window, and keys it hides get weight exactly 0 (the band
+              enters as an additive offset, see _softmax).
               None lets every query see every key (one group, one block).
     Returns the (B, N, d) tensor of the head contexts side by side, and the
     weights as a (B, heads, G, N / G, K) array: G = 1 and K = M without a
@@ -464,16 +493,7 @@ def attention(q, k, v, heads, logit_scale, bias=None, band=None):
                              f"got {bias.shape}")
         parents.append(bias)
         p += windows(bias.data, 1)[..., 0][..., None, :]
-    if band is None:
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-    else:
-        # the row max, exp and zeroing read only the visible entries, so the
-        # hidden ones need no -inf
-        p -= p.max(axis=-1, keepdims=True, where=band.visible, initial=-np.inf)
-        np.exp(p, out=p, where=band.visible)
-        np.copyto(p, 0.0, where=band.hidden)
-    p /= p.sum(axis=-1, keepdims=True)
+    _softmax(p, band)
     ctx = p @ vw
     out = ctx.transpose(0, 2, 3, 1, 4).reshape(batch, n, d)
 

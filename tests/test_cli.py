@@ -88,6 +88,22 @@ def test_synth_clutter_off_recorded(tmp_path):
     assert "clutter=false" in manifest
 
 
+def test_synth_refuses_an_existing_dataset(cli_dataset, tmp_path, capsys):
+    def files():
+        return {p: p.read_bytes() for p in ds.rglob("*") if p.is_file()}
+
+    ds = tmp_path / "ds"
+    shutil.copytree(cli_dataset, ds)
+    for existing in ("manifest.txt", "frames"):
+        before = files()
+        assert main(["synth", "--out", str(ds), "--seed", "4", "--sequences", "2",
+                     "--frames", "4", *TINY_GRID]) == 2
+        assert f"{ds / existing} exists" in capsys.readouterr().err
+        assert files() == before
+        # with the manifest gone, the frames alone still refuse
+        (ds / "manifest.txt").unlink(missing_ok=True)
+
+
 def test_synth_rejects_unknown_motion(tmp_path):
     rc = main(["synth", "--out", str(tmp_path / "x"), "--motion", "fly", *TINY_GRID])
     assert rc == 2
@@ -919,6 +935,9 @@ def _empty_split(command, split):
     pytest.param(_empty_split("train", "val"), id="train_val_empty"),
     pytest.param(_empty_split("train", "train"), id="train_train_empty"),
     pytest.param(_empty_split("ablate", "val"), id="ablate_val_empty"),
+    pytest.param(lambda ds, run, tmp: (["synth", "--out", str(ds), *TINY_GRID],
+                                       f"{ds / 'manifest.txt'} exists"),
+                 id="synth_over_a_dataset"),
 ])
 def test_malformed_input_exits_cleanly(case, cli_dataset, cli_run, tmp_path, capsys):
     ds = tmp_path / "ds"

@@ -43,7 +43,7 @@ def dense_weights(weights, cfg):
     band = neighborhood_band(cfg)
     if band is None:
         return weights[:, 0]
-    assert np.all(weights[:, band.hidden] == 0.0)
+    assert np.all(weights[:, ~band.visible] == 0.0)
     dense = np.zeros((len(weights), cfg.n_spatial, cfg.n_cells))
     for i in range(cfg.n_spatial):
         group, token = divmod(i, cfg.patches_a)

@@ -121,7 +121,7 @@ def test_attention_band_zeroes_and_renormalizes():
     band = _lattice_band(16, 8, 2, 4, 3)
     p = attend(rand(rng, 16, 4), rand(rng, 128, 4), band=band, heads=2)
     assert p.shape == (2,) + band.visible.shape
-    assert np.all(p[:, band.hidden] == 0.0) and np.all(p[:, band.visible] > 0.0)
+    assert np.all(p[:, ~band.visible] == 0.0) and np.all(p[:, band.visible] > 0.0)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -171,7 +171,64 @@ def test_attention_band_rows_sum_to_one(seed, patches_r, patches_a, patch_r, pat
     p = attend(10.0 * rand(rng, patches_r * patches_a, 2),
                rand(rng, R * A, 2), bias=rand(rng, 1, R * A).T, band=band)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
-    assert np.all(p[:, band.hidden] == 0.0)
+    assert np.all(p[:, ~band.visible] == 0.0)
+
+
+def masked_softmax_reference(p, band):
+    """T._softmax of banded logits as it was before the band became an
+    additive offset, kept as its reference: the row max and the
+    exponentials read only the visible keys, and the hidden ones are set
+    to 0.0."""
+    p -= p.max(axis=-1, keepdims=True, where=band.visible, initial=-np.inf)
+    np.exp(p, out=p, where=band.visible)
+    np.copyto(p, 0.0, where=~band.visible)
+    p /= p.sum(axis=-1, keepdims=True)
+
+
+# (R, A, patch_r, patch_a, window): the desk and full profiles, the grid of
+# tools/cli_pipeline.sh, and a seeded sample of the band geometry sweep's
+# patch grids 1-8 x 1-8 and patch sizes 1-4, with windows 1-9 (a window
+# twice the patch grid sees every key, as window 99 does)
+_SAMPLE = np.random.default_rng(27).integers([1, 1, 1, 1, 1], [9, 9, 5, 5, 10], (8, 5))
+BAND_GEOMETRIES = {
+    "desk": (32, 32, 4, 4, 3), "full": (64, 64, 4, 4, 3), "pipeline": (16, 16, 4, 4, 3),
+    "window99": (12, 8, 3, 2, 99),
+    **{f"grid{gr}x{ga}_patch{pr}x{pa}_w{w}": (gr * pr, ga * pa, pr, pa, w)
+       for gr, ga, pr, pa, w in _SAMPLE.tolist()},
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("geometry", list(BAND_GEOMETRIES.values()),
+                         ids=list(BAND_GEOMETRIES))
+def test_banded_attention_is_bitwise_the_masked_softmax(geometry, dtype, monkeypatch):
+    band = _lattice_band(*geometry)
+    n, m = band.groups * band.rows_per_group, band.groups * band.block
+    rng = np.random.default_rng(list(geometry))
+    for batch in (1, 4):
+        values = [3.0 * rand(rng, batch, n, 8), rand(rng, batch, m, 8),
+                  rand(rng, batch, m, 8), rand(rng, batch, m, 1)]
+        upstream = rand(rng, batch, n, 8)
+        for with_bias in (False, True):
+            def run():
+                leaves = [T.Tensor(x.astype(dtype), requires_grad=dtype == np.float64,
+                                   batched=True) for x in values]
+                q, k, v, bias = leaves
+                ctx, p = T.attention(q, k, v, 2, 0.7, bias=bias if with_bias else None,
+                                     band=band)
+                out = [p, ctx.data]
+                if dtype == np.float64:
+                    T.backward(T.fold_sum(T.tsum(T.mul(ctx, upstream), axis=(1, 2))))
+                    out += [x.grad for x in leaves[:3 + with_bias]]
+                return out
+
+            got = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(T, "_softmax", masked_softmax_reference)
+                want = run()
+            assert got[0].dtype == dtype and len(got) == len(want)
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a.tobytes() == b.tobytes(), (batch, with_bias, i)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ within_bound (the change's median is not worse than the parent's by more
 than bound times the parent's median), and each side's median minor page
 faults a run; runs holds every run's last stdout line and its minor page
 faults. The record is rewritten after each pair, so an interrupted session
-keeps the pairs it finished.
+keeps the pairs it finished. Each pair prints both sides' frames_per_ref,
+and the end prints the summary: a line per workload and end-to-end metric,
+and a line of each workload's failed runs.
 
 Run from anywhere inside the repository; exits 1 when a run failed.
 """
@@ -121,6 +123,22 @@ def summarize(runs, workload, metrics):
     return summary
 
 
+def summary_lines(summary, metrics):
+    """The record's summary as text: a line per workload and end-to-end
+    metric, then the workload's failed runs."""
+    for workload, by_metric in summary.items():
+        for metric in metrics:
+            s = by_metric.get(metric["name"])
+            if s is None:
+                continue
+            (p25, p50, p75), (c25, c50, c75) = s["parent_quartiles"], s["change_quartiles"]
+            yield (f"{workload}: {metric['name']} parent {p50:.6g} ({p25:.6g}-{p75:.6g}), "
+                   f"change {c50:.6g} ({c25:.6g}-{c75:.6g}), {s['change_over_parent']}x, "
+                   f"change better in {s['pairs_change_better']} of {s['pairs']} pairs, "
+                   f"within_bound {s['within_bound']}")
+        yield f"{workload}: failed runs {by_metric['failed_runs']}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="the parent: a commit, branch or tag")
@@ -177,6 +195,7 @@ def main():
                 print(f"{workload} pair {seed}: " + ", ".join(
                     f"{r['side']} {r['result']['metrics']['frames_per_ref']['value']:.2f}"
                     for r in runs[-2:] if r["result"]), flush=True)
+        print("\n".join(summary_lines(record["summary"], metrics)))
     return 1 if any(r["result"] is None or not r["result"]["correct"] for r in runs) else 0
 
 

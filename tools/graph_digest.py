@@ -8,7 +8,9 @@ profile (32x32x16, d=16, 2 layers) and the full profile (64x64x16, d=32,
 4 layers), with frame_window 1 and 2. Each configuration contributes:
 
 - eval-mode forwards of a batch of one window: the pose and the prompting
-  gate, and with frame_window 1 also the forced-aggregation forward;
+  gate, and with frame_window 1 also the forced-aggregation forward; each
+  in float64, and in float32 with the parameters cast as cli.load_model
+  casts them, the precision of `eval` and `diag`;
 - one batch-4 training loss with dropout 0.1 and the gate loss (weight 30;
   the last sample has no gate target), and the gradient of every
   parameter after its backward.
@@ -55,12 +57,13 @@ def arrays(profile, ablation, frame_window):
     windows = [[rng.random((cfg.R, cfg.A, cfg.D)) for _ in range(frame_window)]
                for _ in range(BATCH)]
     params = init_params(cfg, seed=7, randomize_all=True)
-    constants = {name: T.Tensor(p.data) for name, p in params.params.items()}
-    for aggregate in (False, True) if frame_window == 1 else (False,):
-        result = forward([windows[0]], constants, cfg, force_aggregate=aggregate)
-        yield f"eval{int(aggregate)}.pose", result.pose.data
-        if result.gate is not None:
-            yield f"eval{int(aggregate)}.gate", result.gate.data
+    for dtype in (np.float64, np.float32):
+        constants = {name: T.Tensor(p.data.astype(dtype)) for name, p in params.params.items()}
+        for aggregate in (False, True) if frame_window == 1 else (False,):
+            result = forward([windows[0]], constants, cfg, force_aggregate=aggregate)
+            yield f"eval{int(aggregate)}.pose", result.pose.data
+            if result.gate is not None:
+                yield f"eval{int(aggregate)}.gate", result.gate.data
 
     poses, gate_targets = [], []
     for k in range(BATCH):          # per sample, the pose, then the proxy
